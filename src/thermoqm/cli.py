@@ -3,7 +3,8 @@
 One subcommand per operation; anything with more than a couple of parameters
 comes in as a JSON config (--config file or --json inline).  Every run writes
 summary.json (plus op-specific CSV/JSON artifacts) into --out; exit codes:
-0 pass, 1 threshold failure, 2 invalid input, 3 resource limit.  Wall time
+0 pass, 1 threshold failure, 2 invalid input, 3 resource limit, 4 unexpected
+error (a library bug; summary.json still records it).  Wall time
 goes to a timing.json sidecar so that reruns are byte-identical.
 """
 
@@ -14,6 +15,7 @@ import json
 import os
 import sys
 import time
+import traceback
 
 import numpy as np
 
@@ -653,6 +655,9 @@ def execute(op, cfg, out_dir, workers=1):
         summary, files, code = {"error": f"ResourceLimit: {exc}", "checks": []}, {}, 3
     except ThermoQmError as exc:
         summary, files, code = {"error": f"{type(exc).__name__}: {exc}", "checks": []}, {}, 2
+    except Exception as exc:  # a library bug: report it and still leave a summary behind
+        traceback.print_exc()
+        summary, files, code = {"error": f"{type(exc).__name__}: {exc}", "checks": []}, {}, 4
     summary_out = {"op": op, "config": cfg, "exit_code": code, "pass": code == 0}
     summary_out.update(summary)
     if out_dir:

@@ -18,6 +18,7 @@ from scipy.special import ndtr
 
 from .errors import DegenerateSigma
 from .markov import LocallyConstantFn, per_step_fn, variance
+from .sft import symbol_dtype
 
 _MASK = (1 << 64) - 1
 
@@ -62,7 +63,7 @@ def markov_sampler_payload(mm):
     smax = max(len(sft.successors[w[-1]]) for w in mm.states.words)
     succ_cum = np.ones((S, smax))
     succ_state = np.zeros((S, smax), dtype=np.int64)
-    succ_sym = np.zeros((S, smax), dtype=np.int8)
+    succ_sym = np.zeros((S, smax), dtype=symbol_dtype(sft.d))
     for vi, v in enumerate(mm.states.words):
         succs = [(s, mm.states.index(v[1:] + (s,))) for s in sft.successors[v[-1]]]
         probs = np.array([mm.kernel[vi, si] for _, si in succs])
@@ -82,7 +83,7 @@ def markov_sampler_payload(mm):
         "d": sft.d,
         "t": t,
         "init_cum": init_cum,
-        "state_words": np.array(mm.states.words, dtype=np.int8),
+        "state_words": np.array(mm.states.words, dtype=symbol_dtype(sft.d)),
         "succ_cum": succ_cum,
         "succ_state": succ_state,
         "succ_sym": succ_sym,
@@ -91,7 +92,7 @@ def markov_sampler_payload(mm):
 
 def uniform_sphere_payload(d, inverse):
     """Walk with uniform first letter and uniform non-backtracking steps."""
-    succ = np.zeros((d, d - 1), dtype=np.int8)
+    succ = np.zeros((d, d - 1), dtype=symbol_dtype(d))
     for x in range(d):
         succ[x] = [y for y in range(d) if y != inverse[x]]
     return {"kind": "sphere", "d": d, "t": 1, "succ_table": succ}
@@ -127,7 +128,8 @@ def _simulate_block(payload):
     runmax = np.zeros(B)
     codes = [np.zeros(B, dtype=np.int64) for _ in widths]
     checks = np.zeros((B, len(checkpoints)))
-    symbols = np.zeros((B, n), dtype=np.int8) if want_symbols else None
+    sym_dtype = symbol_dtype(d)
+    symbols = np.zeros((B, n), dtype=sym_dtype) if want_symbols else None
 
     def consume(sym, pos):
         if want_symbols:
@@ -164,14 +166,13 @@ def _simulate_block(payload):
             consume(sym, pos)
     elif payload["kind"] == "sphere":
         succ = payload["succ_table"]
-        sym = np.empty(B, dtype=np.int8)
         choice = np.empty((B, n - 1), dtype=np.int64)
         first = np.empty(B, dtype=np.int64)
         for i, trial in enumerate(range(t0, t1)):
             g = trial_rng(payload["seed"], trial)
             first[i] = g.integers(0, d)
             choice[i] = g.integers(0, d - 1, size=n - 1)
-        cur = first.astype(np.int8)
+        cur = first.astype(sym_dtype)
         consume(cur.copy(), 0)
         for pos in range(1, n):
             cur = succ[cur, choice[:, pos - 1]]

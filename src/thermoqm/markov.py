@@ -101,15 +101,9 @@ class MarkovPotential:
 
     def normalization_defect(self):
         """max over w of |sum_a e^{phi(a.w)} - 1| (w at the chain's state depth)."""
-        sft = self.sft
-        t = max(self.s, 1)
-        worst = 0.0
-        for w in sft.cylinders(t).words:
-            tot = sum(
-                np.exp(self.value((a,) + w)) for a in sft.predecessors[w[0]]
-            )
-            worst = max(worst, abs(tot - 1.0))
-        return float(worst)
+        g = self.sft.block_graph(max(self.s, 1))
+        tot = np.bincount(g.dst, weights=np.exp(_edge_phi(self, g)), minlength=len(g))
+        return float(np.abs(tot - 1.0).max())
 
     @classmethod
     def zero(cls, sft):
@@ -122,19 +116,11 @@ class MarkovPotential:
         if kernels is None:
             raise ValueError("quasimorphism is not window-additive")
         s = max(kernels) - 1
-        idx = sft.cylinders(s + 1)
-        vals = np.array([
-            sum(float(table[_code(w[:q], sft.d)]) for q, table in kernels.items())
-            for w in idx.words
-        ])
+        codes = sft.cylinders(s + 1).codes
+        vals = 0.0
+        for q, table in kernels.items():
+            vals = vals + table[codes // sft.d ** (s + 1 - q)]
         return cls(sft, s, vals)
-
-
-def _code(word, d):
-    c = 0
-    for s in word:
-        c = c * d + s
-    return c
 
 
 def per_step_fn(L, sft):
@@ -143,18 +129,23 @@ def per_step_fn(L, sft):
     return LocallyConstantFn(sft, pot.s + 1, pot.table)
 
 
+def _edge_phi(pot, g):
+    """phi on the edges of block graph g (depth t >= s), read off each
+    edge's (s+1)-prefix."""
+    sft = pot.sft
+    prefix = g.ext // sft.d ** (g.t - pot.s)
+    return pot.table[sft.cylinders(pot.s + 1).index_of_codes(prefix)]
+
+
+def _transfer_on(pot, t):
+    """(depth-t word index, dense transfer matrix of pot on LC_t)."""
+    g = pot.sft.block_graph(t)
+    return g.states, g.matrix(np.exp(_edge_phi(pot, g)))
+
+
 def _block_transfer_matrix(pot):
     """Matrix of the (unnormalized) transfer operator on LC_t, t = max(s,1)."""
-    sft = pot.sft
-    t = max(pot.s, 1)
-    idx = sft.cylinders(t)
-    M = np.zeros((len(idx), len(idx)))
-    for vi, v in enumerate(idx.words):
-        for s in sft.successors[v[-1]]:
-            ext = v + (s,)
-            wi = idx.index(ext[1:])
-            M[wi, vi] += np.exp(pot.value(ext[: pot.s + 1]))
-    return idx, M
+    return _transfer_on(pot, max(pot.s, 1))
 
 
 def _is_primitive(B):
@@ -180,7 +171,7 @@ def normalize_potential(pot, max_iter=10000, tol=1e-15):
     """
     sft = pot.sft
     t = max(pot.s, 1)
-    idx, M = _block_transfer_matrix(pot)
+    _, M = _block_transfer_matrix(pot)
     if not _is_primitive(M > 0):
         raise NotPrimitive("weighted transfer matrix on blocks is not primitive")
     evals, evecs = np.linalg.eig(M)
@@ -204,14 +195,8 @@ def normalize_potential(pot, max_iter=10000, tol=1e-15):
     if lam <= 0 or (h <= 0).any():
         raise NumericalFailure("Perron pair is not positive")
     logh = np.log(h)
-    deep = sft.cylinders(t + 1)
-    vals = np.array([
-        pot.value(u[: pot.s + 1])
-        + logh[idx.index(u[:t])]
-        - logh[idx.index(u[1:])]
-        - np.log(lam)
-        for u in deep.words
-    ])
+    g = sft.block_graph(t)
+    vals = _edge_phi(pot, g) + logh[g.src] - logh[g.dst] - np.log(lam)
     out = MarkovPotential(sft, t, vals, normalized=True)
     defect = out.normalization_defect()
     if defect > 1e-12:
@@ -305,14 +290,10 @@ def markov_measure(pot):
     if not pot.normalized:
         raise ValueError("normalize the potential first")
     sft = pot.sft
-    t = max(pot.s, 1)
-    idx = sft.cylinders(t)
-    S = len(idx)
+    g = sft.block_graph(max(pot.s, 1))
+    S = len(g)
     A = np.zeros((S, S))
-    for vi, v in enumerate(idx.words):
-        for s in sft.successors[v[-1]]:
-            ext = v + (s,)
-            A[vi, idx.index(ext[1:])] = np.exp(pot.value(ext))
+    A[g.src, g.dst] = np.exp(_edge_phi(pot, g))
     try:
         m = np.linalg.solve(A - np.eye(S) + np.ones((S, S)) / S, np.full(S, 1.0 / S))
     except np.linalg.LinAlgError as exc:
@@ -324,7 +305,7 @@ def markov_measure(pot):
     fix = np.abs(m @ kernel - m).max()
     if fix > 1e-12:
         raise NumericalFailure(f"stationary fix-point defect {fix}")
-    return MarkovMeasure(sft, pot, idx, kernel, m)
+    return MarkovMeasure(sft, pot, g.states, kernel, m)
 
 
 def parry_measure(sft):
@@ -366,16 +347,9 @@ def transfer_apply(pot, f):
 
 def transfer_matrix(pot, N):
     """Matrix of the transfer operator acting on LC_N (N >= max(s,1))."""
-    sft = pot.sft
     if N < max(pot.s, 1):
         raise ValueError("transfer_matrix needs N >= max(s, 1)")
-    idx = sft.cylinders(N)
-    M = np.zeros((len(idx), len(idx)))
-    for vi, v in enumerate(idx.words):
-        for s in sft.successors[v[-1]]:
-            ext = v + (s,)
-            M[idx.index(ext[1:]), vi] += np.exp(pot.value(ext[: pot.s + 1]))
-    return idx, M
+    return _transfer_on(pot, N)
 
 
 def _masses_of(mu, k):

@@ -76,15 +76,44 @@ class WordIndex:
             raise KeyError("inadmissible word code in lookup")
         return idx
 
-    def parent(self, i):
-        """Index of words[i][:-1] in the depth-1 table."""
-        return self.sft.cylinders(self.depth - 1).index(self.words[i][:-1])
 
-    def children(self, i):
-        """Indices of the admissible one-symbol refinements [w . s]."""
-        w = self.words[i]
-        child = self.sft.cylinders(self.depth + 1)
-        return [child.index(w + (s,)) for s in self.sft.successors[w[-1]]]
+class BlockGraph:
+    """The depth-t block graph: its states are the admissible t-words, its
+    edges the admissible (t+1)-words, each from its t-prefix to its t-suffix.
+
+    Edges are listed in (state, symbol) order, which is the lexicographic
+    order of their (t+1)-words; ``ext`` holds those words' base-d codes, so
+    callers weight the edges by reading their own tables off ``ext`` (for
+    example ``table[ext % d**q]``, the width-q window that ends at the new
+    symbol).  ``pred[j, a]`` is the edge into state j from the state that
+    starts with symbol a, or -1 where there is none.
+    """
+
+    def __init__(self, sft, t):
+        d = sft.d
+        self.t = t
+        self.states = sft.cylinders(t)
+        self.codes = self.states.codes
+        self.src, self.sym = np.nonzero(sft.R[self.codes % d])
+        self.ext = self.codes[self.src] * d + self.sym
+        self.dst = self.states.index_of_codes(self.ext % d**t)
+        self.pred = np.full((len(self.codes), d), -1, dtype=np.int64)
+        self.pred[self.dst, self.ext // d**t] = np.arange(len(self.ext))
+
+    def __len__(self):
+        return len(self.codes)
+
+    def matrix(self, w):
+        """Dense S x S matrix with M[dst, src] = w[e] on each edge e."""
+        M = np.zeros((len(self), len(self)))
+        M[self.dst, self.src] = w
+        return M
+
+    def incoming(self, w):
+        """(S, d) weights and source states of the edges into each state,
+        zero weight (and source 0) where pred is -1."""
+        has = self.pred >= 0
+        return np.where(has, w[self.pred], 0.0), np.where(has, self.src[self.pred], 0)
 
 
 class Sft:
@@ -113,6 +142,7 @@ class Sft:
             for j in range(self.d)
         }
         self._cyl = {}
+        self._graphs = {}
         self._intpow = {0: [[int(i == j) for j in range(self.d)] for i in range(self.d)]}
 
     def _specification_constant(self):
@@ -233,20 +263,21 @@ class Sft:
             self._cyl[k] = WordIndex(self, k, self.words(k, cap=cap))
         return self._cyl[k]
 
+    def block_graph(self, t):
+        """Cached BlockGraph on the depth-t cylinders, t >= 1."""
+        if t not in self._graphs:
+            self._graphs[t] = BlockGraph(self, t)
+        return self._graphs[t]
+
     def parent_map(self, k):
         """Array mapping each depth-k index to the index of its parent cylinder."""
-        child = self.cylinders(k)
-        parent = self.cylinders(k - 1)
-        return np.array([parent.index(w[:-1]) for w in child.words], dtype=np.int64)
+        return self.block_graph(k - 1).src
 
     def child_map(self, k):
         """(count_k, d) array of child indices at depth k+1, -1 where inadmissible."""
-        cur = self.cylinders(k)
-        nxt = self.cylinders(k + 1)
-        out = np.full((len(cur), self.d), -1, dtype=np.int64)
-        for i, w in enumerate(cur.words):
-            for s in self.successors[w[-1]]:
-                out[i, s] = nxt.index(w + (s,))
+        g = self.block_graph(k)
+        out = np.full((len(g), self.d), -1, dtype=np.int64)
+        out[g.src, g.sym] = np.arange(len(g.ext))
         return out
 
     # -- periodic closure operations ---------------------------------------
@@ -325,19 +356,19 @@ def golden_mean():
     return Sft([[1, 1], [1, 0]], name="golden_mean")
 
 
+def symbol_dtype(d):
+    """Smallest signed integer dtype that holds the symbols 0..d-1."""
+    for dt in (np.int8, np.int16, np.int32):
+        if d - 1 <= np.iinfo(dt).max:
+            return dt
+    return np.int64
+
+
 def encode_word(word, d):
     c = 0
     for s in word:
         c = c * d + s
     return c
-
-
-def decode_word(code, d, length):
-    out = []
-    for _ in range(length):
-        out.append(code % d)
-        code //= d
-    return tuple(reversed(out))
 
 
 def render_word(word):

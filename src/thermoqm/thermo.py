@@ -1,9 +1,12 @@
 """Pressure, partition functions, periodic-orbit Gibbs measures, diagnostics.
 
 Partition sums run over periodic words of length exactly n.  For window-
-additive quasimorphisms the sums are evaluated exactly by a block transfer
-matrix (states = (Q-1)-blocks), which reaches depths far beyond enumeration;
-plain enumeration stays available as the generic path and as a cross-check.
+additive quasimorphisms of width Q the sums are evaluated exactly on the
+depth-(Q-1) block graph of the subshift, which reaches depths far beyond
+enumeration: the wrap condition only sees the first symbol of a word, so d
+boundary vectors are pushed through the graph, O(n S d^2) work for S block
+states.  Plain enumeration stays available as the generic path and as a
+cross-check.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from scipy.special import logsumexp
 
 from .errors import ResourceLimit
 from .measures import CylinderMeasure
-from .sft import word_cap
+from .sft import encode_word, word_cap
 
 
 # -- partition functions -------------------------------------------------------
@@ -32,97 +35,70 @@ def _enumerated_log_partition(L, sft, n, cap=None):
 
 
 class _WindowTransfer:
-    """Exact evaluator of Z_n = sum over wrapping words of e^{L} for window kernels."""
+    """Exact evaluator of Z_n = sum over wrapping words of e^{L} for window kernels.
+
+    A word of length n >= t is a start state f (its first t symbols) followed
+    by n - t edges of the depth-t block graph, t = max(Q-1, 1).  Each edge
+    carries the windows that end at its new symbol; ``init`` carries the
+    windows inside f.  The word wraps when R[last(c), first(f)] = 1 for its
+    end state c, so only first(f) is needed from the start: V[:, b] holds the
+    weight of all paths from start states beginning with b, and Z_n is the
+    sum over c, b of R[last(c), b] V[c, b].  Width-1 windows never straddle
+    the wrap, so for Q = 1 the wrap is one more edge and Z_n = trace(T^n).
+    """
 
     def __init__(self, kernels, sft):
         self.sft = sft
         self.kernels = kernels
         self.Q = max(kernels)
         d = sft.d
+        t = max(self.Q - 1, 1)
+        g = sft.block_graph(t)
+        S = len(g)
+        w = 0.0
+        for q, table in kernels.items():
+            w = w + table[g.ext % d**q]
+        self.weights, self.sources = g.incoming(np.exp(w))
         if self.Q == 1:
-            k1 = kernels[1]
-            self.B = sft.R.astype(float) * np.exp(k1)[:, None]
+            self.base, self.init, self.close = 0, np.ones(S), np.eye(S)
         else:
-            idx = sft.cylinders(self.Q - 1)
-            S = len(idx)
-            T = np.zeros((S, S))
-            for ci, c in enumerate(idx.words):
-                for s in sft.successors[c[-1]]:
-                    new = c[1:] + (s,)
-                    ext = c + (s,)
-                    w = 0.0
-                    for q, table in kernels.items():
-                        code = 0
-                        for sym in ext[self.Q - q:]:
-                            code = code * d + sym
-                        w += table[code]
-                    T[idx.index(new), ci] += np.exp(w)
-            init = np.zeros(S)
-            for fi, f in enumerate(idx.words):
-                w = 0.0
-                for q, table in kernels.items():
-                    if q >= self.Q:
-                        continue
-                    for i in range(self.Q - 1 - q + 1):
-                        code = 0
-                        for sym in f[i:i + q]:
-                            code = code * d + sym
-                        w += table[code]
-                init[fi] = np.exp(w)
-            wrap = np.zeros((S, S))
-            for ci, c in enumerate(idx.words):
-                for fi, f in enumerate(idx.words):
-                    wrap[ci, fi] = sft.R[c[-1], f[0]]
-            self.T, self.init, self.wrap = T, init, wrap
+            w = np.zeros(S)
+            for q, table in kernels.items():
+                for i in range(t - q + 1):
+                    w = w + table[g.codes // d ** (t - q - i) % d**q]
+            self.base, self.init = t, np.exp(w)
+            self.close = sft.R[g.codes % d].astype(float)
+        self.V0 = np.zeros((S, d))
+        self.V0[np.arange(S), g.codes // d ** (t - 1)] = self.init
 
     def log_partitions(self, n_max):
         """P_n = log Z_n for n = 1..n_max, with running rescaling."""
         out = np.full(n_max + 1, -np.inf)
-        if self.Q == 1:
-            A = np.eye(self.sft.d)
-            logscale = 0.0
-            for n in range(1, n_max + 1):
-                A = self.B @ A
-                m = A.max()
-                A /= m
-                logscale += np.log(m)
-                tr = np.trace(A)
-                if tr > 0:
-                    out[n] = np.log(tr) + logscale
-            return out[1:]
-        base = self.Q - 1
-        for n in range(1, min(base, n_max + 1)):
-            # too short for the block chain; these are tiny enumerations
+        for n in range(1, min(self.Q, n_max + 1)):
+            # shorter than the widest window: tiny enumerations
             out[n] = _short_word_log_partition(self.kernels, self.sft, n)
-        A = np.eye(len(self.init))
+        V = self.V0
         logscale = 0.0
-        for t in range(0, n_max - base + 1):
-            n = base + t
-            if n >= 1:
-                z = float((self.wrap * A * self.init[None, :]).sum())
+        for n in range(self.base, n_max + 1):
+            if n >= self.Q:
+                z = float((self.close * V).sum())
                 if z > 0:
                     out[n] = np.log(z) + logscale
-            if t < n_max - base:
-                A = self.T @ A
-                m = A.max()
-                A /= m
+            if n < n_max:
+                V = (self.weights[:, :, None] * V[self.sources]).sum(axis=1)
+                m = V.max()
+                V /= m
                 logscale += np.log(m)
         return out[1:]
 
 
 def _short_word_log_partition(kernels, sft, n):
-    d = sft.d
     vals = []
     for a in sft.periodic_words(n):
         v = 0.0
         for q, table in kernels.items():
-            if q > n:
-                continue
             for i in range(n - q + 1):
-                code = 0
-                for sym in a[i:i + q]:
-                    code = code * d + sym
-                v += table[code]
+                v += table[encode_word(a[i:i + q], sft.d)]
         vals.append(v)
     return float(logsumexp(vals)) if vals else -np.inf
 
@@ -144,11 +120,7 @@ def log_partition(L, sft, n, cap=None, method="auto"):
 def log_partition_sequence(L, sft, n_max, cap=None, method="auto"):
     kernels = L.window_tables(sft.d) if method in ("auto", "transfer") else None
     if kernels is not None:
-        wt = _WindowTransfer(kernels, sft)
-        out = wt.log_partitions(n_max)
-        for n in range(1, min(max(kernels), n_max + 1)):
-            out[n - 1] = _short_word_log_partition(kernels, sft, n)
-        return out
+        return _WindowTransfer(kernels, sft).log_partitions(n_max)
     return np.array([_enumerated_log_partition(L, sft, n, cap=cap) for n in range(1, n_max + 1)])
 
 
@@ -194,18 +166,17 @@ class PressureEstimate:
 
 def _split_constant(p, n0, n_max):
     """sup |P_{n+m} - P_n - P_m| over n,m >= n0, n+m <= n_max (finite entries)."""
-    best = 0.0
-    seen = False
-    for n in range(n0, n_max - n0 + 1):
-        for m in range(n, n_max - n + 1):
-            if m < n0:
-                continue
-            vals = (p[n + m - 1], p[n - 1], p[m - 1])
-            if not all(np.isfinite(vals)):
-                continue
-            best = max(best, abs(vals[0] - vals[1] - vals[2]))
-            seen = True
-    return best if seen else np.nan
+    p = np.asarray(p, dtype=float)
+    finite = np.isfinite(p)
+    best = -np.inf
+    for n in range(n0, n_max // 2 + 1):
+        if not finite[n - 1]:
+            continue
+        m = np.arange(n, n_max - n + 1)
+        m = m[finite[n + m - 1] & finite[m - 1]]
+        if len(m):
+            best = max(best, np.abs(p[n + m - 1] - p[n - 1] - p[m - 1]).max())
+    return max(0.0, float(best)) if best > -np.inf else np.nan
 
 
 def pressure(L, sft, n_max, cap=None, method="auto"):
@@ -420,10 +391,6 @@ def qm_integral(mu, L, n):
     idx = mu.sft.cylinders(n)
     arr = mu.masses_at(n)
     return float(sum(m * L.value(w) for m, w in zip(arr, idx.words)) / n)
-
-
-def qm_integral_series(mu, L, n_list):
-    return [{"n": n, "value": qm_integral(mu, L, n)} for n in n_list]
 
 
 def window_expectation(masses_lookup, L, sft):

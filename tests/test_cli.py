@@ -225,3 +225,35 @@ def test_env_cap_respected(tmp_path, monkeypatch):
         "--out", str(tmp_path / "cap"),
     ])
     assert code == 3
+
+
+def test_unexpected_error_exits_four_with_summary(tmp_path, monkeypatch):
+    from thermoqm import cli
+
+    def broken(cfg, ctx):
+        raise RuntimeError("handler bug")
+
+    monkeypatch.setitem(cli.HANDLERS, "pressure", broken)
+    code = run_cli([
+        "pressure", "--json",
+        json.dumps({"sft": {"builtin": "golden_mean"}, "qm": {"kind": "zero"}, "n_max": 8}),
+        "--out", str(tmp_path / "bug"),
+    ])
+    assert code == 4
+    summary = json.loads((tmp_path / "bug" / "summary.json").read_text())
+    assert summary["exit_code"] == 4
+    assert summary["error"] == "RuntimeError: handler bug"
+
+
+def test_alphabet_beyond_int8(tmp_path):
+    from thermoqm import cli
+
+    out = tmp_path / "d130"
+    code, summary = cli.execute("clt", {
+        "sft": {"builtin": "full_shift", "d": 130},
+        "qm": {"kind": "letter_weights", "weights": [1.0] + [0.0] * 129},
+        "n": 8, "trials": 16, "seed": 1,
+    }, str(out))
+    assert "error" not in summary
+    assert code in (0, 1)
+    assert (out / "summary.json").exists() and (out / "stats.csv").exists()
