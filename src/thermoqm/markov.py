@@ -1,10 +1,13 @@
 """Markov potentials, their normalization, stationary chains, and the exact
 finite-dimensional cohomological machinery behind the limit theorems.
 
-A memory-s potential is a table on (s+1)-cylinders.  Its transfer operator
-acts on the locally constant functions LC_N (tables on N-cylinders) as an
-honest matrix, so normalization, the cohomological equation (Id - R)h = psi,
-the martingale part, and the variance are all plain linear algebra here.
+A memory-s potential is a table on (s+1)-cylinders.  Its transfer operator R
+acts on the locally constant functions LC_m (tables on m-cylinders) by one
+gather over the edges of the depth-(m-1) block graph, and maps LC_m into
+LC_max(t, m-1), t = max(s, 1).  The cohomological equation (Id - R) h = psi
+for psi in LC_N is therefore solved by memory reduction: R^K psi lies in LC_t
+for K = N - t, and h = sum_{k<K} R^k psi + (Id - R)|_{LC_t}^{-1} R^K psi.  The
+only dense solve is the bordered one on LC_t, the chain's own state space.
 """
 
 from __future__ import annotations
@@ -44,15 +47,20 @@ class LocallyConstantFn:
             return float(self.values[0])
         return float(self.values[self.sft.cylinders(self.m).index(tuple(word)[: self.m])])
 
+    def _at_codes(self, codes):
+        """Values on the m-words with the given base-d codes."""
+        if self.m == 0:
+            return np.full(len(codes), self.values[0])
+        return self.values[self.sft.cylinders(self.m).index_of_codes(codes)]
+
     def as_memory(self, m2):
         """The same function tabulated on deeper cylinders."""
         if m2 < self.m:
             raise ValueError("cannot lower memory without projecting")
         if m2 == self.m:
             return self
-        idx = self.sft.cylinders(m2)
-        vals = np.array([self.value(w) for w in idx.words])
-        return LocallyConstantFn(self.sft, m2, vals)
+        codes = self.sft.cylinders(m2).codes
+        return LocallyConstantFn(self.sft, m2, self._at_codes(codes // self.sft.d ** (m2 - self.m)))
 
     def sup_norm(self):
         return float(np.abs(self.values).max())
@@ -79,9 +87,8 @@ class LocallyConstantFn:
 
     def shift(self):
         """f o tau, a memory-(m+1) table."""
-        idx = self.sft.cylinders(self.m + 1)
-        vals = np.array([self.value(w[1:]) for w in idx.words])
-        return LocallyConstantFn(self.sft, self.m + 1, vals)
+        codes = self.sft.cylinders(self.m + 1).codes
+        return LocallyConstantFn(self.sft, self.m + 1, self._at_codes(codes % self.sft.d ** self.m))
 
 
 class MarkovPotential:
@@ -216,37 +223,34 @@ class MarkovMeasure:
         self.kernel = kernel  # row-stochastic over states
         self.stationary = stationary
         self._mass_cache = {}
+        self._lam2 = None
 
     @property
     def s(self):
         return self.potential.s
 
     def lam2(self):
-        """Modulus of the second eigenvalue of the chain kernel."""
-        ev = np.abs(np.linalg.eigvals(self.kernel))
-        ev.sort()
-        return float(ev[-2]) if len(ev) > 1 else 0.0
+        """Modulus of the second eigenvalue of the chain kernel (computed once)."""
+        if self._lam2 is None:
+            ev = np.sort(np.abs(np.linalg.eigvals(self.kernel)))
+            self._lam2 = float(ev[-2]) if len(ev) > 1 else 0.0
+        return self._lam2
 
     def cylinder_masses(self, k):
         if k in self._mass_cache:
             return self._mass_cache[k]
-        sft, t = self.sft, self.t
+        sft, t, d = self.sft, self.t, self.sft.d
         if k == t:
             out = self.stationary.copy()
         elif k < t:
-            idx = sft.cylinders(k)
-            out = np.zeros(len(idx))
-            for vi, v in enumerate(self.states.words):
-                out[idx.index(v[:k])] += self.stationary[vi]
+            prefix = sft.cylinders(k).index_of_codes(self.states.codes // d ** (t - k))
+            out = np.bincount(prefix, weights=self.stationary, minlength=len(sft.cylinders(k)))
         else:
-            prev = self.cylinder_masses(k - 1)
-            idx_prev = sft.cylinders(k - 1)
-            idx = sft.cylinders(k)
-            out = np.zeros(len(idx))
-            for wi, w in enumerate(idx.words):
-                src = self.states.index(w[-t - 1: -1])
-                dst = self.states.index(w[-t:])
-                out[idx.index(w)] = prev[idx_prev.index(w[:-1])] * self.kernel[src, dst]
+            # edges of the depth-(k-1) graph are the k-words, in index order
+            g = sft.block_graph(k - 1)
+            src = self.states.index_of_codes(g.ext // d % d ** t)
+            dst = self.states.index_of_codes(g.ext % d ** t)
+            out = self.cylinder_masses(k - 1)[g.src] * self.kernel[src, dst]
         self._mass_cache[k] = out
         return out
 
@@ -327,22 +331,14 @@ def gibbs_chain_from_qm(L, sft):
 
 
 def transfer_apply(pot, f):
-    """(R f)(x) = sum over preimages a.x of e^{phi(a.x)} f(a.x...)."""
+    """(R f)(x) = sum over preimages a.x of e^{phi(a.x)} f(a.x...), in LC_max(t, m-1):
+    one gather over the depth-r block graph, whose edges are the (r+1)-words in order."""
     if not pot.normalized:
         raise ValueError("transfer_apply expects a normalized potential")
-    if f.m < 1:
-        f = f.as_memory(1)
-    sft = pot.sft
-    r = max(pot.s, f.m - 1)
-    idx = sft.cylinders(r)
-    out = np.zeros(len(idx))
-    for wi, w in enumerate(idx.words):
-        tot = 0.0
-        for a in sft.predecessors[w[0]]:
-            ext = (a,) + w
-            tot += np.exp(pot.value(ext[: pot.s + 1])) * f.value(ext[: f.m])
-        out[wi] = tot
-    return LocallyConstantFn(sft, r, out)
+    r = max(pot.s, f.m - 1, 1)
+    g = pot.sft.block_graph(r)
+    w = np.exp(_edge_phi(pot, g)) * f.as_memory(r + 1).values
+    return LocallyConstantFn(pot.sft, r, np.bincount(g.dst, weights=w, minlength=len(g)))
 
 
 def transfer_matrix(pot, N):
@@ -394,24 +390,31 @@ class CohomologySolve:
 
 
 def solve_cohomological(pot, psi, mm, tol_mean=1e-10):
-    """Solve (Id - R) h = psi exactly on the zero-mean part of LC_N."""
-    N = max(psi.m, pot.s, 1)
+    """Solve (Id - R) h = psi exactly on the zero-mean part of LC_N, as
+    h = sum_{k<K} R^k psi + g, K = N - t, with g from the bordered system
+    (Id - R + 1 masses^T) g = R^K psi on LC_t (R preserves every mean)."""
+    t = max(pot.s, 1)
+    N = max(psi.m, t)
     psi = psi.as_memory(N)
     scale = max(1.0, psi.sup_norm())
     mean = mm.integral(psi)
     if abs(mean) > tol_mean * scale:
         raise MeanNotZero(f"integral of psi is {mean}")
-    idx, M = transfer_matrix(pot, N)
-    masses = mm.cylinder_masses(N)
-    Q = np.eye(len(idx)) - M
+    h_vals = np.zeros(len(pot.sft.cylinders(N)))
+    f = psi
+    for _ in range(N - t):
+        h_vals += f.as_memory(N).values
+        f = transfer_apply(pot, f)
+    _, M = _block_transfer_matrix(pot)
+    Q = np.eye(len(M)) - M + mm.cylinder_masses(t)[None, :]
     try:
-        h_vals = np.linalg.solve(Q + np.outer(np.ones(len(idx)), masses), psi.values)
+        g = np.linalg.solve(Q, f.values)  # f = R^K psi has memory t
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(f"cohomological solve failed: {exc}") from exc
-    residual = float(np.abs(Q @ h_vals - psi.values).max())
+    h = LocallyConstantFn(pot.sft, N, h_vals) + LocallyConstantFn(pot.sft, t, g)
+    residual = float(np.abs((h - transfer_apply(pot, h) - psi).values).max())
     if not np.isfinite(residual) or residual > 1e-8 * scale:
         raise SingularSystem(f"cohomological residual {residual} too large")
-    h = LocallyConstantFn(pot.sft, N, h_vals)
     lam2 = mm.lam2()
     bowen_est = (N - 1) * psi.osc()
     bound = np.sqrt(pot.sft.d) / (1.0 - lam2) * np.sqrt(pot.s + 1) * (psi.sup_norm() + bowen_est)
@@ -467,12 +470,11 @@ def variance(pot, psi, mm, tail_tol=1e-13, n_cut=None):
     n_used = 0
     for n in range(1, n_cut + 1):
         f = transfer_apply(pot, f)
-        term = float(np.dot(mm.cylinder_masses(max(f.m, psi.m)),
-                            f.as_memory(max(f.m, psi.m)).values
-                            * psi.as_memory(max(f.m, psi.m)).values))
+        term = float(np.dot(mm.cylinder_masses(N), f.as_memory(N).values * psi.values))
         sigma2 += 2.0 * term
         n_used = n
-        small = small + 1 if abs(term) < tail_tol * scale else 0
+        # lags shorter than the memory of psi can correlate exactly zero
+        small = small + 1 if n >= N and abs(term) < tail_tol * scale else 0
         if small >= 5:
             break
     agreement = abs(sigma2_mart - sigma2)

@@ -47,13 +47,9 @@ class WordIndex:
         self.sft = sft
         self.depth = depth
         self.words = words
-        d = sft.d
-        codes = np.empty(len(words), dtype=np.int64)
-        for i, w in enumerate(words):
-            c = 0
-            for s in w:
-                c = c * d + s
-            codes[i] = c
+        codes = np.zeros(len(words), dtype=np.int64)
+        for column in np.array(words, dtype=np.int64).reshape(len(words), depth).T:
+            codes = codes * sft.d + column  # Horner, most significant symbol first
         self.codes = codes
         self._pos = {w: i for i, w in enumerate(words)}
 
