@@ -31,7 +31,7 @@ from .qm import (
     cohomologous,
     zero_qm,
 )
-from .sft import Sft, full_shift, golden_mean, parse_word, render_word
+from .sft import SCOPED_WORD_CAP, Sft, full_shift, golden_mean, parse_word, render_word
 
 
 # -- config plumbing ---------------------------------------------------------------
@@ -704,8 +704,6 @@ def main(argv=None):
     parser.add_argument("--cap", type=int, help="word enumeration cap override")
     args = parser.parse_args(argv)
 
-    if args.cap is not None:
-        os.environ["THERMOQM_MAX_WORDS"] = str(args.cap)
     try:
         if args.config:
             with open(args.config) as fh:
@@ -723,17 +721,20 @@ def main(argv=None):
     if args.seed is not None and args.op != "suite":
         cfg["seed"] = args.seed
 
-    if args.op == "suite":
-        try:
-            code, rows = run_suite(cfg, args.out, workers=args.workers)
-        except InvalidConfig as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return 2
-        for r in rows:
-            print(f"{r['name']}: {'PASS' if r['pass'] else 'FAIL(' + str(r['exit_code']) + ')'}")
-        return code
-
-    code, summary = execute(args.op, cfg, args.out, workers=args.workers)
+    token = SCOPED_WORD_CAP.set(args.cap)  # --cap holds for this call, not the process
+    try:
+        if args.op == "suite":
+            try:
+                code, rows = run_suite(cfg, args.out, workers=args.workers)
+            except InvalidConfig as exc:
+                print(f"config error: {exc}", file=sys.stderr)
+                return 2
+            for r in rows:
+                print(f"{r['name']}: {'PASS' if r['pass'] else 'FAIL(' + str(r['exit_code']) + ')'}")
+            return code
+        code, summary = execute(args.op, cfg, args.out, workers=args.workers)
+    finally:
+        SCOPED_WORD_CAP.reset(token)
     if "error" in summary:
         print(summary["error"], file=sys.stderr)
     else:

@@ -1,15 +1,22 @@
 """Monte Carlo limit-theorem experiments over stationary Markov chains.
 
-Reproducibility contract: trial t draws from a counter-based stream keyed by
-(seed, t), trials are processed in fixed-size blocks in trial order, and all
-reductions run over the assembled per-trial arrays, so results are
-bit-identical across runs and worker counts.  Path functionals are evaluated
-through the window kernels of the quasimorphism, which makes L(x_0..x_{k-1})
-exact at every step without storing words.
+Reproducibility contract: trial t draws from the counter-based Philox stream
+keyed by (seed, t) (``trial_rng``), trials are processed in fixed-size blocks
+in trial order, and all reductions run over the assembled per-trial arrays, so
+results are bit-identical across runs and worker counts.  A block keeps one
+Philox and re-keys it per trial, which gives exactly trial_rng's streams, and
+draws uniforms a chunk of positions at a time by counter addressing (uniform k
+is lane k % 4 of counter k // 4).  Blocks walk all trials with one flat gather
+per position, except a single path on at most _SCAN_STATES states, which
+composes its per-step state maps by a Hillis-Steele scan.  Both feed one
+evaluation step: path functionals are sums of the quasimorphism's window
+kernels over the symbol chunks, accumulated in order per trial, which makes
+L(x_0..x_{k-1}) exact at every step without storing words.
 """
 
 from __future__ import annotations
 
+import itertools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -26,6 +33,16 @@ _MASK = (1 << 64) - 1
 def trial_rng(seed, trial):
     key = np.array([int(seed) & _MASK, int(trial) & _MASK], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def _rekey(gen, seed, trial, counter=0):
+    """Point gen's Philox at the stream of trial_rng(seed, trial), at Philox
+    counter `counter`: its next uniform is number 4 * counter of that stream."""
+    key = (int(seed) & _MASK, int(trial) & _MASK)
+    gen.bit_generator.state = {
+        "bit_generator": "Philox", "state": {"counter": (counter, 0, 0, 0), "key": key},
+        "buffer": (0,) * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    return gen
 
 
 def dkw_band(trials, alpha=0.01):
@@ -56,46 +73,34 @@ def reflection_sup_cdf(x):
 
 
 def markov_sampler_payload(mm):
-    """Picklable arrays describing how to walk the chain symbol by symbol."""
+    """Picklable arrays describing how to walk the chain symbol by symbol: the
+    successors of each state in symbol order (the edges of its block graph),
+    padded with the last one, and their cumulative kernel probabilities."""
     sft = mm.sft
-    t = mm.t
-    S = len(mm.states)
-    smax = max(len(sft.successors[w[-1]]) for w in mm.states.words)
-    succ_cum = np.ones((S, smax))
-    succ_state = np.zeros((S, smax), dtype=np.int64)
-    succ_sym = np.zeros((S, smax), dtype=symbol_dtype(sft.d))
-    for vi, v in enumerate(mm.states.words):
-        succs = [(s, mm.states.index(v[1:] + (s,))) for s in sft.successors[v[-1]]]
-        probs = np.array([mm.kernel[vi, si] for _, si in succs])
-        cum = np.cumsum(probs)
-        cum[-1] = 1.0
-        for j, (s, si) in enumerate(succs):
-            succ_cum[vi, j] = cum[j]
-            succ_state[vi, j] = si
-            succ_sym[vi, j] = s
-        for j in range(len(succs), smax):
-            succ_state[vi, j] = succs[-1][1]
-            succ_sym[vi, j] = succs[-1][0]
+    g = sft.block_graph(mm.t)
+    deg = np.bincount(g.src, minlength=len(g))
+    last = (deg - 1)[:, None]
+    edge = (np.cumsum(deg) - deg)[:, None] + np.minimum(np.arange(deg.max()), last)
+    succ_cum = np.cumsum(mm.kernel[g.src[edge], g.dst[edge]], axis=1)
+    succ_cum[np.arange(deg.max()) >= last] = 1.0
     init_cum = np.cumsum(mm.stationary)
     init_cum[-1] = 1.0
     return {
         "kind": "markov",
         "d": sft.d,
-        "t": t,
+        "t": mm.t,
         "init_cum": init_cum,
         "state_words": np.array(mm.states.words, dtype=symbol_dtype(sft.d)),
         "succ_cum": succ_cum,
-        "succ_state": succ_state,
-        "succ_sym": succ_sym,
+        "succ_state": g.dst[edge],
+        "succ_sym": g.sym[edge].astype(symbol_dtype(sft.d)),
     }
 
 
 def uniform_sphere_payload(d, inverse):
     """Walk with uniform first letter and uniform non-backtracking steps."""
-    succ = np.zeros((d, d - 1), dtype=symbol_dtype(d))
-    for x in range(d):
-        succ[x] = [y for y in range(d) if y != inverse[x]]
-    return {"kind": "sphere", "d": d, "t": 1, "succ_table": succ}
+    succ = [[y for y in range(d) if y != inverse[x]] for x in range(d)]
+    return {"kind": "sphere", "d": d, "t": 1, "succ_table": np.array(succ, dtype=symbol_dtype(d))}
 
 
 def sample_path(mm, n, seed, trial=0):
@@ -109,77 +114,133 @@ def sample_path(mm, n, seed, trial=0):
 
 # -- the block engine -------------------------------------------------------------
 
+_DRAW_CELLS = 1 << 18  # uniforms per drawn chunk (B streams x positions, 2 MB); each chunk
+#                        re-keys every stream once, so smaller chunks trade time for memory
+_EVAL_CELLS = 1 << 15  # cells per evaluated chunk and per state-map segment
+_SCAN_STATES = 64  # beyond this a single path walks flat: a scan step costs S log(segment)
+_ROW_ADD_TRIALS = 256  # from here a row-by-row add (~1 us a row) beats np.cumsum (~5 ns a cell)
+
+
+def _scan(base, R, pick, nxt, sym, w):
+    """One walker through draws R (positions, 1): per segment, tabulate every
+    step's next-state map, compose the maps by a Hillis-Steele scan and read
+    the path off at the entry state; returns (symbols, final offset)."""
+    X = np.empty(R.shape, dtype=sym.dtype)
+    seg = max(1, _EVAL_CELLS * w // len(nxt))
+    for lo in range(0, len(R), seg):
+        r = R[lo:lo + seg]
+        F = nxt.take(pick(np.arange(0, len(nxt), w), r))  # F[p, s]: offset after step p from s
+        for k in (1 << i for i in range((len(F) - 1).bit_length())):  # k = 1, 2, 4, .. < len(F)
+            F[k:] = np.take_along_axis(F[k:], F[:-k] // w, axis=1)
+        idx = pick(np.append(base, F[:-1, base[0] // w]), r[:, 0])
+        X[lo:lo + seg, 0] = sym.take(idx)
+        base = nxt.take(idx[-1:])
+    return X, base
+
 
 def _simulate_block(payload):
     t0, t1 = payload["trial_range"]
-    B = t1 - t0
-    n = payload["n"]
-    d = payload["d"]
-    t = payload["t"]
-    widths = list(payload["kernel_widths"])
-    tables = [np.asarray(k) for k in payload["kernel_tables"]]
-    mods = [d ** q for q in widths]
-    e = payload["e"]
-    checkpoints = {c: j for j, c in enumerate(payload["checkpoints"])}
-    want_max = payload["want_max"]
-    want_symbols = payload.get("want_symbols", False)
-
-    acc = np.zeros(B)
-    runmax = np.zeros(B)
-    codes = [np.zeros(B, dtype=np.int64) for _ in widths]
-    checks = np.zeros((B, len(checkpoints)))
-    sym_dtype = symbol_dtype(d)
-    symbols = np.zeros((B, n), dtype=sym_dtype) if want_symbols else None
-
-    def consume(sym, pos):
-        if want_symbols:
-            symbols[:, pos] = sym
-        for i, q in enumerate(widths):
-            codes[i] = (codes[i] * d + sym) % mods[i]
-            if pos + 1 >= q:
-                acc[:] += tables[i][codes[i]]
-        if want_max or checkpoints:
-            s_now = acc - (pos + 1) * e
-            if want_max:
-                np.maximum(runmax, s_now, out=runmax)
-            j = checkpoints.get(pos + 1)
-            if j is not None:
-                checks[:, j] = s_now
-
+    B, n, d, seed = t1 - t0, payload["n"], payload["d"], payload["seed"]
+    gen = np.random.Generator(np.random.Philox(0))
     if payload["kind"] == "markov":
-        U = np.empty((B, n))
-        for i, trial in enumerate(range(t0, t1)):
-            U[i] = trial_rng(payload["seed"], trial).random(n)
-        states = np.searchsorted(payload["init_cum"], U[:, 0], side="right")
-        init_words = payload["state_words"][states]
-        for pos in range(min(t, n)):
-            consume(init_words[:, pos].copy(), pos)
-        succ_cum = payload["succ_cum"]
-        succ_state = payload["succ_state"]
-        succ_sym = payload["succ_sym"]
-        for pos in range(t, n):
-            u = U[:, pos - t + 1]
-            rows = succ_cum[states]
-            j = (u[:, None] >= rows).sum(axis=1)
-            sym = succ_sym[states, j]
-            states = succ_state[states, j]
-            consume(sym, pos)
+        succ_state, succ_sym = payload["succ_state"], payload["succ_sym"]
+        w, cum, N = succ_state.shape[1], payload["succ_cum"].ravel(), max(n - payload["t"], 0)
+        cols = max(4, _DRAW_CELLS // B // 4 * 4)
+        buf = np.empty((min(cols, N + 1), B))  # refilled per chunk: the walk is done with it
+
+        def draws(lo):  # uniforms lo.. of every stream (Philox counter lo // 4), position-major
+            U = buf[:min(cols, N + 1 - lo)]
+            for b in range(0, B, 64):  # 64 streams at a time, then one blocked transpose
+                T = np.empty((min(64, B - b), len(U)))
+                for i, row in enumerate(T):
+                    _rekey(gen, seed, t0 + b + i, lo // 4).random(out=row)
+                U[:, b:b + len(T)] = T.T
+            return U
+
+        def pick(base, u):  # successor column: #{k < w - 1 : u >= cum}; the last cum is 1
+            idx = base + (u >= cum.take(base))
+            for k in range(1, w - 1):
+                idx += u >= cum[k:].take(base)
+            return idx
+
+        U0 = draws(0)
+        first = np.searchsorted(payload["init_cum"], U0[0], side="right")
+        head = payload["state_words"][first][:, :n]
+        chunks = itertools.chain([U0[1:]], map(draws, range(cols, N + 1, cols)))
     elif payload["kind"] == "sphere":
-        succ = payload["succ_table"]
-        choice = np.empty((B, n - 1), dtype=np.int64)
+        succ_state = succ_sym = payload["succ_table"]
+        w, pick = d - 1, np.add
         first = np.empty(B, dtype=np.int64)
-        for i, trial in enumerate(range(t0, t1)):
-            g = trial_rng(payload["seed"], trial)
+        choice = np.empty((n - 1, B), dtype=succ_sym.dtype)
+        for i in range(B):
+            g = _rekey(gen, seed, t0 + i)
             first[i] = g.integers(0, d)
-            choice[i] = g.integers(0, d - 1, size=n - 1)
-        cur = first.astype(sym_dtype)
-        consume(cur.copy(), 0)
-        for pos in range(1, n):
-            cur = succ[cur, choice[:, pos - 1]]
-            consume(cur.copy(), pos)
+            choice[:, i] = g.integers(0, d - 1, size=n - 1)
+        head, chunks = first[:, None], [choice]
     else:
         raise ValueError(f"unknown sampler kind {payload['kind']!r}")
+    nxt, sym = (succ_state.astype(np.int64) * w).ravel(), succ_sym.ravel()
 
+    def symbol_chunks():  # position-major; a single path on few states is scanned
+        yield head.T
+        base = first * w
+        for R in chunks:
+            if B == 1 and len(succ_state) <= _SCAN_STATES:
+                X, base = _scan(base, R, pick, nxt, sym, w)
+            else:  # one flat gather step per position for all B walkers
+                X = np.empty(R.shape, dtype=sym.dtype)
+                for r, x in zip(R, X):
+                    idx = pick(base, r)
+                    sym.take(idx, out=x)
+                    base = nxt.take(idx)
+            yield X
+
+    return _evaluate(payload, B, symbol_chunks(), sym.dtype)
+
+
+def _evaluate(payload, B, chunks, sym_dtype):
+    """Window-kernel sums along position-major symbol chunks: at each position
+    every full width-q window adds its table value, widths in payload order,
+    summed in that order per trial (a running sum down the positions)."""
+    n, d, e = payload["n"], payload["d"], payload["e"]
+    # with no kernel, add zeros: acc + 0.0 == acc, as acc is never -0.0
+    kernels = [(q, np.asarray(k)) for q, k in zip(payload["kernel_widths"],
+                                                  payload["kernel_tables"])] or [(1, np.zeros(d))]
+    checkpoints = {c: j for j, c in enumerate(payload["checkpoints"])}
+    want_max, want_symbols = payload["want_max"], payload.get("want_symbols", False)
+    acc, runmax, checks = np.zeros(B), np.zeros(B), np.zeros((B, len(checkpoints)))
+    symbols = np.zeros((B, n), dtype=sym_dtype) if want_symbols else None
+    keep = max(q for q, _ in kernels) - 1
+    hist, p0, rows = np.zeros((keep, B), dtype=np.int64), 0, max(1, _EVAL_CELLS // B)
+    for X in (Y[i:i + rows] for Y in chunks for i in range(0, len(Y), rows)):
+        C = len(X)
+        if want_symbols:
+            symbols[:, p0:p0 + C] = X.T
+        H = np.concatenate([hist, X])
+        incs = []
+        for q, table in kernels:
+            code = 0
+            for k in range(keep - q + 1, keep + 1):
+                code = code * d + H[k:k + C]
+            incs.append(table.take(code))
+            incs[-1][:max(0, q - 1 - p0)] = 0.0  # the window is not full yet
+        seq = np.stack(incs, axis=1).reshape(-1, B) if len(incs) > 1 else incs[0]
+        seq[0] += acc  # then running sums down the rows (position, width in payload order)
+        if B < _ROW_ADD_TRIALS:
+            np.cumsum(seq, axis=0, out=seq)
+        else:
+            for i in range(1, len(seq)):
+                seq[i] += seq[i - 1]
+        run = seq[len(incs) - 1::len(incs)]
+        acc = run[-1]
+        if want_max or checkpoints:
+            s_now = run - np.arange(p0 + 1, p0 + C + 1)[:, None] * e
+            if want_max:
+                np.maximum(runmax, s_now.max(axis=0), out=runmax)
+            for c, j in checkpoints.items():
+                if p0 < c <= p0 + C:
+                    checks[:, j] = s_now[c - p0 - 1]
+        hist, p0 = H[len(H) - keep:], p0 + C
     out = {"final": acc - n * e, "checks": checks, "runmax": runmax}
     if want_symbols:
         out["symbols"] = symbols

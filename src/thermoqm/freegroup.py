@@ -20,12 +20,12 @@ from .qm import LetterWeights, SignedPatternCount
 from .sft import Sft, word_cap
 from .experiments import (
     _run_blocks,
+    _simulate_block,
     dkw_band,
     ks_distance,
     path_functional_payload,
     sigma2_of,
     standard_normal_cdf,
-    trial_rng,
     uniform_sphere_payload,
 )
 
@@ -185,26 +185,20 @@ def compactification_experiment(group, n_list, depth):
 
 
 def sphere_sample(group, n, count, seed, max_cells=10**8):
-    """Uniform samples from the radius-n sphere, as a (count, n) letter array."""
+    """Uniform samples from the radius-n sphere, as a (count, n) letter array
+    (sample t is the sampler engine's sphere walk keyed by (seed, t))."""
     if n < 1 or count < 1:
         raise ValueError("need n >= 1 and count >= 1")
     if count * n > max_cells:
         raise ResourceLimit("sample array would be too large; use spherical_clt")
-    d = group.d
-    succ = np.zeros((d, d - 1), dtype=np.int8)
-    for x in range(d):
-        succ[x] = [y for y in range(d) if y != (x ^ 1)]
-    out = np.empty((count, n), dtype=np.int8)
-    for t in range(count):
-        g = trial_rng(seed, t)
-        first = int(g.integers(0, d))
-        out[t, 0] = first
-        if n > 1:
-            choices = g.integers(0, d - 1, size=n - 1)
-            cur = first
-            for k in range(1, n):
-                cur = succ[cur, choices[k - 1]]
-                out[t, k] = cur
+    payload = uniform_sphere_payload(group.d, [x ^ 1 for x in range(group.d)])
+    payload.update(n=n, seed=seed, kernel_widths=(), kernel_tables=(), e=0.0,
+                   checkpoints=(), want_max=False, want_symbols=True)
+    out = np.empty((count, n), dtype=payload["succ_table"].dtype)
+    step = max(1, 2**20 // n)  # trials per engine block: about a MB of letters
+    for lo in range(0, count, step):
+        trials = (lo, min(lo + step, count))
+        out[lo:trials[1]] = _simulate_block(dict(payload, trial_range=trials))["symbols"]
     return out
 
 
@@ -246,26 +240,22 @@ class SphericalCltResult:
         }
 
 
-def _spherical_stats(group, L, n, count, seed, workers, block, payload_kind, sigma2):
-    sft = group.sft()
-    mm = parry_measure(sft)
+def _spherical_stats(group, pattern, n, count, seed, workers, block, payload_kind, sigma2):
+    """L(g)/(sigma sqrt n) over count samples of the given kind vs the normal."""
+    L = brooks(group, pattern) if not hasattr(pattern, "value") else pattern
+    mm = parry_measure(group.sft())
     if sigma2 is None:
-        var = sigma2_of(L, mm)
-        sigma2 = var.sigma2_martingale
-    base, e = path_functional_payload(L, mm)
+        sigma2 = sigma2_of(L, mm).sigma2_martingale
+    payload, e = path_functional_payload(L, mm)
     if payload_kind == "sphere":
-        payload = uniform_sphere_payload(group.d, [x ^ 1 for x in range(group.d)])
-        payload.update(
-            kernel_widths=base["kernel_widths"],
-            kernel_tables=base["kernel_tables"],
-            e=e,
-        )
-    else:
-        payload = base
+        tables = {k: payload[k] for k in ("kernel_widths", "kernel_tables", "e")}
+        payload = dict(uniform_sphere_payload(group.d, [x ^ 1 for x in range(group.d)]), **tables)
     payload.update(n=n, seed=seed, checkpoints=(), want_max=False)
-    res = _run_blocks(payload, count, workers, block)
-    stats = res["final"] / np.sqrt(sigma2 * n)
-    return stats, float(sigma2)
+    stats = _run_blocks(payload, count, workers, block)["final"] / np.sqrt(sigma2 * n)
+    se = float(stats.std(ddof=1) / np.sqrt(len(stats)))
+    return SphericalCltResult(stats, ks_distance(stats, standard_normal_cdf), dkw_band(count),
+                              float(stats.mean()), se, float(sigma2), group.sphere_size(n),
+                              n, count, seed)
 
 
 def spherical_clt(group, pattern, n, count, seed, workers=1, block=2048, sigma2=None):
@@ -275,14 +265,7 @@ def spherical_clt(group, pattern, n, count, seed, workers=1, block=2048, sigma2=
     no-cancellation subshift (uniform first letter, uniform non-backtracking
     steps), which is where sigma^2 comes from.
     """
-    L = brooks(group, pattern) if not hasattr(pattern, "value") else pattern
-    stats, sigma2 = _spherical_stats(group, L, n, count, seed, workers, block, "sphere", sigma2)
-    ks = ks_distance(stats, standard_normal_cdf)
-    mean = float(stats.mean())
-    se = float(stats.std(ddof=1) / np.sqrt(len(stats)))
-    return SphericalCltResult(
-        stats, ks, dkw_band(count), mean, se, sigma2, group.sphere_size(n), n, count, seed
-    )
+    return _spherical_stats(group, pattern, n, count, seed, workers, block, "sphere", sigma2)
 
 
 def boundary_ray_clt(group, pattern, n, count, seed, workers=1, block=2048, sigma2=None):
@@ -292,11 +275,4 @@ def boundary_ray_clt(group, pattern, n, count, seed, workers=1, block=2048, sigm
     is exactly the Parry chain, so rays are sampled from that chain; the law
     agrees with spherical sampling up to the sampling bands.
     """
-    L = brooks(group, pattern) if not hasattr(pattern, "value") else pattern
-    stats, sigma2 = _spherical_stats(group, L, n, count, seed, workers, block, "markov", sigma2)
-    ks = ks_distance(stats, standard_normal_cdf)
-    mean = float(stats.mean())
-    se = float(stats.std(ddof=1) / np.sqrt(len(stats)))
-    return SphericalCltResult(
-        stats, ks, dkw_band(count), mean, se, sigma2, group.sphere_size(n), n, count, seed
-    )
+    return _spherical_stats(group, pattern, n, count, seed, workers, block, "markov", sigma2)

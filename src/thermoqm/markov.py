@@ -179,7 +179,10 @@ def normalize_potential(pot, max_iter=10000, tol=1e-15):
     sft = pot.sft
     t = max(pot.s, 1)
     _, M = _block_transfer_matrix(pot)
-    if not _is_primitive(M > 0):
+    g = sft.block_graph(t)
+    # a primitive SFT has a primitive block graph: positive weight on every
+    # edge settles it; the squaring test is left for underflowed weights
+    if not (M[g.dst, g.src] > 0).all() and not _is_primitive(M > 0):
         raise NotPrimitive("weighted transfer matrix on blocks is not primitive")
     evals, evecs = np.linalg.eig(M)
     k = int(np.argmax(np.abs(evals)))
@@ -202,7 +205,6 @@ def normalize_potential(pot, max_iter=10000, tol=1e-15):
     if lam <= 0 or (h <= 0).any():
         raise NumericalFailure("Perron pair is not positive")
     logh = np.log(h)
-    g = sft.block_graph(t)
     vals = _edge_phi(pot, g) + logh[g.src] - logh[g.dst] - np.log(lam)
     out = MarkovPotential(sft, t, vals, normalized=True)
     defect = out.normalization_defect()

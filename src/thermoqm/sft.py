@@ -8,6 +8,7 @@ so every operation here is a deterministic function of its inputs.
 
 from __future__ import annotations
 
+import contextvars
 import json
 import os
 
@@ -17,12 +18,15 @@ from .errors import InvalidMatrix, NotPrimitive, ResourceLimit
 
 DEFAULT_WORD_CAP = 10**8
 WORD_CAP_ENV = "THERMOQM_MAX_WORDS"
+SCOPED_WORD_CAP = contextvars.ContextVar("thermoqm_word_cap", default=None)
 
 Word = tuple
 
 
 def word_cap(explicit=None):
-    """Effective enumeration cap: explicit arg > env override > default."""
+    """Effective enumeration cap: explicit arg > SCOPED_WORD_CAP > env override > default."""
+    if explicit is None:
+        explicit = SCOPED_WORD_CAP.get()
     if explicit is not None:
         return int(explicit)
     env = os.environ.get(WORD_CAP_ENV)

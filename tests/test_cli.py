@@ -257,3 +257,17 @@ def test_alphabet_beyond_int8(tmp_path):
     assert "error" not in summary
     assert code in (0, 1)
     assert (out / "summary.json").exists() and (out / "stats.csv").exists()
+
+
+def test_cap_is_scoped_to_one_run(tmp_path, monkeypatch):
+    """--cap overrides the word cap for its own run only: os.environ is left
+    alone and the next execute uses the default cap again."""
+    from thermoqm import cli
+
+    monkeypatch.delenv("THERMOQM_MAX_WORDS", raising=False)
+    cfg = {"sft": {"builtin": "full_shift", "d": 2}, "n": 12}
+    assert run_cli(["words", "--json", json.dumps(cfg), "--out", str(tmp_path / "a"),
+                    "--cap", "100"]) == 3
+    assert "THERMOQM_MAX_WORDS" not in os.environ
+    code, summary = cli.execute("words", cfg, str(tmp_path / "b"))
+    assert code == 0 and summary["count"] == 2**12

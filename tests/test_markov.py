@@ -1,10 +1,13 @@
 """Normalization, stationary chains, transfer operator, variance machinery."""
 
+import time
+
 import numpy as np
 import pytest
 
+from thermoqm import freegroup as fg
 from thermoqm import markov as mk
-from thermoqm.errors import InconsistentVerdicts, MeanNotZero
+from thermoqm.errors import InconsistentVerdicts, MeanNotZero, NotPrimitive
 from thermoqm.experiments import sample_path
 from thermoqm.qm import PatternCount
 from thermoqm.sft import full_shift, golden_mean
@@ -272,3 +275,29 @@ def test_degeneracy_scale_invariance():
     cob = gfn - gfn.shift()
     for c in (2.0, 1e-13):
         assert mk.degeneracy_test(c * cob, pot, par)["trivial"]
+
+
+def test_brooks_q7_gibbs_chain_builds_under_a_second():
+    """The 972-state Gibbs chain of Brooks abaBabb on F_2: primitivity is read
+    off the positive block-graph edge weights instead of squaring the
+    972 x 972 support matrix (about 3 s on its own)."""
+    L = fg.brooks(fg.FreeGroup(2), "abaBabb")
+    times = []
+    for _ in range(2):
+        sft = fg.FreeGroup(2).sft()  # fresh, so its block graphs are built again
+        start = time.perf_counter()
+        mm, _, _ = mk.gibbs_chain_from_qm(L, sft)
+        times.append(time.perf_counter() - start)
+    assert len(mm.states) == 972
+    assert min(times) < 1.0
+
+
+def test_normalize_checks_underflowed_weights_by_squaring():
+    """exp(-800) is 0.0, so an edge drops out of the weighted graph: without
+    00 the full 2-shift's graph is the golden mean's (primitive, root phi);
+    without 00 and 11 it is a 2-cycle, which is not primitive."""
+    sft = full_shift(2)
+    _, lam, _ = mk.normalize_potential(mk.MarkovPotential(sft, 1, np.array([-800.0, 0, 0, 0])))
+    assert lam == pytest.approx((1 + 5**0.5) / 2, rel=1e-14)
+    with pytest.raises(NotPrimitive):
+        mk.normalize_potential(mk.MarkovPotential(sft, 1, np.array([-800.0, 0, 0, -800.0])))

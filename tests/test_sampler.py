@@ -1,0 +1,240 @@
+"""The sampler engine against the per-step loop it replaced: every per-trial
+array bit-identical, for wide blocks and single paths, on random primitive
+SFTs, chain memories 1-3, one or two kernel widths and small chunk sizes."""
+
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from thermoqm import experiments as ex
+from thermoqm import freegroup as fg
+from thermoqm import markov as mk
+from thermoqm.errors import InvalidMatrix, NotPrimitive, NumericalFailure, ResourceLimit
+from thermoqm.sft import Sft, symbol_dtype
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+def _loop_block(payload):
+    """The block engine as it was: one fresh trial_rng per trial, (B, n)
+    uniforms, and a 2-D fancy-indexed step with a per-step kernel update."""
+    t0, t1 = payload["trial_range"]
+    B = t1 - t0
+    n = payload["n"]
+    d = payload["d"]
+    t = payload["t"]
+    widths = list(payload["kernel_widths"])
+    tables = [np.asarray(k) for k in payload["kernel_tables"]]
+    mods = [d ** q for q in widths]
+    e = payload["e"]
+    checkpoints = {c: j for j, c in enumerate(payload["checkpoints"])}
+    want_max = payload["want_max"]
+    want_symbols = payload.get("want_symbols", False)
+
+    acc = np.zeros(B)
+    runmax = np.zeros(B)
+    codes = [np.zeros(B, dtype=np.int64) for _ in widths]
+    checks = np.zeros((B, len(checkpoints)))
+    sym_dtype = symbol_dtype(d)
+    symbols = np.zeros((B, n), dtype=sym_dtype) if want_symbols else None
+
+    def consume(sym, pos):
+        if want_symbols:
+            symbols[:, pos] = sym
+        for i, q in enumerate(widths):
+            codes[i] = (codes[i] * d + sym) % mods[i]
+            if pos + 1 >= q:
+                acc[:] += tables[i][codes[i]]
+        if want_max or checkpoints:
+            s_now = acc - (pos + 1) * e
+            if want_max:
+                np.maximum(runmax, s_now, out=runmax)
+            j = checkpoints.get(pos + 1)
+            if j is not None:
+                checks[:, j] = s_now
+
+    if payload["kind"] == "markov":
+        U = np.empty((B, n))
+        for i, trial in enumerate(range(t0, t1)):
+            U[i] = ex.trial_rng(payload["seed"], trial).random(n)
+        states = np.searchsorted(payload["init_cum"], U[:, 0], side="right")
+        init_words = payload["state_words"][states]
+        for pos in range(min(t, n)):
+            consume(init_words[:, pos].copy(), pos)
+        succ_cum = payload["succ_cum"]
+        succ_state = payload["succ_state"]
+        succ_sym = payload["succ_sym"]
+        for pos in range(t, n):
+            u = U[:, pos - t + 1]
+            rows = succ_cum[states]
+            j = (u[:, None] >= rows).sum(axis=1)
+            sym = succ_sym[states, j]
+            states = succ_state[states, j]
+            consume(sym, pos)
+    else:
+        succ = payload["succ_table"]
+        choice = np.empty((B, n - 1), dtype=np.int64)
+        first = np.empty(B, dtype=np.int64)
+        for i, trial in enumerate(range(t0, t1)):
+            g = ex.trial_rng(payload["seed"], trial)
+            first[i] = g.integers(0, d)
+            choice[i] = g.integers(0, d - 1, size=n - 1)
+        cur = first.astype(sym_dtype)
+        consume(cur.copy(), 0)
+        for pos in range(1, n):
+            cur = succ[cur, choice[:, pos - 1]]
+            consume(cur.copy(), pos)
+
+    out = {"final": acc - n * e, "checks": checks, "runmax": runmax}
+    if want_symbols:
+        out["symbols"] = symbols
+    return out
+
+
+def _loop_sphere_sample(group, n, count, seed):
+    """sphere_sample as it was: a per-letter Python walk per sample."""
+    d = group.d
+    succ = np.zeros((d, d - 1), dtype=np.int8)
+    for x in range(d):
+        succ[x] = [y for y in range(d) if y != (x ^ 1)]
+    out = np.empty((count, n), dtype=np.int8)
+    for t in range(count):
+        g = ex.trial_rng(seed, t)
+        first = int(g.integers(0, d))
+        out[t, 0] = first
+        if n > 1:
+            choices = g.integers(0, d - 1, size=n - 1)
+            cur = first
+            for k in range(1, n):
+                cur = succ[cur, choices[k - 1]]
+                out[t, k] = cur
+    return out
+
+
+def _assert_identical(new, old):
+    assert new.keys() == old.keys()
+    for key in old:
+        assert new[key].dtype == old[key].dtype and new[key].shape == old[key].shape, key
+        assert new[key].tobytes() == old[key].tobytes(), key
+
+
+@st.composite
+def chains(draw):
+    """A stationary chain of memory 1-3 on a random primitive SFT, d in {2, 3}."""
+    d = draw(st.sampled_from([2, 3]))
+    rows = draw(st.lists(st.lists(st.integers(0, 1), min_size=d, max_size=d),
+                         min_size=d, max_size=d))
+    try:
+        sft = Sft(rows)
+    except (InvalidMatrix, NotPrimitive):
+        assume(False)
+    s = draw(st.integers(1, 3))
+    size = len(sft.cylinders(s + 1))
+    table = draw(st.lists(st.floats(-2.0, 2.0, allow_nan=False), min_size=size, max_size=size))
+    try:
+        norm, _, _ = mk.normalize_potential(mk.MarkovPotential(sft, s, np.array(table)))
+    except NumericalFailure:
+        assume(False)
+    return mk.markov_measure(norm)
+
+
+@st.composite
+def markov_payloads(draw):
+    mm = draw(chains())
+    d = mm.sft.d
+    payload = ex.markov_sampler_payload(mm)
+    widths = draw(st.sampled_from([(), (1,), (2,), (3,), (1, 3), (2, 3), (3, 1)]))
+    tables = tuple(np.array(draw(st.lists(st.floats(-3.0, 3.0, allow_nan=False),
+                                          min_size=d ** q, max_size=d ** q))) for q in widths)
+    n = draw(st.integers(1, 90))
+    first = draw(st.integers(0, 40))
+    B = draw(st.sampled_from([1, 2, 7, ex._ROW_ADD_TRIALS + 3]))
+    qmax = max(widths, default=1)
+    # checkpoints before the widest window fills, inside the path, and at n
+    cps = tuple(sorted({c for c in (1, qmax - 1, n // 2 + 1, n) if 1 <= c <= n}))
+    payload.update(n=n, seed=draw(st.integers(-3, 2**40)), trial_range=(first, first + B),
+                   kernel_widths=widths, kernel_tables=tables,
+                   e=draw(st.floats(-1.0, 1.0, allow_nan=False)),
+                   checkpoints=draw(st.sampled_from([(), cps])), want_max=draw(st.booleans()),
+                   want_symbols=draw(st.booleans()))
+    return payload
+
+
+# chunk sizes (uniforms per stream chunk, cells per evaluated chunk): the
+# defaults, and ones small enough that n is split into chunks of uneven length
+CHUNKS = st.sampled_from([(ex._DRAW_CELLS, ex._EVAL_CELLS), (28, 12), (56, 5)])
+
+
+@PROPERTY
+@given(markov_payloads(), CHUNKS)
+def test_markov_block_matches_per_step_loop(payload, chunks):
+    with mock.patch.multiple(ex, _DRAW_CELLS=chunks[0], _EVAL_CELLS=chunks[1]):
+        new = ex._simulate_block(payload)
+    _assert_identical(new, _loop_block(payload))
+
+
+@PROPERTY
+@given(st.sampled_from([2, 3, 7]), st.integers(1, 80), st.integers(0, 30),
+       st.sampled_from([1, 2, 7, ex._ROW_ADD_TRIALS + 3]), st.sampled_from([(), (1,), (2,), (1, 2)]),
+       CHUNKS)
+def test_sphere_block_matches_per_step_loop(rank, n, first, B, widths, chunks):
+    """Rank 7 (d = 14) has successor offsets up to 13 * 13, beyond int8."""
+    d = 2 * rank
+    rng = np.random.default_rng(n)
+    payload = ex.uniform_sphere_payload(d, [x ^ 1 for x in range(d)])
+    payload.update(n=n, seed=n * 7919 + first, trial_range=(first, first + B),
+                   kernel_widths=widths, kernel_tables=tuple(rng.normal(size=d**q) for q in widths),
+                   e=0.25, checkpoints=tuple(sorted({1, n})), want_max=True, want_symbols=True)
+    with mock.patch.multiple(ex, _DRAW_CELLS=chunks[0], _EVAL_CELLS=chunks[1]):
+        new = ex._simulate_block(payload)
+    _assert_identical(new, _loop_block(payload))
+
+
+@pytest.mark.parametrize("pattern,states,n", [("abA", 12, 30011), ("abaBa", 108, 6007)])
+def test_long_single_path_matches_per_step_loop(pattern, states, n):
+    """B = 1 on a memory-2 chain, scanned over several state-map segments, and
+    on a memory-4 chain with more than _SCAN_STATES states, walked flat."""
+    G = fg.FreeGroup(2)
+    mm, _, _ = mk.gibbs_chain_from_qm(fg.brooks(G, pattern), G.sft())
+    assert len(mm.states) == states
+    payload = ex.markov_sampler_payload(mm)
+    payload.update(n=n, seed=5, trial_range=(3, 4), kernel_widths=(), kernel_tables=(),
+                   e=0.0, checkpoints=(), want_max=False, want_symbols=True)
+    old = _loop_block(payload)
+    _assert_identical(ex._simulate_block(payload), old)
+    assert np.array_equal(ex.sample_path(mm, n, 5, trial=3), old["symbols"][0])
+
+
+def test_reused_stream_equals_trial_rng():
+    """One Generator re-keyed per trial gives trial_rng's stream, also after a
+    draw that leaves a buffered 32-bit half behind, and from any counter."""
+    gen = np.random.Generator(np.random.Philox(0))
+    seed, n, d = 2**63 + 11, 37, 6
+    for trial in (0, 5, 2**64 - 1, 5):
+        ref = ex.trial_rng(seed, trial)
+        assert np.array_equal(ex._rekey(gen, seed, trial).random(n), ref.random(n))
+        ref = ex.trial_rng(seed, trial)
+        g = ex._rekey(gen, seed, trial)
+        assert g.integers(0, d) == ref.integers(0, d)
+        assert np.array_equal(g.integers(0, d - 1, size=13), ref.integers(0, d - 1, size=13))
+    whole = ex.trial_rng(seed, 9).random(4 * 6 + 10)
+    assert np.array_equal(ex._rekey(gen, seed, 9, counter=6).random(10), whole[24:])
+
+
+@pytest.mark.parametrize("rank,n,count,seed", [(2, 1, 3, 0), (2, 6, 5, 11), (3, 40, 9, 4),
+                                                (2, 3000, 1, 8), (2, 600, 2000, 1),
+                                                (7, 50, 6, 3)])
+def test_sphere_sample_unchanged(rank, n, count, seed):
+    G = fg.FreeGroup(rank)
+    got = fg.sphere_sample(G, n, count, seed)
+    assert got.dtype == np.int8
+    assert np.array_equal(got, _loop_sphere_sample(G, n, count, seed))
+
+
+def test_sphere_sample_keeps_cell_cap():
+    with pytest.raises(ResourceLimit):
+        fg.sphere_sample(fg.FreeGroup(2), 1000, 11, seed=1, max_cells=10000)
