@@ -178,14 +178,11 @@ def komlos_zeta(L, sft, n, cap=None):
     """zeta_n(x) = (1/n) sum_{k=1..n} L(x_0..x_k) - L(x_1..x_k), depth n+1."""
     if n < 1:
         raise ValueError("komlos_zeta needs n >= 1")
-    idx = sft.cylinders(n + 1, cap=cap)
-    vals = np.empty(len(idx))
-    for i, w in enumerate(idx.words):
-        tot = 0.0
-        for k in range(1, n + 1):
-            tot += L.value(w[: k + 1]) - L.value(w[1: k + 1])
-        vals[i] = tot / n
-    return LocallyConstantFn(sft, n + 1, vals)
+    arr = sft.cylinders(n + 1, cap=cap).array
+    tot = np.zeros(len(arr))
+    for k in range(1, n + 1):
+        tot += L.values(arr[:, : k + 1], sft.d) - L.values(arr[:, 1: k + 1], sft.d)
+    return LocallyConstantFn(sft, n + 1, tot / n)
 
 
 @dataclass

@@ -31,7 +31,7 @@ from .qm import (
     cohomologous,
     zero_qm,
 )
-from .sft import SCOPED_WORD_CAP, Sft, full_shift, golden_mean, parse_word, render_word
+from .sft import SCOPED_WORD_CAP, Sft, full_shift, golden_mean, parse_word, render_word, render_words
 
 
 # -- config plumbing ---------------------------------------------------------------
@@ -223,15 +223,14 @@ def run_words(cfg, ctx):
     sft = parse_sft(cfg["sft"])
     n = int(cfg["n"])
     periodic = bool(cfg.get("periodic", False))
-    words = sft.periodic_words(n) if periodic else sft.words(n)
+    words = sft.word_array(n, periodic=periodic)
     expected = sft.periodic_count(n) if periodic else sft.word_count(n)
-    lines = ["word"] + [render_word(w) for w in words]
     return {
         "n": n,
         "periodic": periodic,
         "count": len(words),
         "checks": [check("count_matches_formula", len(words), int(expected), "==")],
-    }, {"words.csv": "\n".join(lines) + "\n"}
+    }, {"words.csv": "word\n" + render_words(words)}
 
 
 def run_pressure(cfg, ctx):

@@ -90,7 +90,7 @@ def markov_sampler_payload(mm):
         "d": sft.d,
         "t": mm.t,
         "init_cum": init_cum,
-        "state_words": np.array(mm.states.words, dtype=symbol_dtype(sft.d)),
+        "state_words": mm.states.array,
         "succ_cum": succ_cum,
         "succ_state": g.dst[edge],
         "succ_sym": g.sym[edge].astype(symbol_dtype(sft.d)),

@@ -303,7 +303,10 @@ def markov_measure(pot):
     try:
         m = np.linalg.solve(A - np.eye(S) + np.ones((S, S)) / S, np.full(S, 1.0 / S))
     except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(f"stationary solve failed: {exc}") from exc
+        p = A[g.src, g.dst].min()
+        why = (f"; the smallest transition probability {p:.3g} lies below float64 resolution, "
+               "so the chain is numerically reducible" if p < np.finfo(float).eps else "")
+        raise NumericalFailure(f"stationary solve failed: {exc}{why}") from exc
     if (m <= 0).any():
         raise NumericalFailure("stationary vector not positive")
     m /= m.sum()
@@ -368,12 +371,9 @@ def project_conditional(f, mm, s):
     deep_mass = _masses_of(mm, f.m)
     idx_deep = sft.cylinders(f.m)
     idx = sft.cylinders(s)
-    num = np.zeros(len(idx))
-    den = np.zeros(len(idx))
-    for i, w in enumerate(idx_deep.words):
-        j = idx.index(w[:s])
-        num[j] += deep_mass[i] * f.values[i]
-        den[j] += deep_mass[i]
+    prefix = idx.index_of_codes(idx_deep.codes // sft.d ** (f.m - s))
+    num = np.bincount(prefix, deep_mass * f.values, len(idx))  # adds in word order
+    den = np.bincount(prefix, deep_mass, len(idx))
     if (den <= 0).any():
         raise ZeroMass("conditional expectation over a null cylinder")
     return LocallyConstantFn(sft, s, num / den)

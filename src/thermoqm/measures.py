@@ -66,10 +66,8 @@ class CylinderMeasure:
             if k + 1 not in self.masses:
                 continue
             cur = self.sft.cylinders(k)
-            nxt = self.sft.cylinders(k + 1)
-            pushed = np.zeros(len(cur))
-            for i, w in enumerate(nxt.words):
-                pushed[cur.index(w[1:])] += self.masses[k + 1][i]
+            tails = cur.index_of_codes(self.sft.cylinders(k + 1).codes % self.sft.d**k)
+            pushed = np.bincount(tails, self.masses[k + 1], len(cur))  # adds in word order
             worst = max(worst, float(np.abs(pushed - self.masses[k]).max()))
         return worst
 

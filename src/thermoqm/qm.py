@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DepthExceeded, ResourceLimit
-from .sft import encode_word, word_cap
+from .sft import encode_word, window_codes, word_cap
 
 
 def count_occurrences(pattern, word):
@@ -46,13 +46,20 @@ class Quasimorphism:
         """Midpoint estimate of the homogenization lim L(word^k)/k."""
         return self.power_value(word, m) / m
 
+    # The same, per row of a (count, n) array of words on d symbols.
+    def values(self, arr, d):
+        return np.array([self.value(w) for w in map(tuple, arr.tolist())], dtype=float)
+
+    def power_values(self, arr, d, m):
+        return np.array([self.power_value(w, m) for w in map(tuple, arr.tolist())], dtype=float)
+
+    def homogenized_values(self, arr, d):
+        return np.array([self.homogenized_value(w) for w in map(tuple, arr.tolist())], dtype=float)
+
     def letter_sup(self, sft):
         """sup |L| over words of length <= M (the norm's local part)."""
-        sup = 0.0
-        for n in range(1, sft.M + 1):
-            for w in sft.words(n):
-                sup = max(sup, abs(self.value(w)))
-        return sup
+        return max(float(np.abs(self.values(sft.word_array(n), sft.d)).max())
+                   for n in range(1, sft.M + 1))
 
     def norm_upper(self, sft):
         return self.letter_sup(sft) + self.defect_bound
@@ -64,60 +71,82 @@ class Quasimorphism:
         return LinearCombinationQm([(1.0, self), (1.0, other)])
 
 
+# Window counts count(q, i0) of L(a) (windows inside a, |a| = n), of L(a^m)
+# (starts i0 + jn inside a^m) and of lim L(a^m)/m (every cyclic window once).
+def _inside(n):
+    return lambda q, i0: int(i0 <= n - q)
+
+
+def _repeats(n, m):
+    return lambda q, i0: (m * n - q - i0) // n + 1 if i0 <= m * n - q else 0
+
+
+def _once(q, i0):
+    return 1
+
+
 class _WindowAdditive(Quasimorphism):
-    """Shared evaluation for kinds defined by window kernels."""
+    """Shared evaluation for kinds defined by window kernels: a sum over the
+    kernels, then the window starts i0 < |a|, of count(q, i0) * kernel[window
+    at i0] (windows wrap cyclically, count-0 starts are skipped), one order
+    for words and for arrays of words, so both give the same floats."""
 
     def _kernels(self):
         """list of (width, {window tuple: coef}) with coef != 0."""
         raise NotImplementedError
 
-    def value(self, word):
-        word = tuple(word)
-        total = 0.0
+    def _dense_kernels(self, d):
+        """(width, kernel over the d**width window codes) in _kernels() order."""
         for q, table in self._kernels():
-            if q <= len(word):
-                for i in range(len(word) - q + 1):
-                    total += table.get(word[i:i + q], 0.0)
-        return total
+            arr = np.zeros(d ** q)
+            for win, coef in table.items():
+                arr[encode_word(win, d)] += coef
+            yield q, arr
 
     def window_tables(self, d):
         out = {}
-        for q, table in self._kernels():
-            arr = out.setdefault(q, np.zeros(d ** q))
-            for win, coef in table.items():
-                arr[encode_word(win, d)] += coef
+        for q, arr in self._dense_kernels(d):
+            out[q] = out[q] + arr if q in out else arr
         return out
 
-    def power_value(self, word, m):
+    def _sum(self, word, count):
         word = tuple(word)
-        n = len(word)
-        if n == 0 or m == 0:
-            return 0.0
         total = 0.0
         for q, table in self._kernels():
-            if q > m * n:
-                continue
-            for i0 in range(n):
-                if i0 > m * n - q:
-                    continue
-                cnt = (m * n - q - i0) // n + 1
-                win = tuple(word[(i0 + k) % n] for k in range(q))
-                total += cnt * table.get(win, 0.0)
+            ext = word * (q // max(len(word), 1) + 2)  # every cyclic window is a slice
+            for i0 in range(len(word)):
+                c = count(q, i0)
+                if c:
+                    total += c * table.get(ext[i0:i0 + q], 0.0)
         return total
 
-    def cyclic_kernel_value(self, word):
-        """Exact homogenization lim L(word^m)/m for window-additive kinds."""
-        word = tuple(word)
-        n = len(word)
-        total = 0.0
-        for q, table in self._kernels():
-            for i0 in range(n):
-                win = tuple(word[(i0 + k) % n] for k in range(q))
-                total += table.get(win, 0.0)
+    def _sums(self, arr, d, count):
+        total = np.zeros(len(arr))
+        for q, table in self._dense_kernels(d):
+            for i0 in range(arr.shape[1]):
+                c = count(q, i0)
+                if c:
+                    total += c * table[window_codes(arr, i0, q, d)]
         return total
+
+    def value(self, word):
+        return self._sum(word, _inside(len(word)))
+
+    def values(self, arr, d):
+        return self._sums(arr, d, _inside(arr.shape[1]))
+
+    def power_value(self, word, m):
+        return self._sum(word, _repeats(len(word), m))
+
+    def power_values(self, arr, d, m):
+        return self._sums(arr, d, _repeats(arr.shape[1], m))
 
     def homogenized_value(self, word, m=None):
-        return self.cyclic_kernel_value(word)
+        """Exact homogenization lim L(word^m)/m for window-additive kinds."""
+        return self._sum(word, _once)
+
+    def homogenized_values(self, arr, d):
+        return self._sums(arr, d, _once)
 
 
 class LetterWeights(_WindowAdditive):
@@ -137,6 +166,9 @@ class LetterWeights(_WindowAdditive):
 
     def power_value(self, word, m):
         return m * self.value(word)
+
+    def power_values(self, arr, d, m):
+        return m * self.values(arr, d)
 
 
 def zero_qm(d):
@@ -195,6 +227,15 @@ class LinearCombinationQm(Quasimorphism):
 
     def homogenized_value(self, word, m=64):
         return sum(c * L.homogenized_value(word, m) for c, L in self.terms)
+
+    def values(self, arr, d):
+        return sum((c * L.values(arr, d) for c, L in self.terms), np.zeros(len(arr)))
+
+    def power_values(self, arr, d, m):
+        return sum((c * L.power_values(arr, d, m) for c, L in self.terms), np.zeros(len(arr)))
+
+    def homogenized_values(self, arr, d):
+        return sum((c * L.homogenized_values(arr, d) for c, L in self.terms), np.zeros(len(arr)))
 
     def window_tables(self, d):
         merged = {}
@@ -314,9 +355,6 @@ class HomInterval:
     def width(self):
         return self.hi - self.lo
 
-    def overlaps(self, other):
-        return self.lo <= other.hi and other.lo <= self.hi
-
 
 def homogenize(L, word, m):
     """Certified interval for the homogenization lim L(word^k)/k at power m."""
@@ -382,10 +420,7 @@ def quasicocycle_of(L, sft, n_max, cap=None):
     total = sum(sft.word_count(n) for n in range(1, n_max + 1))
     if total > word_cap(cap):
         raise ResourceLimit(f"{total} cylinder values exceed the word cap")
-    tables = {}
-    for n in range(1, n_max + 1):
-        idx = sft.cylinders(n)
-        tables[n] = np.array([L.value(w) for w in idx.words])
+    tables = {n: L.values(sft.cylinders(n).array, sft.d) for n in range(1, n_max + 1)}
     return Quasicocycle(sft, tables)
 
 
@@ -437,15 +472,18 @@ def cohomologous(L, L2, sft, n_max, m=None, resolution=1e-2, cap=None):
     if total > word_cap(cap):
         raise ResourceLimit(f"{total} periodic words exceed the word cap")
     max_width = 0.0
+    s1, s2 = L.defect_bound / m, L2.defect_bound / m
     for n in range(1, n_max + 1):
-        for a in sft.periodic_words(n):
-            i1 = homogenize(L, a, m)
-            i2 = homogenize(L2, a, m)
-            max_width = max(max_width, i1.width, i2.width)
-            if not i1.overlaps(i2):
-                return CohomologyVerdict(
-                    "distinct", a, n, resolution, max_width, certificate_only=False
-                )
+        arr = sft.word_array(n, periodic=True)  # homogenize() on each row
+        v1, v2 = L.power_values(arr, sft.d, m) / m, L2.power_values(arr, sft.d, m) / m
+        lo1, hi1, lo2, hi2 = v1 - s1, v1 + s1, v2 - s2, v2 + s2
+        apart = np.flatnonzero(~((lo1 <= hi2) & (lo2 <= hi1)))
+        upto = apart[0] + 1 if len(apart) else len(arr)  # widths up to the witness
+        # fmax skips NaN as max() does
+        max_width = float(np.fmax.reduce(np.fmax(hi1 - lo1, hi2 - lo2)[:upto], initial=max_width))
+        if len(apart):
+            return CohomologyVerdict("distinct", tuple(arr[apart[0]].tolist()), n, resolution,
+                                     max_width, certificate_only=False)
     if max_width <= resolution * (1.0 + 1e-9):
         return CohomologyVerdict("cohomologous", None, n_max, resolution, max_width)
     return CohomologyVerdict("inconclusive", None, n_max, resolution, max_width)

@@ -1,7 +1,9 @@
 """Validated subshifts of finite type and their word combinatorics.
 
 Symbols are 0-based internally; file formats render them 1-based.  Words are
-tuples of ints.  All enumerations are in lexicographic order and all
+arrays, with tuple views: the words of one length are one (count, n) array of
+`symbol_dtype(d)` symbols (`Sft.word_array`, about n bytes per word).  All
+enumerations are in lexicographic order and all
 tie-breaking (connectors, lifts, star words) is shortest-then-lexicographic,
 so every operation here is a deterministic function of its inputs.
 """
@@ -9,6 +11,7 @@ so every operation here is a deterministic function of its inputs.
 from __future__ import annotations
 
 import contextvars
+import functools
 import json
 import os
 
@@ -44,21 +47,26 @@ class WordIndex:
     """Bijection between the admissible words of one depth and 0..count-1.
 
     Index order is lexicographic, equivalently numeric order of the base-d
-    codes, so the mapping is stable across calls.
+    codes, so the mapping is stable across calls.  The tuple views of the
+    word array, and their positions, are built on first use.
     """
 
-    def __init__(self, sft, depth, words):
+    def __init__(self, sft, depth, array):
         self.sft = sft
         self.depth = depth
-        self.words = words
-        codes = np.zeros(len(words), dtype=np.int64)
-        for column in np.array(words, dtype=np.int64).reshape(len(words), depth).T:
-            codes = codes * sft.d + column  # Horner, most significant symbol first
-        self.codes = codes
-        self._pos = {w: i for i, w in enumerate(words)}
+        self.array = array
+        self.codes = window_codes(array, 0, depth, sft.d)
+
+    @functools.cached_property
+    def words(self):
+        return [tuple(w) for w in self.array.tolist()]
+
+    @functools.cached_property
+    def _pos(self):
+        return {w: i for i, w in enumerate(self.words)}
 
     def __len__(self):
-        return len(self.words)
+        return len(self.codes)
 
     def __contains__(self, word):
         return tuple(word) in self._pos
@@ -224,43 +232,38 @@ class Sft:
 
     # -- enumeration ------------------------------------------------------
 
-    def words(self, n, cap=None):
-        """All admissible words of length n, lexicographic."""
-        if n < 0:
-            raise ValueError("word length must be >= 0")
-        if n == 0:
-            return [()]
+    def word_array(self, n, cap=None, periodic=False):
+        """All admissible words of length n as a (count, n) symbol array, in
+        lexicographic order; with periodic=True only the wrapping ones.  The
+        cap applies to |W_n| and is checked before anything is allocated."""
+        if n < int(periodic):
+            raise ValueError("periodic words have length >= 1" if periodic
+                             else "word length must be >= 0")
         count = self.word_count(n)
         if count > word_cap(cap):
             raise ResourceLimit(f"|W_{n}| = {count} exceeds the word cap")
-        out = []
-        succ = self.successors
-        stack = [(s,) for s in range(self.d - 1, -1, -1)]
-        while stack:
-            w = stack.pop()
-            if len(w) == n:
-                out.append(w)
-            else:
-                last = w[-1]
-                for s in reversed(succ[last]):
-                    stack.append(w + (s,))
-        return out
+        dt = symbol_dtype(self.d)
+        arr = np.arange(self.d, dtype=dt)[:, None] if n else np.zeros((1, 0), dtype=dt)
+        for _ in range(n - 1):
+            # successors of each row's last symbol, rows in order: stays lexicographic
+            rows, syms = np.nonzero(self.R[arr[:, -1]])
+            arr = np.concatenate([arr[rows], syms.astype(dt)[:, None]], axis=1)
+        return arr[self.R[arr[:, -1], arr[:, 0]] == 1] if periodic else arr
+
+    def words(self, n, cap=None):
+        """All admissible words of length n as tuples, lexicographic."""
+        return [tuple(w) for w in self.word_array(n, cap=cap).tolist()]
 
     def periodic_words(self, n, cap=None):
-        """All wrapping words of length exactly n, lexicographic."""
-        if n < 1:
-            raise ValueError("periodic words have length >= 1")
-        total = self.word_count(n)
-        if total > word_cap(cap):
-            raise ResourceLimit(f"|W_{n}| = {total} exceeds the word cap")
-        return [w for w in self.words(n, cap=cap) if self.R[w[-1], w[0]]]
+        """All wrapping words of length exactly n as tuples, lexicographic."""
+        return [tuple(w) for w in self.word_array(n, cap=cap, periodic=True).tolist()]
 
     def cylinders(self, k, cap=None):
         """Cached WordIndex for depth k >= 1."""
         if k < 1:
             raise ValueError("cylinder depth must be >= 1")
         if k not in self._cyl:
-            self._cyl[k] = WordIndex(self, k, self.words(k, cap=cap))
+            self._cyl[k] = WordIndex(self, k, self.word_array(k, cap=cap))
         return self._cyl[k]
 
     def block_graph(self, t):
@@ -317,10 +320,6 @@ class Sft:
         n = len(word)
         return tuple(word[(start + i) % n] for i in range(width))
 
-    def rotations(self, word):
-        n = len(word)
-        return [word[j:] + word[:j] for j in range(n)]
-
     # -- serialization ------------------------------------------------------
 
     def to_json(self):
@@ -371,17 +370,37 @@ def encode_word(word, d):
     return c
 
 
+def window_codes(arr, start, width, d):
+    """int64 base-d codes (Horner, most significant first) of the width-symbol
+    windows of the rows of a symbol array from column start, wrapping cyclically."""
+    code = np.zeros(len(arr), dtype=np.int64)
+    for k in range(width):
+        code = code * d + arr[:, (start + k) % arr.shape[1]]
+    return code
+
+
 def render_word(word):
-    """1-based external rendering; comma separated once symbols pass 9."""
+    """1-based external rendering; comma separated once symbols pass 9, with a
+    trailing comma on a one-symbol word ("10,") so it differs from "1", "0"."""
     syms = [str(s + 1) for s in word]
-    return ",".join(syms) if any(s > 8 for s in word) else "".join(syms)
+    return ",".join(syms) + "," * (len(syms) == 1) if any(s > 8 for s in word) else "".join(syms)
+
+
+def render_words(arr):
+    """render_word of every row of a symbol array, one per line: one byte
+    per symbol when no symbol passes 9, else row by row."""
+    if arr.size and arr.max() > 8:
+        return "".join(render_word(w) + "\n" for w in arr.tolist())
+    out = np.full((arr.shape[0], arr.shape[1] + 1), ord("\n"), dtype=np.uint8)
+    out[:, :-1] = arr + ord("1")
+    return out.tobytes().decode("ascii")
 
 
 def parse_word(text, d):
     """Inverse of render_word."""
     if text == "":
         return ()
-    parts = text.split(",") if "," in text else list(text)
+    parts = text.removesuffix(",").split(",") if "," in text else list(text)
     word = tuple(int(p) - 1 for p in parts)
     if any(s < 0 or s >= d for s in word):
         raise ValueError(f"symbol out of range in {text!r}")

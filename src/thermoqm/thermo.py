@@ -18,20 +18,15 @@ from scipy.special import logsumexp
 
 from .errors import ResourceLimit
 from .measures import CylinderMeasure
-from .sft import encode_word, word_cap
+from .sft import window_codes
 
 
 # -- partition functions -------------------------------------------------------
 
 
 def _enumerated_log_partition(L, sft, n, cap=None):
-    count = sft.word_count(n)
-    if count > word_cap(cap):
-        raise ResourceLimit(f"|W_{n}| = {count} exceeds the word cap")
-    vals = [L.value(a) for a in sft.periodic_words(n, cap=cap)]
-    if not vals:
-        return -np.inf
-    return float(logsumexp(vals))
+    vals = L.values(sft.word_array(n, cap=cap, periodic=True), sft.d)
+    return float(logsumexp(vals)) if len(vals) else -np.inf
 
 
 class _WindowTransfer:
@@ -93,14 +88,12 @@ class _WindowTransfer:
 
 
 def _short_word_log_partition(kernels, sft, n):
-    vals = []
-    for a in sft.periodic_words(n):
-        v = 0.0
-        for q, table in kernels.items():
-            for i in range(n - q + 1):
-                v += table[encode_word(a[i:i + q], sft.d)]
-        vals.append(v)
-    return float(logsumexp(vals)) if vals else -np.inf
+    arr = sft.word_array(n, periodic=True)
+    vals = np.zeros(len(arr))
+    for q, table in kernels.items():
+        for i in range(n - q + 1):
+            vals += table[window_codes(arr, i, q, sft.d)]
+    return float(logsumexp(vals)) if len(vals) else -np.inf
 
 
 def log_partition(L, sft, n, cap=None, method="auto"):
@@ -238,29 +231,25 @@ def gibbs_measure(L, sft, N, depth, cap=None, weighting="homogenized"):
     """
     if not (1 <= depth <= N):
         raise ValueError("need 1 <= depth <= N")
-    words = sft.periodic_words(N, cap=cap)
-    if not words:
+    arr = sft.word_array(N, cap=cap, periodic=True)
+    if not len(arr):
         raise ValueError(f"no periodic words of length {N}")
     if weighting == "homogenized":
-        vals = np.array([L.homogenized_value(a) for a in words])
+        vals = L.homogenized_values(arr, sft.d)
     elif weighting == "raw":
-        vals = np.array([L.value(a) for a in words])
+        vals = L.values(arr, sft.d)
     else:
         raise ValueError("weighting must be 'homogenized' or 'raw'")
     logZ = logsumexp(vals)
-    weights = np.exp(vals - logZ)
-    arr = np.array(words, dtype=np.int64)
+    spread = np.repeat(np.exp(vals - logZ) / N, N)
     masses = {}
+    codes = np.zeros(arr.shape, dtype=np.int64)
     for k in range(1, depth + 1):
+        # codes[:, j]: the depth-k window of the periodic point from position j
+        codes = codes * sft.d + np.roll(arr, 1 - k, axis=1)
         idx = sft.cylinders(k)
-        ext = np.concatenate([arr, arr[:, : k - 1]], axis=1) if k > 1 else arr
-        powers = sft.d ** np.arange(k - 1, -1, -1, dtype=np.int64)
-        win = np.lib.stride_tricks.sliding_window_view(ext, k, axis=1)
-        codes = win @ powers  # (num_words, N)
-        flat = idx.index_of_codes(codes.ravel())
-        mass = np.zeros(len(idx))
-        np.add.at(mass, flat, np.repeat(weights / N, N))
-        masses[k] = mass
+        # bincount adds in input order: word by word, each word position by position
+        masses[k] = np.bincount(idx.index_of_codes(codes.ravel()), spread, len(idx))
     return CylinderMeasure(sft, masses)
 
 
@@ -328,17 +317,16 @@ def weak_bernoulli_report(mu, n, gaps):
     """beta(n, N) = sum_{A,B depth-n} |mu(A n tau^{-(N+n)} B) - mu(A) mu(B)|."""
     sft = mu.sft
     m = mu.masses_at(n)
+    idx_n, S = sft.cylinders(n), len(m)
     rows = []
     for N in gaps:
         total_len = 2 * n + N
         if total_len > mu.max_depth:
             raise ResourceLimit(f"weak-Bernoulli at gap {N} needs depth {total_len}")
-        idx_n = sft.cylinders(n)
-        joint = np.zeros((len(idx_n), len(idx_n)))
-        deep = sft.cylinders(total_len)
-        arr = mu.masses_at(total_len)
-        for i, w in enumerate(deep.words):
-            joint[idx_n.index(w[:n]), idx_n.index(w[n + N:])] += arr[i]
+        codes = sft.cylinders(total_len).codes  # the prefix A and the suffix B of each word
+        pair = idx_n.index_of_codes(codes // sft.d ** (n + N)) * S + idx_n.index_of_codes(
+            codes % sft.d**n)
+        joint = np.bincount(pair, mu.masses_at(total_len), S * S).reshape(S, S)  # in word order
         beta = float(np.abs(joint - np.outer(m, m)).sum())
         rows.append({"gap": N, "beta": beta})
     return rows

@@ -7,7 +7,7 @@ import pytest
 
 from thermoqm import freegroup as fg
 from thermoqm import markov as mk
-from thermoqm.errors import InconsistentVerdicts, MeanNotZero, NotPrimitive
+from thermoqm.errors import InconsistentVerdicts, MeanNotZero, NotPrimitive, NumericalFailure
 from thermoqm.experiments import sample_path
 from thermoqm.qm import PatternCount
 from thermoqm.sft import full_shift, golden_mean
@@ -301,3 +301,23 @@ def test_normalize_checks_underflowed_weights_by_squaring():
     assert lam == pytest.approx((1 + 5**0.5) / 2, rel=1e-14)
     with pytest.raises(NotPrimitive):
         mk.normalize_potential(mk.MarkovPotential(sft, 1, np.array([-800.0, 0, 0, -800.0])))
+
+
+def test_numerically_reducible_chain_names_its_smallest_transition(tmp_path):
+    from thermoqm.cli import execute
+
+    sticky = mk.MarkovPotential(full_shift(2), 1, [40.0, 0.0, 0.0, 40.0])
+    norm, _, _ = mk.normalize_potential(sticky)
+    with pytest.raises(NumericalFailure, match=r"stationary solve failed: Singular matrix; the "
+                       r"smallest transition probability 4\.2\de-18 lies below float64 "
+                       r"resolution, so the chain is numerically reducible"):
+        mk.markov_measure(norm)
+    values = {"11": 40.0, "12": 0.0, "21": 0.0, "22": 40.0}
+    cfg = {"sft": {"builtin": "full_shift", "d": 2},
+           "chain": {"kind": "potential", "memory": 1, "values": values},
+           "psi": {"memory": 1, "values": {"1": 1.0, "2": -1.0}}}
+    code, summary = execute("solve-cohomological", cfg, str(tmp_path))
+    assert code == 2 and "numerically reducible" in summary["error"]
+    # weight 20: leave-block probability about 2e-9, above resolution, still builds
+    norm, _, _ = mk.normalize_potential(mk.MarkovPotential(full_shift(2), 1, [20.0, 0, 0, 20.0]))
+    assert np.allclose(mk.markov_measure(norm).stationary, 0.5)

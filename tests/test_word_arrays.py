@@ -1,0 +1,479 @@
+"""Words as symbol arrays: the enumeration, the words CSV, the array
+evaluators and their consumers against frozen copies of the tuple-by-tuple
+code they replaced, compared exactly (the same floats in the same order)."""
+
+import time
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+from scipy.special import logsumexp
+
+from thermoqm import bowen, cli, thermo
+from thermoqm import markov as mk
+from thermoqm.errors import InvalidMatrix, NotPrimitive, ResourceLimit
+from thermoqm.freegroup import FreeGroup
+from thermoqm.measures import CylinderMeasure
+from thermoqm.qm import (
+    LetterWeights,
+    LinearCombinationQm,
+    PatternCount,
+    SignedPatternCount,
+    TabulatedQm,
+    _WindowAdditive,
+    cohomologous,
+    homogenize,
+    zero_qm,
+)
+from thermoqm.sft import (
+    Sft,
+    encode_word,
+    full_shift,
+    golden_mean,
+    parse_word,
+    render_word,
+    render_words,
+)
+
+PROPERTY = settings(max_examples=30, deadline=None, derandomize=True, database=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+MAX_N = {2: 10, 3: 7, 4: 5, 12: 3}  # about 4k words or fewer per length
+
+
+# -- frozen references ------------------------------------------------------------
+
+
+def dfs_words(sft, n):
+    """The tuple DFS that enumerated words before the arrays."""
+    if n == 0:
+        return [()]
+    out = []
+    stack = [(s,) for s in range(sft.d - 1, -1, -1)]
+    while stack:
+        w = stack.pop()
+        if len(w) == n:
+            out.append(w)
+        else:
+            for s in reversed(sft.successors[w[-1]]):
+                stack.append(w + (s,))
+    return out
+
+
+def dfs_periodic(sft, n):
+    return [w for w in dfs_words(sft, n) if sft.R[w[-1], w[0]]]
+
+
+def old_render_word(word):
+    syms = [str(s + 1) for s in word]
+    return ",".join(syms) if any(s > 8 for s in word) else "".join(syms)
+
+
+def old_words_csv(words):
+    return "\n".join(["word"] + [old_render_word(w) for w in words]) + "\n"
+
+
+def old_value(L, word):
+    word = tuple(word)
+    if isinstance(L, LinearCombinationQm):
+        return sum(c * old_value(T, word) for c, T in L.terms)
+    if isinstance(L, LetterWeights):
+        return float(sum(L.weights[s] for s in word))
+    if isinstance(L, _WindowAdditive):
+        total = 0.0
+        for q, table in L._kernels():
+            if q <= len(word):
+                for i in range(len(word) - q + 1):
+                    total += table.get(word[i:i + q], 0.0)
+        return total
+    return L.value(word)
+
+
+def old_power_value(L, word, m):
+    word = tuple(word)
+    if isinstance(L, LinearCombinationQm):
+        return sum(c * old_power_value(T, word, m) for c, T in L.terms)
+    if isinstance(L, LetterWeights):
+        return m * old_value(L, word)
+    if isinstance(L, _WindowAdditive):
+        n = len(word)
+        if n == 0 or m == 0:
+            return 0.0
+        total = 0.0
+        for q, table in L._kernels():
+            if q > m * n:
+                continue
+            for i0 in range(n):
+                if i0 > m * n - q:
+                    continue
+                cnt = (m * n - q - i0) // n + 1
+                win = tuple(word[(i0 + k) % n] for k in range(q))
+                total += cnt * table.get(win, 0.0)
+        return total
+    return L.value(word * m)
+
+
+def old_homogenized_value(L, word, m=64):
+    word = tuple(word)
+    if isinstance(L, LinearCombinationQm):
+        return sum(c * old_homogenized_value(T, word, m) for c, T in L.terms)
+    if isinstance(L, _WindowAdditive):
+        n = len(word)
+        total = 0.0
+        for q, table in L._kernels():
+            for i0 in range(n):
+                win = tuple(word[(i0 + k) % n] for k in range(q))
+                total += table.get(win, 0.0)
+        return total
+    return old_power_value(L, word, m) / m
+
+
+def old_enumerated_log_partition(L, sft, n):
+    vals = [old_value(L, a) for a in dfs_periodic(sft, n)]
+    return float(logsumexp(vals)) if vals else -np.inf
+
+
+def old_short_word_log_partition(kernels, sft, n):
+    vals = []
+    for a in dfs_periodic(sft, n):
+        v = 0.0
+        for q, table in kernels.items():
+            for i in range(n - q + 1):
+                v += table[encode_word(a[i:i + q], sft.d)]
+        vals.append(v)
+    return float(logsumexp(vals)) if vals else -np.inf
+
+
+def old_gibbs_masses(L, sft, N, depth, weighting):
+    words = dfs_periodic(sft, N)
+    value = old_homogenized_value if weighting == "homogenized" else old_value
+    vals = np.array([value(L, a) for a in words])
+    weights = np.exp(vals - logsumexp(vals))
+    arr = np.array(words, dtype=np.int64)
+    masses = {}
+    for k in range(1, depth + 1):
+        idx = sft.cylinders(k)
+        ext = np.concatenate([arr, arr[:, : k - 1]], axis=1) if k > 1 else arr
+        powers = sft.d ** np.arange(k - 1, -1, -1, dtype=np.int64)
+        codes = np.lib.stride_tricks.sliding_window_view(ext, k, axis=1) @ powers
+        mass = np.zeros(len(idx))
+        np.add.at(mass, idx.index_of_codes(codes.ravel()), np.repeat(weights / N, N))
+        masses[k] = mass
+    return masses
+
+
+def old_cohomologous(L, L2, sft, n_max, resolution=1e-2):
+    delta = max(L.defect_bound, L2.defect_bound)
+    m = max(1, int(np.ceil(2.0 * delta / resolution)))
+    max_width = 0.0
+    for n in range(1, n_max + 1):
+        for a in dfs_periodic(sft, n):
+            v1, v2 = old_power_value(L, a, m) / m, old_power_value(L2, a, m) / m
+            lo1, hi1 = v1 - L.defect_bound / m, v1 + L.defect_bound / m
+            lo2, hi2 = v2 - L2.defect_bound / m, v2 + L2.defect_bound / m
+            max_width = max(max_width, hi1 - lo1, hi2 - lo2)
+            if not (lo1 <= hi2 and lo2 <= hi1):
+                return "distinct", a, n, max_width
+    verdict = "cohomologous" if max_width <= resolution * (1.0 + 1e-9) else "inconclusive"
+    return verdict, None, n_max, max_width
+
+
+def old_weak_bernoulli_joint(mu, n, N):
+    sft = mu.sft
+    idx_n = sft.cylinders(n)
+    joint = np.zeros((len(idx_n), len(idx_n)))
+    arr = mu.masses_at(2 * n + N)
+    for i, w in enumerate(sft.cylinders(2 * n + N).words):
+        joint[idx_n.index(w[:n]), idx_n.index(w[n + N:])] += arr[i]
+    return joint
+
+
+def old_invariance_defect(mu):
+    worst = 0.0
+    for k in mu.depths():
+        if k + 1 not in mu.masses:
+            continue
+        cur, nxt = mu.sft.cylinders(k), mu.sft.cylinders(k + 1)
+        pushed = np.zeros(len(cur))
+        for i, w in enumerate(nxt.words):
+            pushed[cur.index(w[1:])] += mu.masses[k + 1][i]
+        worst = max(worst, float(np.abs(pushed - mu.masses[k]).max()))
+    return worst
+
+
+def old_komlos_zeta(L, sft, n):
+    idx = sft.cylinders(n + 1)
+    vals = np.empty(len(idx))
+    for i, w in enumerate(idx.words):
+        tot = 0.0
+        for k in range(1, n + 1):
+            tot += old_value(L, w[: k + 1]) - old_value(L, w[1: k + 1])
+        vals[i] = tot / n
+    return vals
+
+
+def old_project_conditional(f, masses, s):
+    sft = f.sft
+    idx_deep, idx = sft.cylinders(f.m), sft.cylinders(s)
+    num, den = np.zeros(len(idx)), np.zeros(len(idx))
+    for i, w in enumerate(idx_deep.words):
+        j = idx.index(w[:s])
+        num[j] += masses[i] * f.values[i]
+        den[j] += masses[i]
+    return num / den
+
+
+# -- strategies --------------------------------------------------------------------
+
+
+@st.composite
+def primitive_sfts(draw):
+    d = draw(st.sampled_from([2, 3, 4]))
+    rows = draw(st.lists(st.lists(st.integers(0, 1), min_size=d, max_size=d),
+                         min_size=d, max_size=d))
+    try:
+        return Sft(rows)
+    except (InvalidMatrix, NotPrimitive):
+        assume(False)
+
+
+def sfts():
+    return st.one_of(primitive_sfts(), st.sampled_from([golden_mean(), full_shift(12)]))
+
+
+def patterns(d):
+    return st.lists(st.integers(0, d - 1), min_size=1, max_size=3).map(tuple)
+
+
+COEF = st.floats(-2.0, 2.0, allow_nan=False).filter(lambda c: c != 0.0)
+
+
+@st.composite
+def qms(draw, sft, depth=2):
+    """A quasimorphism of one kind on sft; tabulated kinds (word-by-word
+    fallback) are tabulated on short words and extended by prefixes."""
+    d = sft.d
+    kind = draw(st.sampled_from(["zero", "letter_weights", "pattern_count", "signed",
+                                 "linear_combination", "tabulated"]))
+    if kind == "zero":
+        return zero_qm(d)
+    if kind == "letter_weights":
+        return LetterWeights(draw(st.lists(COEF | st.just(0.0), min_size=d, max_size=d)))
+    if kind == "pattern_count":
+        return PatternCount(draw(patterns(d)))
+    if kind == "signed":
+        return SignedPatternCount(draw(patterns(d)), draw(patterns(d)))
+    if kind == "tabulated":
+        depth = 2 if d > 4 else 3
+        tables = {n: {w: draw(COEF) for w in sft.words(n)} for n in range(1, depth + 1)}
+        return TabulatedQm(tables, defect_bound=draw(st.floats(0.0, 3.0)), extend=True)
+    if depth == 0:
+        return PatternCount(draw(patterns(d)))
+    terms = draw(st.lists(st.tuples(COEF, qms(sft, depth - 1)), min_size=1, max_size=3))
+    return LinearCombinationQm(terms)
+
+
+@st.composite
+def sft_and_qm(draw):
+    sft = draw(sfts())
+    return sft, draw(qms(sft))
+
+
+def small_ns(sft):
+    return range(1, MAX_N.get(sft.d, 5) + 1)
+
+
+# -- enumeration and rendering ------------------------------------------------------
+
+
+@PROPERTY
+@given(sfts())
+def test_word_arrays_equal_the_dfs(sft):
+    for n in [0] + list(small_ns(sft)):
+        arr = sft.word_array(n)
+        assert arr.shape == (sft.word_count(n), n) and arr.dtype == np.int8
+        want = dfs_words(sft, n)
+        assert [tuple(w) for w in arr.tolist()] == want == sft.words(n)
+        if n:
+            assert sft.periodic_words(n) == dfs_periodic(sft, n)
+            assert len(sft.word_array(n, periodic=True)) == sft.periodic_count(n)
+            idx = sft.cylinders(n)
+            assert idx.words == want and idx.index(want[-1]) == len(want) - 1
+            assert list(idx.codes) == [encode_word(w, sft.d) for w in want]
+
+
+@PROPERTY
+@given(sft=sfts(), periodic=st.booleans())
+def test_words_csv_bytes_unchanged(tmp_path_factory, sft, periodic):
+    n = max(small_ns(sft))
+    out = tmp_path_factory.mktemp("words")
+    code, _ = cli.execute("words", {"sft": sft.to_json(), "n": n, "periodic": periodic}, str(out))
+    assert code == 0
+    words = dfs_periodic(sft, n) if periodic else dfs_words(sft, n)
+    # n >= 2: no one-symbol word, whose rendering above 9 gained a trailing comma
+    assert (out / "words.csv").read_bytes() == old_words_csv(words).encode()
+
+
+def test_words_csv_one_symbol_words_above_nine(tmp_path):
+    code, _ = cli.execute("words", {"sft": {"builtin": "full_shift", "d": 12}, "n": 1},
+                          str(tmp_path))
+    assert code == 0
+    want = "word\n" + "".join(f"{s}\n" for s in range(1, 10)) + "10,\n11,\n12,\n"
+    assert (tmp_path / "words.csv").read_text() == want
+
+
+def test_words_op_full_shift_18_is_fast(tmp_path):
+    cfg = {"sft": {"builtin": "full_shift", "d": 2}, "n": 18}
+    best = np.inf
+    for _ in range(2):
+        t = time.perf_counter()
+        code, summary = cli.execute("words", cfg, str(tmp_path))
+        best = min(best, time.perf_counter() - t)
+    assert code == 0 and summary["count"] == 2**18
+    assert best < 0.5, f"words op on full_shift(2), n = 18 took {best:.3f} s"
+
+
+@pytest.mark.parametrize("periodic", [False, True])
+def test_cap_raises_before_allocating(periodic, monkeypatch):
+    sft = full_shift(2)
+    monkeypatch.setenv("THERMOQM_MAX_WORDS", "1000")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimit, match=r"^\|W_60\| = 1152921504606846976 exceeds"):
+            sft.word_array(60, periodic=periodic)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    with pytest.raises(ResourceLimit):
+        sft.word_array(10, periodic=periodic)  # 1024 words > 1000
+    assert len(sft.word_array(9, periodic=periodic)) == 512
+    with pytest.raises(ResourceLimit):
+        sft.words(10) if not periodic else sft.periodic_words(10)
+    with pytest.raises(ResourceLimit):
+        sft.word_array(10, cap=1000, periodic=periodic)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 20).flatmap(
+    lambda d: st.tuples(st.just(d), st.lists(st.integers(0, d - 1), min_size=1, max_size=4))))
+def test_render_parse_roundtrip_all_alphabets(case):
+    d, word = case
+    word = tuple(word)
+    assert parse_word(render_word(word), d) == word
+    assert render_words(np.array([word], dtype=np.int8)) == render_word(word) + "\n"
+
+
+def test_one_symbol_words_render_unambiguously():
+    assert render_word((9,)) == "10," and parse_word("10,", 12) == (9,)
+    assert render_word((11,)) == "12," != render_word((0, 1)) == "12"
+    assert render_word((0, 11)) == "1,12" and render_word((3,)) == "4"
+    with pytest.raises(ValueError, match="out of range"):
+        parse_word("10", 12)  # the digits 1, 0
+
+
+@pytest.mark.parametrize("sft", [full_shift(12), FreeGroup(5).sft()], ids=["full12", "free5"])
+def test_measure_json_roundtrip_beyond_nine_symbols(sft):
+    mu = mk.parry_measure(sft).cylinder_measure(2)
+    back = CylinderMeasure.from_json(sft, mu.to_json())
+    for k in (1, 2):
+        assert np.array_equal(back.masses_at(k), mu.masses_at(k))
+
+
+# -- evaluators and their consumers ---------------------------------------------------
+
+
+@PROPERTY
+@given(sft_and_qm())
+def test_array_evaluators_equal_word_loops(case):
+    sft, L = case
+    for n in small_ns(sft):
+        arr = sft.word_array(n, periodic=True)
+        words = dfs_periodic(sft, n)
+        want = [old_value(L, w) for w in words]
+        assert list(L.values(arr, sft.d)) == want == [L.value(w) for w in words]
+        for m in (1, 3, 64):
+            want = [old_power_value(L, w, m) for w in words]
+            assert list(L.power_values(arr, sft.d, m)) == want
+            assert [L.power_value(w, m) for w in words] == want
+        want = [old_homogenized_value(L, w) for w in words]
+        assert list(L.homogenized_values(arr, sft.d)) == want
+        assert [L.homogenized_value(w) for w in words] == want
+    if sft.word_count(sft.M) <= 5000:
+        words = [w for n in range(1, sft.M + 1) for w in dfs_words(sft, n)]
+        assert L.letter_sup(sft) == max([0.0] + [abs(old_value(L, w)) for w in words])
+
+
+@PROPERTY
+@given(sft_and_qm())
+def test_partition_sums_equal_word_loops(case):
+    sft, L = case
+    for n in small_ns(sft):
+        assert thermo._enumerated_log_partition(L, sft, n) == old_enumerated_log_partition(
+            L, sft, n)
+    kernels = L.window_tables(sft.d)
+    if kernels is not None:
+        for n in small_ns(sft):
+            assert thermo._short_word_log_partition(kernels, sft, n) == \
+                old_short_word_log_partition(kernels, sft, n)
+
+
+@PROPERTY
+@given(sft_and_qm(), st.sampled_from(["homogenized", "raw"]))
+def test_gibbs_measure_equals_word_loop(case, weighting):
+    sft, L = case
+    N = max(small_ns(sft))
+    assume(sft.periodic_count(N) > 0)
+    depth = min(N, 3)
+    mu = thermo.gibbs_measure(L, sft, N, depth, weighting=weighting)
+    want = old_gibbs_masses(L, sft, N, depth, weighting)
+    for k in range(1, depth + 1):
+        assert np.array_equal(mu.masses_at(k), want[k])
+    assert mu.invariance_defect() == old_invariance_defect(mu)
+
+
+@PROPERTY
+@given(sft_and_qm(), st.data())
+def test_cohomologous_equals_word_loop(case, data):
+    sft, L = case
+    L2 = data.draw(st.one_of(qms(sft), st.just(L), st.just(LinearCombinationQm([(1.0, L)]))))
+    n_max = min(max(small_ns(sft)), 5)
+    got = cohomologous(L, L2, sft, n_max)
+    assert (got.verdict, got.witness, got.certificate_depth, got.max_width) == \
+        old_cohomologous(L, L2, sft, n_max)
+
+
+def test_cohomologous_width_stops_at_the_witness():
+    f = full_shift(2)
+    wide = LinearCombinationQm([(1000.0, PatternCount((0, 0)))])  # defect 1000
+    got = cohomologous(PatternCount((1,)), wide, f, 3)
+    assert got.verdict == "distinct" and got.witness == (0,)
+    # widths differ by rounding: a later word (1,) is wider than the witness
+    m = int(np.ceil(2.0 * 1000.0 / 1e-2))
+    at_witness = homogenize(wide, (0,), m).width
+    assert at_witness < homogenize(wide, (1,), m).width
+    assert got.max_width == at_witness
+
+
+@PROPERTY
+@given(sft_and_qm())
+def test_komlos_zeta_equals_word_loop(case):
+    sft, L = case
+    n = min(max(small_ns(sft)) - 1, 4)
+    assert np.array_equal(bowen.komlos_zeta(L, sft, n).values, old_komlos_zeta(L, sft, n))
+
+
+@pytest.mark.parametrize("sft", [golden_mean(), full_shift(3)], ids=["golden", "full3"])
+def test_weak_bernoulli_and_projection_equal_word_loops(sft):
+    mm, _, _ = mk.gibbs_chain_from_qm(PatternCount((0, 1)), sft)
+    mu = mm.cylinder_measure(8)
+    m = mu.masses_at(2)
+    for row in thermo.weak_bernoulli_report(mu, 2, [0, 1, 2, 3, 4]):
+        joint = old_weak_bernoulli_joint(mu, 2, row["gap"])
+        assert row["beta"] == float(np.abs(joint - np.outer(m, m)).sum())
+    rng = np.random.default_rng(7)
+    f = mk.LocallyConstantFn(sft, 5, rng.standard_normal(len(sft.cylinders(5))))
+    for s in (1, 2, 4):
+        got = mk.project_conditional(f, mm, s).values
+        assert np.array_equal(got, old_project_conditional(f, mm.cylinder_masses(5), s))
