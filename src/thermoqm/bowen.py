@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DepthExceeded, MeanNotZero, NonConvergence, ZeroMass
-from .markov import LocallyConstantFn, cyclic_birkhoff_average, project_conditional
+from .markov import LocallyConstantFn, _masses_of, cyclic_birkhoff_average, project_conditional
 from .measures import CylinderMeasure
 from .qm import Quasicocycle, homogenize
 
@@ -65,38 +65,31 @@ class WeakBowenFn:
     def normalization_defect(self, k=None):
         """max over (k-1)-words w of |sum_s e^{phi^k(s.w)} - 1|."""
         k = self.k_max if k is None else k
-        sft = self.sft
-        worst = 0.0
-        idx = sft.cylinders(k)
-        for w in (sft.cylinders(k - 1).words if k > 1 else [()]):
-            first = w[0] if w else None
-            tot = 0.0
-            for s in (sft.predecessors[first] if first is not None else range(sft.d)):
-                sw = (s,) + w
-                if sw in idx:
-                    tot += np.exp(self.tables[k][idx.index(sw)])
-            worst = max(worst, abs(tot - 1.0))
-        return float(worst)
+        # the k-words s.w are the edges into w of the depth-(k-1) block graph
+        suffix = self.sft.block_graph(k - 1).dst if k > 1 else np.zeros(self.sft.d, dtype=np.int64)
+        tot = np.bincount(suffix, np.exp(self.tables[k]))  # adds s by s, as a loop would
+        return float(np.abs(tot - 1.0).max())
 
 
 def potential_from_measure(mu, k):
     """phi^j(x) = log mu([x]_j) / mu([tau x]_{j-1}) tabulated for j = 1..k."""
-    mass, max_depth = _mass_fn(mu)
+    _, max_depth = _mass_fn(mu)
     if max_depth is not None and k > max_depth:
         raise DepthExceeded(f"measure stores depth {max_depth} < {k}")
     sft = mu.sft
     tables = {}
     for j in range(1, k + 1):
-        idx = sft.cylinders(j)
-        vals = np.empty(len(idx))
-        for i, w in enumerate(idx.words):
-            num = mass(w)
-            den = mass(w[1:]) if j > 1 else 1.0
-            if num <= 0.0 or den <= 0.0:
-                raise ZeroMass(f"cylinder {w} violates full support")
-            vals[i] = np.log(num / den)
-        tables[j] = vals
+        num = _masses_of(mu, j)
+        den = _masses_of(mu, j - 1)[sft.block_graph(j - 1).dst] if j > 1 else 1.0
+        _require_mass(sft, j, (num <= 0.0) | (den <= 0.0), "violates full support")
+        tables[j] = np.log(num / den)
     return WeakBowenFn(sft, tables, reference=mu)
+
+
+def _require_mass(sft, k, dead, why):
+    """ZeroMass naming the first k-word flagged in `dead`."""
+    if np.any(dead):
+        raise ZeroMass(f"cylinder {sft.cylinders(k).word(int(np.argmax(dead)))} {why}")
 
 
 @dataclass
@@ -225,22 +218,17 @@ def komlos_potential(L, mu, n_list, depth, tol=1e-9, strict=True):
 
 def _conditional_step_matrix(mu, depth):
     """Row-stochastic K with (K f)(w) = E[f o tau | [w]] on depth-`depth` tables."""
-    mass, max_depth = _mass_fn(mu)
+    _, max_depth = _mass_fn(mu)
     if max_depth is not None and depth + 1 > max_depth:
         raise DepthExceeded(f"need masses at depth {depth + 1}")
     sft = mu.sft
-    idx = sft.cylinders(depth)
-    S = len(idx)
-    K = np.zeros((S, S))
-    weights = np.empty(S)
-    for i, w in enumerate(idx.words):
-        mw = mass(w)
-        if mw <= 0:
-            raise ZeroMass(f"cylinder {w} has no mass")
-        weights[i] = mw
-        for s in sft.successors[w[-1]]:
-            K[i, idx.index(w[1:] + (s,))] = mass(w + (s,)) / mw
-    return idx, K, weights
+    weights = _masses_of(mu, depth)
+    _require_mass(sft, depth, weights <= 0, "has no mass")
+    # edge w.s of the depth-`depth` block graph steps from w to its suffix w[1:].s
+    g = sft.block_graph(depth)
+    K = np.zeros((len(g), len(g)))
+    K[g.src, g.dst] = _masses_of(mu, depth + 1) / weights[g.src]
+    return g.states, K, weights
 
 
 @dataclass
@@ -314,13 +302,11 @@ def coboundary_solve(phi, mu, N, depth, tol_mean=1e-8, strict=False, bowen_bound
     def solve_zero_mean(y):
         return np.linalg.solve(A, y)
 
+    g = sft.block_graph(depth)  # its edges are the (depth+1)-words w
+
     def residual_of(u_vals):
-        u = LocallyConstantFn(sft, depth, u_vals)
-        res = 0.0
-        for w in sft.cylinders(depth + 1).words:
-            r = u.value(w[:depth]) - u.value(w[1:]) - phi.value(w[: phi.m])
-            res = max(res, abs(r))
-        return u, float(res)
+        r = u_vals[g.src] - u_vals[g.dst] - phi_vec[g.src]  # u(w[:depth]) - u(w[1:]) - phi(w)
+        return LocallyConstantFn(sft, depth, u_vals), float(np.abs(r).max())
 
     u_vals = _cesaro_average(K, _matrix_power(K, N), phi0, solve_zero_mean, N)
     u2_vals = _cesaro_average(K, _matrix_power(K, 2 * N), phi0, solve_zero_mean, 2 * N)

@@ -1,17 +1,23 @@
 """Reproducible experiment runner.
 
-One subcommand per operation; anything with more than a couple of parameters
-comes in as a JSON config (--config file or --json inline).  Every run writes
-summary.json (plus op-specific CSV/JSON artifacts) into --out; exit codes:
-0 pass, 1 threshold failure, 2 invalid input, 3 resource limit, 4 unexpected
-error (a library bug; summary.json still records it).  Wall time
-goes to a timing.json sidecar so that reruns are byte-identical.
+One subcommand per operation, each configured by a JSON object (--config file
+or --json inline).  Every run writes summary.json (plus op-specific CSV/JSON
+artifacts) into --out; wall time goes to a timing.json sidecar so that reruns
+are byte-identical.  The ops form one table, `OPS`, filled by `@op` with each
+op's required and optional top-level keys and defaults.  `execute` first
+parses: it checks the keys and reads each one by `READERS` (an AttributeError,
+KeyError or TypeError raised there is an InvalidConfig); then the op's handler computes,
+checks and returns its artifacts.  Exit codes: 0 pass, 1 threshold failure,
+2 invalid input (the config could not be parsed, or the library refused it
+with ValueError or a ThermoQmError), 3 resource limit, 4 any other exception,
+a library bug (summary.json still records it).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import operator
 import os
 import sys
 import time
@@ -34,115 +40,95 @@ from .qm import (
 from .sft import SCOPED_WORD_CAP, Sft, full_shift, golden_mean, parse_word, render_word, render_words
 
 
-# -- config plumbing ---------------------------------------------------------------
+# -- config specs --------------------------------------------------------------------
+# Tables of kinds map a kind to (required keys, optional keys, build(spec, sft));
+# builds call nested parsers by module-global name, so wrapped parsers see them.
 
 
 def _require(cfg, allowed, required):
+    """Reject keys outside `allowed` and missing `required` ones ("a|b": either)."""
     unknown = set(cfg) - set(allowed)
     if unknown:
         raise InvalidConfig(f"unknown config keys: {sorted(unknown)}")
-    missing = [k for k in required if k not in cfg]
+    missing = [k for k in required if not any(x in cfg for x in k.split("|"))]
     if missing:
         raise InvalidConfig(f"missing config keys: {missing}")
 
 
+def _from_kinds(kinds, spec, what, sft, tag="kind"):
+    if not isinstance(spec, dict) or tag not in spec:
+        raise InvalidConfig(f"{what} spec must be an object with a {tag!r}")
+    if spec[tag] not in kinds:
+        raise InvalidConfig(f"unknown {what} {tag} {spec[tag]!r}")
+    required, optional, build = kinds[spec[tag]]
+    _require(spec, {tag, *required.split(), *optional.split()}, required.split())
+    return build(spec, sft)
+
+
+SFT_BUILTINS = {
+    "full_shift": ("d", "", lambda s, _: full_shift(int(s["d"]))),
+    "golden_mean": ("", "", lambda s, _: golden_mean()),
+    "free_group": ("rank", "", lambda s, _: freegroup.FreeGroup(int(s["rank"])).sft()),
+}
+
+
 def parse_sft(spec):
-    if not isinstance(spec, dict):
-        raise InvalidConfig("sft spec must be an object")
-    if "builtin" in spec:
-        name = spec["builtin"]
-        if name == "full_shift":
-            _require(spec, {"builtin", "d"}, {"d"})
-            return full_shift(int(spec["d"]))
-        if name == "golden_mean":
-            _require(spec, {"builtin"}, set())
-            return golden_mean()
-        if name == "free_group":
-            _require(spec, {"builtin", "rank"}, {"rank"})
-            return freegroup.FreeGroup(int(spec["rank"])).sft()
-        raise InvalidConfig(f"unknown builtin sft {name!r}")
-    if "file" in spec:
+    if isinstance(spec, dict) and "file" in spec:
         _require(spec, {"file"}, {"file"})
         return Sft.from_file(spec["file"])
-    _require(spec, {"d", "rows"}, {"rows"})
-    return Sft.from_json(spec)
+    if isinstance(spec, dict) and "builtin" not in spec:
+        _require(spec, {"d", "rows"}, {"rows"})
+        return Sft.from_json(spec)
+    return _from_kinds(SFT_BUILTINS, spec, "sft", None, tag="builtin")
+
+
+def _free_group(sft):
+    if not (sft.name or "").startswith("free_group("):
+        raise InvalidConfig("brooks quasimorphisms need a free_group sft")
+    return freegroup.FreeGroup(int(sft.name[len("free_group("):-1]))
 
 
 def _parse_pattern(raw, sft):
-    g = _maybe_group(sft)
-    if isinstance(raw, str):
-        if g is not None:
-            return g.parse(raw)
-        return parse_word(raw, sft.d)
-    return tuple(int(x) - 1 for x in raw)
+    if not isinstance(raw, str):
+        return tuple(int(x) - 1 for x in raw)
+    if (sft.name or "").startswith("free_group("):
+        return _free_group(sft).parse(raw)
+    return parse_word(raw, sft.d)
 
 
-def _maybe_group(sft):
-    if sft.name and sft.name.startswith("free_group("):
-        return freegroup.FreeGroup(int(sft.name[len("free_group("):-1]))
-    return None
+def _letter_weights(spec, sft):
+    if len(spec["weights"]) != sft.d:
+        raise InvalidConfig("letter_weights needs one weight per symbol")
+    return LetterWeights(spec["weights"])
+
+
+QM_KINDS = {
+    "zero": ("", "", lambda s, sft: zero_qm(sft.d)),
+    "letter_weights": ("weights", "", _letter_weights),
+    "pattern_count": ("pattern", "", lambda s, sft: PatternCount(_parse_pattern(s["pattern"], sft))),
+    "signed_pattern_count": ("pattern anti", "", lambda s, sft: SignedPatternCount(
+        _parse_pattern(s["pattern"], sft), _parse_pattern(s["anti"], sft))),
+    "brooks": ("pattern", "", lambda s, sft: freegroup.brooks(_free_group(sft), s["pattern"])),
+    "linear_combination": ("terms", "", lambda s, sft: LinearCombinationQm(
+        [(float(t["coef"]), parse_qm(t["qm"], sft)) for t in s["terms"]])),
+    "tabulated": ("tables defect", "extend", lambda s, sft: TabulatedQm(
+        {int(n): {parse_word(w, sft.d): float(v) for w, v in tbl.items()}
+         for n, tbl in s["tables"].items()},
+        float(s["defect"]), extend=bool(s.get("extend", False)))),
+}
 
 
 def parse_qm(spec, sft):
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise InvalidConfig("qm spec must be an object with a 'kind'")
-    kind = spec["kind"]
-    if kind == "zero":
-        _require(spec, {"kind"}, set())
-        return zero_qm(sft.d)
-    if kind == "letter_weights":
-        _require(spec, {"kind", "weights"}, {"weights"})
-        weights = spec["weights"]
-        if len(weights) != sft.d:
-            raise InvalidConfig("letter_weights needs one weight per symbol")
-        return LetterWeights(weights)
-    if kind == "pattern_count":
-        _require(spec, {"kind", "pattern"}, {"pattern"})
-        return PatternCount(_parse_pattern(spec["pattern"], sft))
-    if kind == "signed_pattern_count":
-        _require(spec, {"kind", "pattern", "anti"}, {"pattern", "anti"})
-        return SignedPatternCount(
-            _parse_pattern(spec["pattern"], sft), _parse_pattern(spec["anti"], sft)
-        )
-    if kind == "brooks":
-        _require(spec, {"kind", "pattern"}, {"pattern"})
-        g = _maybe_group(sft)
-        if g is None:
-            raise InvalidConfig("brooks quasimorphisms need a free_group sft")
-        return freegroup.brooks(g, spec["pattern"])
-    if kind == "linear_combination":
-        _require(spec, {"kind", "terms"}, {"terms"})
-        return LinearCombinationQm(
-            [(float(t["coef"]), parse_qm(t["qm"], sft)) for t in spec["terms"]]
-        )
-    if kind == "tabulated":
-        _require(spec, {"kind", "tables", "defect", "extend"}, {"tables", "defect"})
-        tables = {
-            int(n): {parse_word(w, sft.d): float(v) for w, v in tbl.items()}
-            for n, tbl in spec["tables"].items()
-        }
-        return TabulatedQm(tables, float(spec["defect"]), extend=bool(spec.get("extend", False)))
-    raise InvalidConfig(f"unknown qm kind {kind!r}")
+    return _from_kinds(QM_KINDS, spec, "qm", sft)
 
 
-def parse_chain(spec, sft):
-    """A MarkovMeasure from {'kind': 'parry'} or {'kind': 'gibbs_chain', 'qm': ...}
-    or {'kind': 'potential', 'memory': s, 'values': {...}}."""
-    if spec is None:
-        spec = {"kind": "parry"}
-    kind = spec.get("kind")
-    if kind == "parry":
-        _require(spec, {"kind"}, set())
-        return markov.parry_measure(sft)
-    if kind == "gibbs_chain":
-        _require(spec, {"kind", "qm"}, {"qm"})
-        mm, _, _ = markov.gibbs_chain_from_qm(parse_qm(spec["qm"], sft), sft)
-        return mm
-    if kind == "potential":
-        pot = parse_potential(spec, sft)
-        norm, _, _ = markov.normalize_potential(pot)
-        return markov.markov_measure(norm)
-    raise InvalidConfig(f"unknown chain kind {kind!r}")
+def _word_table(values, sft, k):
+    """A depth-k cylinder table from {rendered word: value}; words left out are 0."""
+    idx = sft.cylinders(k)
+    vals = np.zeros(len(idx))
+    for text, v in values.items():
+        vals[idx.index(parse_word(text, sft.d))] = float(v)
+    return vals
 
 
 def parse_potential(spec, sft):
@@ -150,61 +136,143 @@ def parse_potential(spec, sft):
     if "qm" in spec:
         return markov.MarkovPotential.from_qm(parse_qm(spec["qm"], sft), sft)
     s = int(spec["memory"])
-    idx = sft.cylinders(s + 1)
-    vals = np.zeros(len(idx))
-    for text, v in spec["values"].items():
-        vals[idx.index(parse_word(text, sft.d))] = float(v)
-    return markov.MarkovPotential(sft, s, vals)
+    return markov.MarkovPotential(sft, s, _word_table(spec["values"], sft, s + 1))
+
+
+def _parse_lc(spec, sft):
+    """{'memory': m, 'values': {...}}, or {'coboundary_of': that} for g - g o tau."""
+    if "coboundary_of" in spec:
+        g = _parse_lc(spec["coboundary_of"], sft)
+        return g - g.shift()
+    memory = int(spec["memory"])
+    return markov.LocallyConstantFn(sft, memory, _word_table(spec["values"], sft, memory))
+
+
+# The chain kinds give a MarkovMeasure; bernoulli and gibbs_orbit a CylinderMeasure.
+CHAIN_KINDS = ("parry", "gibbs_chain", "potential")
+MEASURE_KINDS = {
+    "parry": ("", "depth", lambda s, sft: markov.parry_measure(sft)),
+    "gibbs_chain": ("qm", "depth", lambda s, sft: markov.gibbs_chain_from_qm(
+        parse_qm(s["qm"], sft), sft)[0]),
+    "potential": ("", "memory values qm", lambda s, sft: markov.markov_measure(
+        markov.normalize_potential(parse_potential(s, sft))[0])),
+    "bernoulli": ("p depth", "", lambda s, sft: bernoulli_measure(
+        sft, s["p"], range(1, int(s["depth"]) + 1))),
+    "gibbs_orbit": ("qm N depth", "weighting", lambda s, sft: thermo.gibbs_measure(
+        parse_qm(s["qm"], sft), sft, int(s["N"]), int(s["depth"]),
+        weighting=s.get("weighting", "homogenized"))),
+}
 
 
 def parse_measure(spec, sft):
-    """Cylinder-measure sources for entropy/potential/variational candidates."""
-    kind = spec.get("kind")
-    if kind == "parry":
-        _require(spec, {"kind", "depth"}, set())
-        return markov.parry_measure(sft)
-    if kind == "gibbs_chain":
-        _require(spec, {"kind", "qm", "depth"}, {"qm"})
-        mm, _, _ = markov.gibbs_chain_from_qm(parse_qm(spec["qm"], sft), sft)
-        return mm
-    if kind == "bernoulli":
-        _require(spec, {"kind", "p", "depth"}, {"p", "depth"})
-        return bernoulli_measure(sft, spec["p"], range(1, int(spec["depth"]) + 1))
-    if kind == "gibbs_orbit":
-        _require(spec, {"kind", "qm", "N", "depth", "weighting"}, {"qm", "N", "depth"})
-        return thermo.gibbs_measure(
-            parse_qm(spec["qm"], sft), sft, int(spec["N"]), int(spec["depth"]),
-            weighting=spec.get("weighting", "homogenized"),
-        )
-    raise InvalidConfig(f"unknown measure kind {kind!r}")
+    return _from_kinds(MEASURE_KINDS, spec, "measure", sft)
 
 
-def _as_cylinder_measure(mu, depth):
-    if isinstance(mu, CylinderMeasure):
-        return mu
-    return mu.cylinder_measure(depth)
+def parse_chain(spec, sft):
+    """parse_measure restricted to the chain kinds; the Parry chain when spec is None."""
+    spec = {"kind": "parry"} if spec is None else spec
+    if isinstance(spec, dict) and spec.get("kind") not in CHAIN_KINDS:
+        raise InvalidConfig(f"unknown chain kind {spec.get('kind')!r}")
+    return parse_measure(spec, sft)
+
+
+# -- the op table and its parse stage ------------------------------------------------
+
+# key -> read(value, sft), for top-level keys and the keys of nested sections;
+# any other key passes through as given.
+READERS = {
+    **dict.fromkeys("n n_max N depth seed trials count rank memory expect_vanishing".split(),
+                    lambda v, sft: int(v)),
+    **dict.fromkeys((
+        "tolerance tolerance_tv attain_tol tol resolution oracle threshold_residual "
+        "threshold_agreement expect_sigma2 expect_tol threshold_ks threshold_ks_sup delta "
+        "rate rate_rel_tol max_tv mean_band_se contains max_width").split(), lambda v, sft: float(v)),
+    "periodic": lambda v, sft: bool(v),
+    "band": lambda v, sft: tuple(float(x) for x in v),
+    "n_list": lambda v, sft: [int(n) for n in v],
+    **dict.fromkeys(("qm", "qm2"), lambda v, sft: parse_qm(v, sft)),
+    "chain": lambda v, sft: parse_chain(v, sft),
+    "measure": lambda v, sft: parse_measure(v, sft),
+    "potential": lambda v, sft: parse_potential(v, sft),
+    **dict.fromkeys(("psi", "phi"), lambda v, sft: _parse_lc(v, sft)),
+    "candidates": lambda v, sft: [(c["name"], parse_measure(c["measure"], sft) if "measure" in c
+                                   else parse_chain(c.get("chain"), sft)) for c in v],
+    "random": lambda v, sft: _section(v, "memory count seed"),
+    "mc": lambda v, sft: _section(v, "n trials seed"),
+    "thresholds": lambda v, sft: _section(v, "", "contains max_width"),
+}
+
+
+def _section(spec, required, optional=""):
+    _require(spec, {*required.split(), *optional.split()}, required.split())
+    return {k: READERS[k](v, None) for k, v in spec.items()}
+
+
+OPS = {}  # op name -> (handler, required keys, optional keys, defaults)
+
+
+def op(name, required, optional="", **defaults):
+    """Register a handler; keys are space separated, chain=None is the Parry chain."""
+    def register(run):
+        OPS[name] = (run, required, optional, defaults)
+        return run
+    return register
+
+
+def _parse(op, cfg, workers):
+    """The handler and its arguments: cfg over the op's defaults, each key
+    read by READERS (after the sft, which the others are read against)."""
+    try:
+        run, required, optional, defaults = OPS[op]
+        _require(cfg, {*required.replace("|", " ").split(), *optional.split(), *defaults},
+                 required.split())
+        sft = parse_sft(cfg["sft"]) if "sft" in cfg else None
+        args = {k: READERS[k](v, sft) if k in READERS else v for k, v in {**defaults, **cfg}.items()}
+    except (AttributeError, KeyError, TypeError) as exc:  # raised reading cfg: it is malformed
+        raise InvalidConfig(f"{type(exc).__name__}: {exc}") from exc
+    return run, {**args, "sft": sft, "workers": workers}
+
+
+# -- artifacts and checks ----------------------------------------------------------
+
+
+def _dumps(obj):
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def _csv(header, lines):
+    return "\n".join([header, *lines]) + "\n"
+
+
+def _stats_csv(stats):
+    return _csv("stat", [repr(float(x)) for x in stats])
+
+
+def _table_json(sft, k, values, **head):
+    """A depth-k cylinder table as {rendered word: value} JSON, beside `head`."""
+    return _dumps({**head, "values": {
+        render_word(w): float(v) for w, v in zip(sft.cylinders(k).words, values)}})
+
+
+def _centred(psi, mm):
+    return psi - markov.LocallyConstantFn.constant(psi.sft, mm.integral(psi))
+
+
+CHECKS = {"<=": operator.le, ">=": operator.ge, "==": operator.eq,
+          "in": lambda value, band: band[0] <= value <= band[1]}
 
 
 def check(name, value, threshold, mode="<="):
-    if mode == "<=":
-        ok = value <= threshold
-    elif mode == ">=":
-        ok = value >= threshold
-    elif mode == "in":
-        ok = threshold[0] <= value <= threshold[1]
-    elif mode == "==":
-        ok = value == threshold
-    else:
-        raise ValueError(f"unknown check mode {mode!r}")
+    ok = CHECKS[mode](value, threshold)
     return {"name": name, "value": value, "threshold": threshold, "mode": mode, "pass": bool(ok)}
 
 
 # -- handlers ------------------------------------------------------------------------
 
 
-def run_sft_validate(cfg, ctx):
-    _require(cfg, {"sft"}, {"sft"})
-    sft = parse_sft(cfg["sft"])
+@op("sft-validate", "sft")
+def run_sft_validate(a):
+    sft = a["sft"]
     connectors = {
         f"{i + 1}->{j + 1}": render_word(u) for (i, j), u in sorted(sft.connectors.items())
     }
@@ -218,11 +286,9 @@ def run_sft_validate(cfg, ctx):
     }, {}
 
 
-def run_words(cfg, ctx):
-    _require(cfg, {"sft", "n", "periodic"}, {"sft", "n"})
-    sft = parse_sft(cfg["sft"])
-    n = int(cfg["n"])
-    periodic = bool(cfg.get("periodic", False))
+@op("words", "sft n", periodic=False)
+def run_words(a):
+    sft, n, periodic = a["sft"], a["n"], a["periodic"]
     words = sft.word_array(n, periodic=periodic)
     expected = sft.periodic_count(n) if periodic else sft.word_count(n)
     return {
@@ -233,306 +299,190 @@ def run_words(cfg, ctx):
     }, {"words.csv": "word\n" + render_words(words)}
 
 
-def run_pressure(cfg, ctx):
-    _require(cfg, {"sft", "qm", "n_max", "method", "thresholds"}, {"sft", "qm", "n_max"})
-    sft = parse_sft(cfg["sft"])
-    L = parse_qm(cfg["qm"], sft)
-    pe = thermo.pressure(L, sft, int(cfg["n_max"]), method=cfg.get("method", "auto"))
+@op("pressure", "sft qm n_max", method="auto", thresholds={})
+def run_pressure(a):
+    pe = thermo.pressure(a["qm"], a["sft"], a["n_max"], method=a["method"])
     checks = []
-    th = cfg.get("thresholds", {})
+    th = a["thresholds"]
     if "contains" in th:
         checks.append(check("interval_contains_oracle", th["contains"], (pe.lower, pe.upper), "in"))
     if "max_width" in th:
         checks.append(check("interval_width", pe.width, th["max_width"], "<="))
-    lines = ["n,p_n,lower,upper"] + [
-        f"{n + 1},{x!r},{pe.lower!r},{pe.upper!r}" for n, x in enumerate(pe.p_n)
-    ]
-    return {"pressure": pe.to_json(), "checks": checks}, {"pressure.csv": "\n".join(lines) + "\n"}
-
-
-def run_gibbs(cfg, ctx):
-    _require(cfg, {"sft", "qm", "N", "depth", "weighting"}, {"sft", "qm", "N", "depth"})
-    sft = parse_sft(cfg["sft"])
-    L = parse_qm(cfg["qm"], sft)
-    mu = thermo.gibbs_measure(
-        L, sft, int(cfg["N"]), int(cfg["depth"]), weighting=cfg.get("weighting", "homogenized")
-    )
-    summary = {
-        "invariance_defect": mu.invariance_defect(),
-        "consistency_defect": mu.consistency_defect(),
-        "checks": [check("invariance_defect", mu.invariance_defect(), 1e-10)],
+    lines = [f"{n + 1},{x!r},{pe.lower!r},{pe.upper!r}" for n, x in enumerate(pe.p_n)]
+    return {"pressure": pe.to_json(), "checks": checks}, {
+        "pressure.csv": _csv("n,p_n,lower,upper", lines)
     }
-    return summary, {"measure.json": json.dumps(mu.to_json(), sort_keys=True, indent=2) + "\n"}
 
 
-def run_gibbs_check(cfg, ctx):
-    _require(cfg, {"sft", "qm", "N", "depth", "tolerance_tv"}, {"sft", "qm", "N", "depth"})
-    sft = parse_sft(cfg["sft"])
-    L = parse_qm(cfg["qm"], sft)
-    N, depth = int(cfg["N"]), int(cfg["depth"])
-    tol = float(cfg.get("tolerance_tv", 0.01))
-    mu = thermo.gibbs_measure(L, sft, N, depth)
+@op("gibbs", "sft qm N depth", weighting="homogenized")
+def run_gibbs(a):
+    mu = thermo.gibbs_measure(a["qm"], a["sft"], a["N"], a["depth"], weighting=a["weighting"])
+    defect = mu.invariance_defect()
+    return {
+        "invariance_defect": defect,
+        "consistency_defect": mu.consistency_defect(),
+        "checks": [check("invariance_defect", defect, 1e-10)],
+    }, {"measure.json": _dumps(mu.to_json())}
+
+
+@op("gibbs-check", "sft qm N depth", tolerance_tv=0.01)
+def run_gibbs_check(a):
+    L, sft, depth = a["qm"], a["sft"], a["depth"]
+    mu = thermo.gibbs_measure(L, sft, a["N"], depth)
     mm, _, _ = markov.gibbs_chain_from_qm(L, sft)
     tvs = {k: 0.5 * float(np.abs(mu.masses_at(k) - mm.cylinder_masses(k)).sum())
            for k in range(1, depth + 1)}
     return {
         "tv_by_depth": tvs,
-        "checks": [check("max_tv_vs_exact_chain", max(tvs.values()), tol)],
+        "checks": [check("max_tv_vs_exact_chain", max(tvs.values()), a["tolerance_tv"])],
     }, {}
 
 
-def run_entropy(cfg, ctx):
-    _require(cfg, {"sft", "measure", "depth", "oracle", "tolerance"}, {"sft", "measure", "depth"})
-    sft = parse_sft(cfg["sft"])
-    depth = int(cfg["depth"])
-    mu = parse_measure(cfg["measure"], sft)
+@op("entropy", "sft measure depth", "oracle", tolerance=1e-9)
+def run_entropy(a):
+    mu, depth = a["measure"], a["depth"]
     exact = mu.entropy_exact() if hasattr(mu, "entropy_exact") else None
-    rep = thermo.entropy_report(_as_cylinder_measure(mu, depth), depth)
-    checks = []
-    if "oracle" in cfg:
-        tol = float(cfg.get("tolerance", 1e-9))
-        checks.append(check("h_vs_oracle", abs(rep.h_extrapolated - cfg["oracle"]), tol))
+    rep = thermo.entropy_report(
+        mu if isinstance(mu, CylinderMeasure) else mu.cylinder_measure(depth), depth)
+    checks = [check("h_vs_oracle", abs(rep.h_extrapolated - a["oracle"]), a["tolerance"])
+              ] if "oracle" in a else []
     return {"entropy": rep.to_json(), "exact_markov_entropy": exact, "checks": checks}, {}
 
 
-def run_variational(cfg, ctx):
-    _require(
-        cfg, {"sft", "qm", "n_max", "candidates", "attain_tol"}, {"sft", "qm", "n_max", "candidates"}
-    )
-    sft = parse_sft(cfg["sft"])
-    L = parse_qm(cfg["qm"], sft)
-    pe = thermo.pressure(L, sft, int(cfg["n_max"]))
-    cands = []
-    for c in cfg["candidates"]:
-        mu = parse_measure(c["measure"], sft) if "measure" in c else parse_chain(c.get("chain"), sft)
-        cands.append((c["name"], mu))
-    rows = thermo.variational_check(L, sft, cands, pe.point)
+@op("variational", "sft qm n_max candidates", attain_tol=1e-3)
+def run_variational(a):
+    L, sft = a["qm"], a["sft"]
+    pe = thermo.pressure(L, sft, a["n_max"])
+    rows = thermo.variational_check(L, sft, a["candidates"], pe.point)
     best = max(rows, key=lambda r: r["metric_pressure"])
-    checks = [check("best_attains_point_estimate", abs(best["shortfall"]), float(cfg.get("attain_tol", 1e-3)))]
-    lines = ["name,entropy,integral,metric_pressure,shortfall"] + [
+    checks = [check("best_attains_point_estimate", abs(best["shortfall"]), a["attain_tol"])]
+    lines = [
         f"{r['name']},{r['entropy']!r},{r['integral']!r},{r['metric_pressure']!r},{r['shortfall']!r}"
         for r in rows
     ]
     return {"rows": rows, "point_estimate": pe.point, "best": best["name"], "checks": checks}, {
-        "variational.csv": "\n".join(lines) + "\n"
+        "variational.csv": _csv("name,entropy,integral,metric_pressure,shortfall", lines)
     }
 
 
-def run_potential(cfg, ctx):
-    _require(cfg, {"sft", "measure", "depth"}, {"sft", "measure", "depth"})
-    sft = parse_sft(cfg["sft"])
-    depth = int(cfg["depth"])
-    mu = parse_measure(cfg["measure"], sft)
-    src = mu if not hasattr(mu, "cylinder_measure") else mu.cylinder_measure(depth)
-    phi = bowen.potential_from_measure(src, depth)
-    dump = {
-        "depth": depth,
-        "values": {render_word(w): float(v)
-                   for w, v in zip(sft.cylinders(depth).words, phi.tables[depth])},
-    }
+@op("potential", "sft measure depth")
+def run_potential(a):
+    depth = a["depth"]
+    phi = bowen.potential_from_measure(a["measure"], depth)
     defect = phi.normalization_defect()
     return {
         "normalization_defect": defect,
         "checks": [check("normalization_defect", defect, 1e-10)],
-    }, {"potential.json": json.dumps(dump, sort_keys=True, indent=2) + "\n"}
+    }, {"potential.json": _table_json(a["sft"], depth, phi.tables[depth], depth=depth)}
 
 
-def run_komlos(cfg, ctx):
-    _require(cfg, {"sft", "qm", "chain", "n_list", "depth", "tol"}, {"sft", "qm", "n_list", "depth"})
-    sft = parse_sft(cfg["sft"])
-    L = parse_qm(cfg["qm"], sft)
-    mm = parse_chain(cfg.get("chain"), sft)
+@op("komlos", "sft qm n_list depth", tol=1e-9, chain=None)
+def run_komlos(a):
     res = bowen.komlos_potential(
-        L, mm, [int(n) for n in cfg["n_list"]], int(cfg["depth"]),
-        tol=float(cfg.get("tol", 1e-9)), strict=False,
+        a["qm"], a["chain"], a["n_list"], a["depth"], tol=a["tol"], strict=False
     )
-    dump = {
-        "depth": res.table.m,
-        "values": {render_word(w): float(v)
-                   for w, v in zip(sft.cylinders(res.table.m).words, res.table.values)},
-    }
+    m = res.table.m
     return {
         "converged": res.converged,
         "diffs": res.diffs,
         "checks": [check("cesaro_converged", int(res.converged), 1, "==")],
-    }, {"komlos.json": json.dumps(dump, sort_keys=True, indent=2) + "\n"}
+    }, {"komlos.json": _table_json(a["sft"], m, res.table.values, depth=m)}
 
 
-def run_livsic(cfg, ctx):
-    _require(
-        cfg, {"sft", "qm", "qm2", "n_max", "resolution", "expect"}, {"sft", "qm", "qm2", "n_max"}
-    )
-    sft = parse_sft(cfg["sft"])
-    L1 = parse_qm(cfg["qm"], sft)
-    L2 = parse_qm(cfg["qm2"], sft)
-    verdict = cohomologous(L1, L2, sft, int(cfg["n_max"]), resolution=float(cfg.get("resolution", 1e-2)))
-    checks = []
-    if "expect" in cfg:
-        checks.append(check("verdict", int(verdict.verdict == cfg["expect"]), 1, "=="))
+@op("livsic", "sft qm qm2 n_max", "expect", resolution=1e-2)
+def run_livsic(a):
+    verdict = cohomologous(a["qm"], a["qm2"], a["sft"], a["n_max"], resolution=a["resolution"])
+    checks = [check("verdict", int(verdict.verdict == a["expect"]), 1, "==")] if "expect" in a else []
     return {"verdict": verdict.to_json(), "checks": checks}, {}
 
 
-def run_coboundary(cfg, ctx):
-    _require(
-        cfg,
-        {"sft", "chain", "phi", "N", "depth", "expect_vanishing"},
-        {"sft", "phi", "N", "depth"},
-    )
-    sft = parse_sft(cfg["sft"])
-    mm = parse_chain(cfg.get("chain"), sft)
-    spec = cfg["phi"]
-    if "coboundary_of" in spec:
-        g = _lc_from_spec(spec["coboundary_of"], sft)
-        phi = g - g.shift()
-    else:
-        phi = _lc_from_spec(spec, sft)
-    sol = bowen.coboundary_solve(phi, mm, int(cfg["N"]), int(cfg["depth"]))
-    checks = []
-    if "expect_vanishing" in cfg:
-        checks.append(check("vanishing", int(sol.vanishing), int(cfg["expect_vanishing"]), "=="))
+@op("coboundary", "sft phi N depth", "expect_vanishing", chain=None)
+def run_coboundary(a):
+    sol = bowen.coboundary_solve(a["phi"], a["chain"], a["N"], a["depth"])
+    checks = [check("vanishing", int(sol.vanishing), a["expect_vanishing"], "==")
+              ] if "expect_vanishing" in a else []
     return {"solve": sol.to_json(), "checks": checks}, {}
 
 
-def _lc_from_spec(spec, sft):
-    memory = int(spec["memory"])
-    idx = sft.cylinders(memory)
-    vals = np.zeros(len(idx))
-    for text, v in spec["values"].items():
-        vals[idx.index(parse_word(text, sft.d))] = float(v)
-    return markov.LocallyConstantFn(sft, memory, vals)
-
-
-def run_normalize(cfg, ctx):
-    _require(cfg, {"sft", "potential"}, {"sft", "potential"})
-    sft = parse_sft(cfg["sft"])
-    pot = parse_potential(cfg["potential"], sft)
-    norm, lam, h = markov.normalize_potential(pot)
+@op("normalize", "sft potential")
+def run_normalize(a):
+    norm, lam, _ = markov.normalize_potential(a["potential"])
     defect = norm.normalization_defect()
-    dump = {
-        "memory": norm.s,
-        "log_lambda": float(np.log(lam)),
-        "values": {render_word(w): float(v)
-                   for w, v in zip(sft.cylinders(norm.s + 1).words, norm.table)},
-    }
+    log_lam = float(np.log(lam))
     return {
         "lambda": lam,
-        "log_lambda": float(np.log(lam)),
+        "log_lambda": log_lam,
         "normalization_defect": defect,
         "checks": [check("normalization_defect", defect, 1e-12)],
-    }, {"normalized.json": json.dumps(dump, sort_keys=True, indent=2) + "\n"}
+    }, {"normalized.json": _table_json(a["sft"], norm.s + 1, norm.table,
+                                       memory=norm.s, log_lambda=log_lam)}
 
 
-def run_solve_cohomological(cfg, ctx):
-    _require(
-        cfg,
-        {"sft", "chain", "psi", "random", "threshold_residual"},
-        {"sft"},
-    )
-    sft = parse_sft(cfg["sft"])
-    mm = parse_chain(cfg.get("chain"), sft)
-    pot = mm.potential
-    tol = float(cfg.get("threshold_residual", 1e-10))
-    residuals = []
-    if "random" in cfg:
-        r = cfg["random"]
-        _require(r, {"memory", "count", "seed"}, {"memory", "count", "seed"})
-        N, count = int(r["memory"]), int(r["count"])
-        rng = experiments.trial_rng(int(r["seed"]), 0)
-        idx = sft.cylinders(N)
-        for _ in range(count):
-            raw = rng.standard_normal(len(idx))
-            psi = markov.LocallyConstantFn(sft, N, raw)
-            psi = psi - markov.LocallyConstantFn.constant(sft, mm.integral(psi))
-            residuals.append(markov.solve_cohomological(pot, psi, mm).residual)
+@op("solve-cohomological", "sft psi|random", threshold_residual=1e-10, chain=None)
+def run_solve_cohomological(a):
+    sft, mm = a["sft"], a["chain"]
+    if "random" in a:
+        r = a["random"]
+        rng = experiments.trial_rng(r["seed"], 0)
+        size = len(sft.cylinders(r["memory"]))
+        psis = (markov.LocallyConstantFn(sft, r["memory"], rng.standard_normal(size))
+                for _ in range(r["count"]))
     else:
-        psi = _lc_from_spec(cfg["psi"], sft)
-        psi = psi - markov.LocallyConstantFn.constant(sft, mm.integral(psi))
-        residuals.append(markov.solve_cohomological(pot, psi, mm).residual)
+        psis = [a["psi"]]
+    residuals = [markov.solve_cohomological(mm.potential, _centred(psi, mm), mm).residual
+                 for psi in psis]
     worst = max(residuals)
     return {
         "max_residual": worst,
         "count": len(residuals),
-        "checks": [check("max_residual", worst, tol)],
+        "checks": [check("max_residual", worst, a["threshold_residual"])],
     }, {}
 
 
-def run_variance(cfg, ctx):
-    _require(
-        cfg,
-        {"sft", "chain", "qm", "psi", "threshold_agreement", "mc", "expect_sigma2", "expect_tol"},
-        {"sft"},
-    )
-    sft = parse_sft(cfg["sft"])
-    mm = parse_chain(cfg.get("chain"), sft)
-    if "qm" in cfg:
-        L = parse_qm(cfg["qm"], sft)
-        ps = markov.per_step_fn(L, sft)
-        psi = ps - markov.LocallyConstantFn.constant(sft, mm.integral(ps))
-    else:
-        psi = _lc_from_spec(cfg["psi"], sft)
-        psi = psi - markov.LocallyConstantFn.constant(sft, mm.integral(psi))
+@op("variance", "sft qm|psi", "mc expect_sigma2", threshold_agreement=1e-8, expect_tol=1e-12,
+    chain=None)
+def run_variance(a):
+    mm = a["chain"]
+    psi = _centred(markov.per_step_fn(a["qm"], a["sft"]) if "qm" in a else a["psi"], mm)
     var = markov.variance(mm.potential, psi, mm)
-    checks = [check("two_way_agreement", var.agreement,
-                    float(cfg.get("threshold_agreement", 1e-8)) * (1 + var.sigma2_martingale))]
-    if "expect_sigma2" in cfg:
-        checks.append(check("sigma2_vs_expected",
-                            abs(var.sigma2_martingale - float(cfg["expect_sigma2"])),
-                            float(cfg.get("expect_tol", 1e-12))))
+    sigma2 = var.sigma2_martingale
+    checks = [check("two_way_agreement", var.agreement, a["threshold_agreement"] * (1 + sigma2))]
+    if "expect_sigma2" in a:
+        checks.append(check("sigma2_vs_expected", abs(sigma2 - a["expect_sigma2"]), a["expect_tol"]))
     summary = {"variance": var.to_json(), "checks": checks}
-    if "mc" in cfg and "qm" in cfg:
-        m = cfg["mc"]
-        _require(m, {"n", "trials", "seed"}, {"n", "trials", "seed"})
+    if "mc" in a and "qm" in a:
+        m = a["mc"]
         res = experiments.clt_experiment(
-            L, mm, int(m["n"]), int(m["trials"]), int(m["seed"]),
-            workers=ctx["workers"], sigma2=var.sigma2_martingale,
+            a["qm"], mm, m["n"], m["trials"], m["seed"], workers=a["workers"], sigma2=sigma2
         )
-        n, trials = int(m["n"]), int(m["trials"])
-        emp = float(res.stats.var(ddof=1)) * var.sigma2_martingale  # Var(S_n)/n
-        se = var.sigma2_martingale * np.sqrt(2.0 / (trials - 1))
+        emp = float(res.stats.var(ddof=1)) * sigma2  # Var(S_n)/n
+        se = sigma2 * np.sqrt(2.0 / (m["trials"] - 1))
         summary["mc"] = {"var_sn_over_n": emp, "three_se_band": 3 * se}
-        checks.append(check("mc_variance_within_3se", abs(emp - var.sigma2_martingale), 3 * se))
+        checks.append(check("mc_variance_within_3se", abs(emp - sigma2), 3 * se))
     return summary, {}
 
 
-def _stats_csv(stats):
-    return "\n".join(["stat"] + [repr(float(x)) for x in stats]) + "\n"
-
-
-def run_clt(cfg, ctx):
-    _require(
-        cfg, {"sft", "qm", "chain", "n", "trials", "seed", "threshold_ks"},
-        {"sft", "qm", "n", "trials", "seed"},
-    )
-    sft = parse_sft(cfg["sft"])
-    if int(cfg["trials"]) < 1 or int(cfg["n"]) < 1:
+@op("clt", "sft qm n trials seed", "threshold_ks", chain=None)
+def run_clt(a):
+    if a["trials"] < 1 or a["n"] < 1:
         raise InvalidConfig("n and trials must be positive")
-    L = parse_qm(cfg["qm"], sft)
-    mm = parse_chain(cfg.get("chain"), sft)
     res = experiments.clt_experiment(
-        L, mm, int(cfg["n"]), int(cfg["trials"]), int(cfg["seed"]), workers=ctx["workers"]
+        a["qm"], a["chain"], a["n"], a["trials"], a["seed"], workers=a["workers"]
     )
-    threshold = float(cfg.get("threshold_ks", 2 * res.dkw))
     return {
         "clt": res.summary(),
-        "checks": [check("ks", res.ks, threshold)],
+        "checks": [check("ks", res.ks, float(a.get("threshold_ks", 2 * res.dkw)))],
     }, {"stats.csv": _stats_csv(res.stats)}
 
 
-def run_invariance(cfg, ctx):
-    _require(
-        cfg,
-        {"sft", "qm", "chain", "n", "trials", "seed", "threshold_ks_sup"},
-        {"sft", "qm", "n", "trials", "seed"},
-    )
-    sft = parse_sft(cfg["sft"])
-    L = parse_qm(cfg["qm"], sft)
-    mm = parse_chain(cfg.get("chain"), sft)
+@op("invariance", "sft qm n trials seed", threshold_ks_sup=0.05, chain=None)
+def run_invariance(a):
     res = experiments.invariance_experiment(
-        L, mm, int(cfg["n"]), int(cfg["trials"]), int(cfg["seed"]), workers=ctx["workers"]
+        a["qm"], a["chain"], a["n"], a["trials"], a["seed"], workers=a["workers"]
     )
     checks = [
         check("increment_corr", res.max_abs_corr, 3.0 / np.sqrt(res.trials)),
-        check("ks_sup_vs_reflection", res.ks_sup, float(cfg.get("threshold_ks_sup", 0.05))),
+        check("ks_sup_vs_reflection", res.ks_sup, a["threshold_ks_sup"]),
         check("ks_terminal", res.ks_terminal, 2 * experiments.dkw_band(res.trials)),
     ]
     return {"invariance": res.summary(), "checks": checks}, {
@@ -540,99 +490,57 @@ def run_invariance(cfg, ctx):
     }
 
 
-def run_lil(cfg, ctx):
-    _require(cfg, {"sft", "qm", "chain", "n_max", "seed", "band"}, {"sft", "qm", "n_max", "seed"})
-    sft = parse_sft(cfg["sft"])
-    L = parse_qm(cfg["qm"], sft)
-    mm = parse_chain(cfg.get("chain"), sft)
-    res = experiments.lil_experiment(L, mm, int(cfg["n_max"]), int(cfg["seed"]))
-    lo, hi = cfg.get("band", (0.5, 1.5))
-    lines = ["n,stat"] + [f"{n},{s!r}" for n, s in res.series]
+@op("lil", "sft qm n_max seed", band=(0.5, 1.5), chain=None)
+def run_lil(a):
+    lo, hi = a["band"]
+    res = experiments.lil_experiment(a["qm"], a["chain"], a["n_max"], a["seed"])
     return {
         "lil": res.summary(),
-        "checks": [check("sup_stat_in_band", res.sup_stat, (float(lo), float(hi)), "in")],
-    }, {"lil.csv": "\n".join(lines) + "\n"}
+        "checks": [check("sup_stat_in_band", res.sup_stat, (lo, hi), "in")],
+    }, {"lil.csv": _csv("n,stat", [f"{n},{s!r}" for n, s in res.series])}
 
 
-def run_deviations(cfg, ctx):
-    _require(
-        cfg,
-        {"sft", "qm", "chain", "n_list", "trials", "delta", "seed", "rate", "rate_rel_tol"},
-        {"sft", "qm", "n_list", "trials", "delta", "seed"},
-    )
-    sft = parse_sft(cfg["sft"])
-    L = parse_qm(cfg["qm"], sft)
-    mm = parse_chain(cfg.get("chain"), sft)
+@op("deviations", "sft qm n_list trials delta seed", "rate", rate_rel_tol=0.15, chain=None)
+def run_deviations(a):
     res = experiments.deviation_experiment(
-        L, mm, [int(n) for n in cfg["n_list"]], int(cfg["trials"]), float(cfg["delta"]),
-        int(cfg["seed"]), workers=ctx["workers"],
+        a["qm"], a["chain"], a["n_list"], a["trials"], a["delta"], a["seed"], workers=a["workers"]
     )
     checks = [check("slope_negative", res.slope if res.slope is not None else 1.0, 0.0)]
     if res.gauss_slope is not None:
         checks.append(check("gauss_slope_negative", res.gauss_slope, 0.0))
-    if "rate" in cfg:
-        rel = float(cfg.get("rate_rel_tol", 0.15))
-        rate = float(cfg["rate"])
-        checks.append(check("rate_relative_error", abs(-res.slope - rate) / rate, rel))
-    lines = ["n,count,p_hat"] + [f"{r['n']},{r['count']},{r['p_hat']!r}" for r in res.rows]
-    return {"deviations": res.summary(), "checks": checks}, {"tails.csv": "\n".join(lines) + "\n"}
+    if "rate" in a:
+        rate = a["rate"]
+        checks.append(check("rate_relative_error", abs(-res.slope - rate) / rate, a["rate_rel_tol"]))
+    lines = [f"{r['n']},{r['count']},{r['p_hat']!r}" for r in res.rows]
+    return {"deviations": res.summary(), "checks": checks}, {"tails.csv": _csv("n,count,p_hat", lines)}
 
 
-def run_compactify(cfg, ctx):
-    _require(cfg, {"rank", "n_list", "depth", "max_tv"}, {"rank", "n_list", "depth"})
-    G = freegroup.FreeGroup(int(cfg["rank"]))
-    res = freegroup.compactification_experiment(G, cfg["n_list"], int(cfg["depth"]))
+@op("compactify", "rank n_list depth", "max_tv")
+def run_compactify(a):
+    res = freegroup.compactification_experiment(
+        freegroup.FreeGroup(a["rank"]), a["n_list"], a["depth"])
     checks = [check("monotone_decreasing", int(res.monotone), 1, "==")]
-    if "max_tv" in cfg:
-        checks.append(check("final_tv", res.rows[-1]["tv"], float(cfg["max_tv"])))
-    lines = ["n,tv,cyclic_words"] + [
-        f"{r['n']},{r['tv']!r},{r['cyclic_words']}" for r in res.rows
-    ]
+    if "max_tv" in a:
+        checks.append(check("final_tv", res.rows[-1]["tv"], a["max_tv"]))
+    lines = [f"{r['n']},{r['tv']!r},{r['cyclic_words']}" for r in res.rows]
     return {"compactification": res.summary(), "checks": checks}, {
-        "compactify.csv": "\n".join(lines) + "\n"
+        "compactify.csv": _csv("n,tv,cyclic_words", lines)
     }
 
 
-def run_spherical(cfg, ctx):
-    _require(
-        cfg,
-        {"rank", "pattern", "n", "count", "seed", "mode", "threshold_ks", "mean_band_se"},
-        {"rank", "pattern", "n", "count", "seed"},
-    )
-    G = freegroup.FreeGroup(int(cfg["rank"]))
-    fn = freegroup.boundary_ray_clt if cfg.get("mode") == "ray" else freegroup.spherical_clt
-    res = fn(G, cfg["pattern"], int(cfg["n"]), int(cfg["count"]), int(cfg["seed"]),
-             workers=ctx["workers"])
+@op("spherical", "rank pattern n count seed", "mode threshold_ks", mean_band_se=3.0)
+def run_spherical(a):
+    G = freegroup.FreeGroup(a["rank"])
+    fn = freegroup.boundary_ray_clt if a.get("mode") == "ray" else freegroup.spherical_clt
+    res = fn(G, a["pattern"], a["n"], a["count"], a["seed"], workers=a["workers"])
     checks = [
-        check("ks", res.ks, float(cfg.get("threshold_ks", 2 * res.dkw))),
-        check("mean_within_se_band", abs(res.mean_stat),
-              float(cfg.get("mean_band_se", 3.0)) * res.mean_se),
+        check("ks", res.ks, float(a.get("threshold_ks", 2 * res.dkw))),
+        check("mean_within_se_band", abs(res.mean_stat), a["mean_band_se"] * res.mean_se),
     ]
     return {"spherical": res.summary(), "checks": checks}, {"stats.csv": _stats_csv(res.stats)}
 
 
-HANDLERS = {
-    "sft-validate": run_sft_validate,
-    "words": run_words,
-    "pressure": run_pressure,
-    "gibbs": run_gibbs,
-    "gibbs-check": run_gibbs_check,
-    "entropy": run_entropy,
-    "variational": run_variational,
-    "potential": run_potential,
-    "komlos": run_komlos,
-    "livsic": run_livsic,
-    "coboundary": run_coboundary,
-    "normalize": run_normalize,
-    "solve-cohomological": run_solve_cohomological,
-    "variance": run_variance,
-    "clt": run_clt,
-    "invariance": run_invariance,
-    "lil": run_lil,
-    "deviations": run_deviations,
-    "compactify": run_compactify,
-    "spherical": run_spherical,
-}
+# -- running ops -------------------------------------------------------------------
 
 
 def _write(path, text):
@@ -642,26 +550,22 @@ def _write(path, text):
 
 
 def execute(op, cfg, out_dir, workers=1):
-    """Run one operation; returns (exit_code, summary)."""
-    ctx = {"workers": workers, "out": out_dir}
+    """Run one operation, parse stage then handler; returns (exit_code, summary)."""
     started = time.time()
     try:
-        summary, files = HANDLERS[op](cfg, ctx)
+        run, args = _parse(op, cfg, workers)
+        summary, files = run(args)
         code = 0 if all(c["pass"] for c in summary.get("checks", [])) else 1
-    except (InvalidConfig, ValueError, KeyError, TypeError) as exc:
-        summary, files, code = {"error": f"{type(exc).__name__}: {exc}", "checks": []}, {}, 2
     except ResourceLimit as exc:
         summary, files, code = {"error": f"ResourceLimit: {exc}", "checks": []}, {}, 3
-    except ThermoQmError as exc:
+    except (ValueError, ThermoQmError) as exc:
         summary, files, code = {"error": f"{type(exc).__name__}: {exc}", "checks": []}, {}, 2
     except Exception as exc:  # a library bug: report it and still leave a summary behind
         traceback.print_exc()
         summary, files, code = {"error": f"{type(exc).__name__}: {exc}", "checks": []}, {}, 4
-    summary_out = {"op": op, "config": cfg, "exit_code": code, "pass": code == 0}
-    summary_out.update(summary)
+    summary_out = {"op": op, "config": cfg, "exit_code": code, "pass": code == 0, **summary}
     if out_dir:
-        _write(os.path.join(out_dir, "summary.json"),
-               json.dumps(summary_out, sort_keys=True, indent=2) + "\n")
+        _write(os.path.join(out_dir, "summary.json"), _dumps(summary_out))
         for name, text in files.items():
             _write(os.path.join(out_dir, name), text)
         _write(os.path.join(out_dir, "timing.json"),
@@ -670,22 +574,17 @@ def execute(op, cfg, out_dir, workers=1):
 
 
 def run_suite(manifest, out_dir, workers=1):
-    runs = manifest.get("runs", [])
     rows = []
-    worst = 0
-    for entry in runs:
+    for entry in manifest.get("runs", []):
         name, op = entry["name"], entry["op"]
-        if op not in HANDLERS:
+        if op not in OPS:
             raise InvalidConfig(f"unknown op {op!r} in manifest")
         code, summary = execute(op, entry["config"], os.path.join(out_dir, name), workers)
         rows.append({"name": name, "op": op, "exit_code": code, "pass": code == 0})
-        worst = max(worst, code)
-    table = "\n".join(
-        ["name,op,exit_code,pass"] + [f"{r['name']},{r['op']},{r['exit_code']},{r['pass']}" for r in rows]
-    ) + "\n"
-    _write(os.path.join(out_dir, "suite_summary.json"),
-           json.dumps({"rows": rows, "exit_code": worst}, sort_keys=True, indent=2) + "\n")
-    _write(os.path.join(out_dir, "table.csv"), table)
+    worst = max((r["exit_code"] for r in rows), default=0)
+    _write(os.path.join(out_dir, "suite_summary.json"), _dumps({"rows": rows, "exit_code": worst}))
+    _write(os.path.join(out_dir, "table.csv"), _csv("name,op,exit_code,pass", [
+        f"{r['name']},{r['op']},{r['exit_code']},{r['pass']}" for r in rows]))
     return worst, rows
 
 
@@ -694,7 +593,7 @@ def main(argv=None):
         prog="thermoqm",
         description="thermodynamic formalism for quasimorphisms on subshifts of finite type",
     )
-    parser.add_argument("op", choices=sorted(HANDLERS) + ["suite"])
+    parser.add_argument("op", choices=sorted(OPS) + ["suite"])
     parser.add_argument("--config", help="path to a JSON config (or manifest for 'suite')")
     parser.add_argument("--json", dest="inline", help="inline JSON config")
     parser.add_argument("--out", default="out", help="output directory")

@@ -65,9 +65,8 @@ class CylinderMeasure:
         for k in self.depths():
             if k + 1 not in self.masses:
                 continue
-            cur = self.sft.cylinders(k)
-            tails = cur.index_of_codes(self.sft.cylinders(k + 1).codes % self.sft.d**k)
-            pushed = np.bincount(tails, self.masses[k + 1], len(cur))  # adds in word order
+            tails = self.sft.block_graph(k).dst  # the suffix of each (k+1)-word
+            pushed = np.bincount(tails, self.masses[k + 1], len(self.masses[k]))  # in word order
             worst = max(worst, float(np.abs(pushed - self.masses[k]).max()))
         return worst
 

@@ -230,10 +230,10 @@ def test_env_cap_respected(tmp_path, monkeypatch):
 def test_unexpected_error_exits_four_with_summary(tmp_path, monkeypatch):
     from thermoqm import cli
 
-    def broken(cfg, ctx):
+    def broken(args):
         raise RuntimeError("handler bug")
 
-    monkeypatch.setitem(cli.HANDLERS, "pressure", broken)
+    monkeypatch.setitem(cli.OPS, "pressure", (broken, *cli.OPS["pressure"][1:]))
     code = run_cli([
         "pressure", "--json",
         json.dumps({"sft": {"builtin": "golden_mean"}, "qm": {"kind": "zero"}, "n_max": 8}),
@@ -271,3 +271,111 @@ def test_cap_is_scoped_to_one_run(tmp_path, monkeypatch):
     assert "THERMOQM_MAX_WORDS" not in os.environ
     code, summary = cli.execute("words", cfg, str(tmp_path / "b"))
     assert code == 0 and summary["count"] == 2**12
+
+
+# -- the parse/compute boundary of exit codes ---------------------------------------
+
+
+def test_library_key_error_exits_four_with_summary(tmp_path, monkeypatch):
+    """A KeyError raised by the library is a bug (4), not invalid input (2)."""
+    from thermoqm import cli
+
+    def broken(*args, **kwargs):
+        raise KeyError("library bug")
+
+    monkeypatch.setattr(cli.thermo, "pressure", broken)
+    code, summary = cli.execute("pressure", {"sft": {"builtin": "golden_mean"},
+                                             "qm": {"kind": "zero"}, "n_max": 8}, str(tmp_path))
+    assert code == 4
+    written = json.loads((tmp_path / "summary.json").read_text())
+    assert written["exit_code"] == 4 and written["error"] == "KeyError: 'library bug'"
+
+
+F2 = {"builtin": "full_shift", "d": 2}
+MALFORMED = {
+    "linear-combination-term-without-coef": ("livsic", {
+        "sft": F2, "qm": {"kind": "zero"}, "n_max": 4,
+        "qm2": {"kind": "linear_combination", "terms": [{"qm": {"kind": "zero"}}]}}),
+    "inadmissible-word-in-psi": ("variance", {
+        "sft": {"builtin": "golden_mean"}, "psi": {"memory": 2, "values": {"22": 1.0}}}),
+    "variational-candidate-without-name": ("variational", {
+        "sft": F2, "qm": {"kind": "zero"}, "n_max": 8,
+        "candidates": [{"measure": {"kind": "parry"}}]}),
+    "solve-cohomological-without-psi-or-random": ("solve-cohomological", {"sft": F2}),
+    "coboundary-phi-without-values": ("coboundary", {
+        "sft": F2, "phi": {"coboundary_of": {"memory": 1}}, "N": 10, "depth": 2}),
+    "bernoulli-in-a-chain-position": ("clt", {
+        "sft": F2, "qm": {"kind": "zero"}, "n": 10, "trials": 10, "seed": 1,
+        "chain": {"kind": "bernoulli", "p": [0.5, 0.5], "depth": 2}}),
+    "gibbs-orbit-in-a-chain-position": ("variance", {
+        "sft": F2, "qm": {"kind": "zero"},
+        "chain": {"kind": "gibbs_orbit", "qm": {"kind": "zero"}, "N": 4, "depth": 2}}),
+    "bernoulli-as-a-variational-chain": ("variational", {
+        "sft": F2, "qm": {"kind": "zero"}, "n_max": 8,
+        "candidates": [{"name": "b", "chain": {"kind": "bernoulli", "p": [0.5, 0.5], "depth": 2}}]}),
+    "non-integer-n": ("words", {"sft": F2, "n": [3]}),
+    "thresholds-not-an-object": ("pressure", {
+        "sft": F2, "qm": {"kind": "zero"}, "n_max": 8, "thresholds": 0.5}),
+    "mc-section-a-list": ("variance", {
+        "sft": F2, "qm": {"kind": "zero"}, "mc": ["n", "trials", "seed"]}),
+    "psi-values-a-list": ("variance", {"sft": F2, "psi": {"memory": 1, "values": [1.0, 2.0]}}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_configs_exit_two(tmp_path, case):
+    from thermoqm import cli
+
+    op, cfg = MALFORMED[case]
+    code, summary = cli.execute(op, cfg, str(tmp_path))
+    assert code == 2, summary["error"]
+    assert json.loads((tmp_path / "summary.json").read_text())["exit_code"] == 2
+
+
+def test_chain_positions_name_the_chain_kinds(tmp_path):
+    from thermoqm import cli
+
+    op, cfg = MALFORMED["bernoulli-in-a-chain-position"]
+    assert cli.execute(op, cfg, None)[1]["error"] == "InvalidConfig: unknown chain kind 'bernoulli'"
+    # every chain kind is also a measure kind
+    cfg = {"sft": F2, "measure": {"kind": "potential", "memory": 0, "values": {"1": 0.3}},
+           "depth": 4}
+    code, summary = cli.execute("entropy", cfg, None)
+    assert code == 0 and summary["exact_markov_entropy"] > 0
+
+
+QM01 = {"kind": "pattern_count", "pattern": "12"}
+MINIMAL = {  # each op with its required keys only, at small sizes
+    "sft-validate": {"sft": F2},
+    "words": {"sft": F2, "n": 4},
+    "pressure": {"sft": F2, "qm": QM01, "n_max": 8},
+    "gibbs": {"sft": F2, "qm": QM01, "N": 6, "depth": 3},
+    "gibbs-check": {"sft": F2, "qm": QM01, "N": 6, "depth": 3},
+    "entropy": {"sft": F2, "measure": {"kind": "parry"}, "depth": 4},
+    "variational": {"sft": F2, "qm": QM01, "n_max": 8, "candidates": [{"name": "parry"}]},
+    "potential": {"sft": F2, "measure": {"kind": "parry"}, "depth": 3},
+    "komlos": {"sft": F2, "qm": QM01, "n_list": [2, 4], "depth": 2},
+    "livsic": {"sft": F2, "qm": QM01, "qm2": QM01, "n_max": 4},
+    "coboundary": {"sft": F2, "phi": {"coboundary_of": {"memory": 1, "values": {"1": 1.0}}},
+                   "N": 10, "depth": 2},
+    "normalize": {"sft": F2, "potential": {"qm": QM01}},
+    "solve-cohomological": {"sft": F2, "random": {"memory": 2, "count": 2, "seed": 1}},
+    "variance": {"sft": F2, "qm": QM01},
+    "clt": {"sft": F2, "qm": QM01, "n": 16, "trials": 32, "seed": 1},
+    "invariance": {"sft": F2, "qm": QM01, "n": 16, "trials": 32, "seed": 1},
+    "lil": {"sft": F2, "qm": QM01, "n_max": 4096, "seed": 1},
+    "deviations": {"sft": F2, "qm": QM01, "n_list": [8, 16], "trials": 64, "delta": 0.1, "seed": 1},
+    "compactify": {"rank": 2, "n_list": [4, 6], "depth": 2},
+    "spherical": {"rank": 2, "pattern": "ab", "n": 16, "count": 32, "seed": 1},
+}
+
+
+def test_every_op_runs_on_its_required_keys_alone(tmp_path):
+    from thermoqm import cli
+
+    assert sorted(MINIMAL) == sorted(cli.OPS)
+    for op, cfg in MINIMAL.items():
+        code, summary = cli.execute(op, cfg, str(tmp_path / op))
+        assert code in (0, 1), (op, summary.get("error"))
+        missing = dict(list(cfg.items())[1:])
+        assert cli.execute(op, missing, None)[0] == 2, op

@@ -477,3 +477,83 @@ def test_weak_bernoulli_and_projection_equal_word_loops(sft):
     for s in (1, 2, 4):
         got = mk.project_conditional(f, mm, s).values
         assert np.array_equal(got, old_project_conditional(f, mm.cylinder_masses(5), s))
+
+
+# -- the Bowen side on the block graph -----------------------------------------------
+
+
+def old_normalization_defect(phi, k):
+    sft, idx, worst = phi.sft, phi.sft.cylinders(k), 0.0
+    for w in (sft.cylinders(k - 1).words if k > 1 else [()]):
+        tot = 0.0
+        for s in (sft.predecessors[w[0]] if w else range(sft.d)):
+            if (s,) + w in idx:
+                tot += np.exp(phi.tables[k][idx.index((s,) + w)])
+        worst = max(worst, abs(tot - 1.0))
+    return float(worst)
+
+
+def old_potential_tables(mu, k):
+    tables = {}
+    for j in range(1, k + 1):
+        idx = mu.sft.cylinders(j)
+        vals = np.empty(len(idx))
+        for i, w in enumerate(idx.words):
+            num, den = mu.mass(w), mu.mass(w[1:]) if j > 1 else 1.0
+            if num <= 0.0 or den <= 0.0:
+                return f"cylinder {w} violates full support"
+            vals[i] = np.log(num / den)
+        tables[j] = vals
+    return tables
+
+
+def old_step_matrix(mu, depth):
+    sft, idx = mu.sft, mu.sft.cylinders(depth)
+    K = np.zeros((len(idx), len(idx)))
+    for i, w in enumerate(idx.words):
+        for s in sft.successors[w[-1]]:
+            K[i, idx.index(w[1:] + (s,))] = mu.mass(w + (s,)) / mu.mass(w)
+    return K
+
+
+def old_residual(u_vals, phi, depth):
+    u, res = mk.LocallyConstantFn(phi.sft, depth, u_vals), 0.0
+    for w in phi.sft.cylinders(depth + 1).words:
+        res = max(res, abs(u.value(w[:depth]) - u.value(w[1:]) - phi.value(w[: phi.m])))
+    return float(res)
+
+
+@PROPERTY
+@given(primitive_sfts(), st.integers(0, 2**32 - 1), st.sampled_from([1, 2]))
+def test_bowen_block_graph_paths_equal_word_loops(sft, seed, memory):
+    rng = np.random.default_rng(seed)
+    pot = mk.MarkovPotential(sft, memory, rng.standard_normal(len(sft.cylinders(memory + 1))))
+    mm = mk.markov_measure(mk.normalize_potential(pot)[0])
+    depth = 3
+    for mu in (mm, mm.cylinder_measure(depth + 1)):
+        phi = bowen.potential_from_measure(mu, depth)
+        want = old_potential_tables(mu, depth)
+        assert phi.tables.keys() == want.keys()
+        assert all(np.array_equal(phi.tables[j], want[j]) for j in want)
+        for j in range(1, depth + 1):
+            assert phi.normalization_defect(j) == old_normalization_defect(phi, j)
+        assert np.array_equal(bowen._conditional_step_matrix(mu, depth)[1],
+                              old_step_matrix(mu, depth))
+    f = mk.LocallyConstantFn(sft, 2, rng.standard_normal(len(sft.cylinders(2))))
+    f = f - mk.LocallyConstantFn.constant(sft, mm.integral(f))
+    sol = bowen.coboundary_solve(f, mm, 50, depth)
+    assert sol.residual == old_residual(sol.u.values, f, depth)
+    assert sol.residual_at_2n == old_residual(bowen.coboundary_solve(f, mm, 100, depth).u.values,
+                                              f, depth)
+
+
+def test_zero_mass_names_the_first_dead_word():
+    from thermoqm.measures import periodic_orbit_measure
+
+    sft = full_shift(3)
+    mu = periodic_orbit_measure(sft, (0, 0, 1, 2, 1), range(1, 4))  # no 02: first dead 2-word
+    with pytest.raises(bowen.ZeroMass) as err:
+        bowen.potential_from_measure(mu, 3)
+    assert str(err.value) == old_potential_tables(mu, 3) == "cylinder (0, 2) violates full support"
+    with pytest.raises(bowen.ZeroMass, match=r"cylinder \(0, 2\) has no mass"):
+        bowen._conditional_step_matrix(mu, 2)
