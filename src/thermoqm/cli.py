@@ -465,7 +465,7 @@ def run_variance(a):
 @op("clt", "sft qm n trials seed", "threshold_ks", chain=None)
 def run_clt(a):
     if a["trials"] < 1 or a["n"] < 1:
-        raise InvalidConfig("n and trials must be positive")
+        raise InvalidConfig("n and trials must be >= 1")
     res = experiments.clt_experiment(
         a["qm"], a["chain"], a["n"], a["trials"], a["seed"], workers=a["workers"]
     )

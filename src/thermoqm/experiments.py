@@ -17,11 +17,10 @@ L(x_0..x_{k-1}) exact at every step without storing words.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ProcessPoolExecutor
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import DegenerateSigma
 from .markov import LocallyConstantFn, per_step_fn, variance
@@ -60,13 +59,15 @@ def ks_distance(sample, cdf):
 
 
 def standard_normal_cdf(x):
-    return ndtr(x)
+    """Phi(x) = erfc(-x / sqrt 2) / 2, element-wise."""
+    erfc = np.frompyfunc(math.erfc, 1, 1)(-np.asarray(x, dtype=float) / math.sqrt(2.0))
+    return 0.5 * np.asarray(erfc, dtype=float)
 
 
 def reflection_sup_cdf(x):
     """CDF of sup_{[0,1]} of standard Brownian motion: 2 Phi(x) - 1 on x >= 0."""
     x = np.asarray(x, dtype=float)
-    return np.where(x <= 0.0, 0.0, 2.0 * ndtr(x) - 1.0)
+    return np.where(x <= 0.0, 0.0, 2.0 * standard_normal_cdf(x) - 1.0)
 
 
 # -- sampling specifications -----------------------------------------------------
@@ -248,11 +249,14 @@ def _evaluate(payload, B, chunks, sym_dtype):
 
 
 def _run_blocks(payload, trials, workers, block):
+    if trials < 1:
+        raise ValueError(f"need at least 1 trial or sample, got {trials}")
     ranges = [(lo, min(lo + block, trials)) for lo in range(0, trials, block)]
     jobs = [dict(payload, trial_range=r) for r in ranges]
     if workers <= 1:
         parts = [_simulate_block(j) for j in jobs]
     else:
+        from concurrent.futures import ProcessPoolExecutor  # not loaded by 1-worker runs
         with ProcessPoolExecutor(max_workers=workers) as ex:
             parts = list(ex.map(_simulate_block, jobs))
     return {
@@ -336,8 +340,6 @@ class CltResult:
 
 def clt_experiment(L, mm, n, trials, seed, workers=1, block=2048, sigma2=None):
     """Empirical law of (L(x_0..x_{n-1}) - n e) / (sigma sqrt n) vs the normal."""
-    if trials < 1:
-        raise ValueError("trials >= 1")
     var = None
     if sigma2 is None:
         var = sigma2_of(L, mm)
@@ -382,8 +384,8 @@ class InvarianceResult:
 def invariance_experiment(L, mm, n, trials, seed, workers=1, block=2048, sigma2=None):
     """Donsker-type checks: normal terminal law, uncorrelated dyadic
     increments, and the reflection-principle law of the running maximum."""
-    if n % 4:
-        raise ValueError("n must be divisible by 4")
+    if n < 4 or n % 4:
+        raise ValueError(f"n must be a multiple of 4 and >= 4, got {n}")
     if sigma2 is None:
         sigma2 = sigma2_of(L, mm).sigma2_martingale
     payload, _ = path_functional_payload(L, mm)
@@ -437,6 +439,9 @@ def lil_experiment(L, mm, n_max, seed, n_min=1000, sigma2=None, trial=0):
     """Running S_n / sqrt(2 n sigma^2 loglog(n sigma^2)) along one orbit."""
     if sigma2 is None:
         sigma2 = sigma2_of(L, mm).sigma2_martingale
+    start = max(n_min, int(np.ceil((np.e + 1e-9) / sigma2)))
+    if n_max < start:
+        raise ValueError(f"n_max {n_max} < start index {start} = max(n_min, ceil(e / sigma2))")
     payload, e = path_functional_payload(L, mm)
     sft = mm.sft
     kernels = {q: t for q, t in zip(payload["kernel_widths"], payload["kernel_tables"])}
@@ -449,7 +454,6 @@ def lil_experiment(L, mm, n_max, seed, n_min=1000, sigma2=None, trial=0):
         inc[q - 1:] += table[codes]
     S = np.cumsum(inc) - np.arange(1, n_max + 1) * e
     ns = np.arange(1, n_max + 1)
-    start = max(n_min, int(np.ceil((np.e + 1e-9) / sigma2)))
     t = ns[start - 1:] * sigma2
     denom = np.sqrt(2.0 * t * np.log(np.log(t)))
     stat = S[start - 1:] / denom

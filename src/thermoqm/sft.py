@@ -24,6 +24,7 @@ WORD_CAP_ENV = "THERMOQM_MAX_WORDS"
 SCOPED_WORD_CAP = contextvars.ContextVar("thermoqm_word_cap", default=None)
 
 Word = tuple
+_DENSE_TABLE = 8  # code lookups use a d**depth table up to this many entries a word
 
 
 def word_cap(explicit=None):
@@ -77,8 +78,19 @@ class WordIndex:
     def word(self, i):
         return self.words[i]
 
+    @functools.cached_property
+    def _table(self):
+        table = np.full(self.sft.d**self.depth, -1, dtype=np.int64)
+        table[self.codes] = np.arange(len(self.codes))
+        return table
+
     def index_of_codes(self, codes):
         """Vectorized code -> index lookup; codes must all be admissible."""
+        if self.sft.d**self.depth <= _DENSE_TABLE * len(self.codes):
+            idx = self._table.take(codes)
+            if np.any(idx < 0):
+                raise KeyError("inadmissible word code in lookup")
+            return idx
         idx = np.searchsorted(self.codes, codes)
         if np.any(idx >= len(self.codes)) or np.any(self.codes[idx] != codes):
             raise KeyError("inadmissible word code in lookup")

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import ResourceLimit
 from .measures import CylinderMeasure
@@ -24,9 +23,23 @@ from .sft import window_codes
 # -- partition functions -------------------------------------------------------
 
 
+def _logsumexp(a):
+    """log sum exp(a) of a real 1-D array, bit for bit scipy.special.logsumexp: the m
+    max terms split off, log1p(s/m) + log(m) + max (Blanchard, Higham & Higham 2021)."""
+    a = np.asarray(a, dtype=float)
+    if not len(a):
+        return -np.inf
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        top = a.max()
+        ties = a == top
+        m = float(ties.sum())
+        s = np.exp(np.where(ties, -np.inf, a) - top).sum()
+        out = np.log1p(s / m if s else s) + np.log(m) + top
+        return float(out if np.isfinite(out) else np.log(np.exp(a).sum()))
+
+
 def _enumerated_log_partition(L, sft, n, cap=None):
-    vals = L.values(sft.word_array(n, cap=cap, periodic=True), sft.d)
-    return float(logsumexp(vals)) if len(vals) else -np.inf
+    return _logsumexp(L.values(sft.word_array(n, cap=cap, periodic=True), sft.d))
 
 
 class _WindowTransfer:
@@ -93,7 +106,7 @@ def _short_word_log_partition(kernels, sft, n):
     for q, table in kernels.items():
         for i in range(n - q + 1):
             vals += table[window_codes(arr, i, q, sft.d)]
-    return float(logsumexp(vals)) if len(vals) else -np.inf
+    return _logsumexp(vals)
 
 
 def log_partition(L, sft, n, cap=None, method="auto"):
@@ -240,7 +253,7 @@ def gibbs_measure(L, sft, N, depth, cap=None, weighting="homogenized"):
         vals = L.values(arr, sft.d)
     else:
         raise ValueError("weighting must be 'homogenized' or 'raw'")
-    logZ = logsumexp(vals)
+    logZ = _logsumexp(vals)
     spread = np.repeat(np.exp(vals - logZ) / N, N)
     masses = {}
     codes = np.zeros(arr.shape, dtype=np.int64)

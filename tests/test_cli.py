@@ -345,6 +345,32 @@ def test_chain_positions_name_the_chain_kinds(tmp_path):
 
 
 QM01 = {"kind": "pattern_count", "pattern": "12"}
+MC = {"sft": F2, "qm": QM01, "seed": 1}
+SPHERE = {"rank": 2, "pattern": "ab", "n": 16, "count": 0, "seed": 1}
+NO_TRIALS = "need at least 1 trial or sample, got 0"
+REFUSED = {  # Monte Carlo runs too small to give a statistic, and the bound each names
+    "clt-without-trials": ("clt", dict(MC, n=16, trials=0), "trials must be >= 1"),
+    "invariance-without-trials": ("invariance", dict(MC, n=16, trials=0), NO_TRIALS),
+    "deviations-without-trials": ("deviations", dict(MC, n_list=[8, 16], trials=0, delta=0.1),
+                                  NO_TRIALS),
+    "spherical-without-samples": ("spherical", SPHERE, NO_TRIALS),
+    "rays-without-samples": ("spherical", dict(SPHERE, mode="ray"), NO_TRIALS),
+    "invariance-path-of-length-zero": ("invariance", dict(MC, n=0, trials=32),
+                                       "n must be a multiple of 4 and >= 4, got 0"),
+    "lil-path-ending-before-its-start": ("lil", dict(MC, n_max=256),
+                                         "n_max 256 < start index 1000"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED))
+def test_too_small_monte_carlo_runs_exit_two_naming_the_bound(case):
+    from thermoqm import cli
+
+    op, cfg, bound = REFUSED[case]
+    code, summary = cli.execute(op, cfg, None)
+    assert code == 2 and bound in summary["error"], summary["error"]
+
+
 MINIMAL = {  # each op with its required keys only, at small sizes
     "sft-validate": {"sft": F2},
     "words": {"sft": F2, "n": 4},

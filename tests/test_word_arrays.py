@@ -557,3 +557,48 @@ def test_zero_mass_names_the_first_dead_word():
     assert str(err.value) == old_potential_tables(mu, 3) == "cylinder (0, 2) violates full support"
     with pytest.raises(bowen.ZeroMass, match=r"cylinder \(0, 2\) has no mass"):
         bowen._conditional_step_matrix(mu, 2)
+
+
+# -- code lookup: dense position table and binary search ---------------------------
+
+
+def old_index_of_codes(idx, codes):
+    """Frozen binary-search lookup."""
+    pos = np.searchsorted(idx.codes, codes)
+    if np.any(pos >= len(idx.codes)) or np.any(idx.codes[pos] != codes):
+        raise KeyError("inadmissible word code in lookup")
+    return pos
+
+
+@PROPERTY
+@given(primitive_sfts(), st.integers(1, 6), st.data())
+def test_index_of_codes_table_and_search_agree(sft, depth, data):
+    from unittest import mock
+
+    from thermoqm import sft as sft_module
+
+    idx = sft.cylinders(depth)
+    picks = np.array(data.draw(st.lists(st.integers(0, len(idx) - 1), max_size=40)), dtype=np.int64)
+    codes = idx.codes[picks]
+    want = old_index_of_codes(idx, codes)
+    assert np.array_equal(want, picks)
+    holes = np.setdiff1d(np.arange(sft.d**depth), idx.codes)
+    for dense_table in (0, sft.d**depth):  # binary search, then the position table
+        with mock.patch.object(sft_module, "_DENSE_TABLE", dense_table):
+            got = idx.index_of_codes(codes)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+            assert np.array_equal(idx.index_of_codes(codes.reshape(-1, 1)), want.reshape(-1, 1))
+            if len(holes):
+                bad = np.insert(codes, data.draw(st.integers(0, len(codes))),
+                                data.draw(st.sampled_from(holes.tolist())))
+                with pytest.raises(KeyError):
+                    idx.index_of_codes(bad)
+
+
+def test_index_of_codes_picks_the_table_on_dense_indexes():
+    g2 = FreeGroup(2).sft()
+    cases = [(full_shift(2), 12, True), (g2, 6, True), (g2, 8, True), (golden_mean(), 12, False)]
+    for sft, depth, dense in cases:
+        idx = sft.cylinders(depth)
+        assert np.array_equal(idx.index_of_codes(idx.codes[::-1]), np.arange(len(idx))[::-1])
+        assert ("_table" in vars(idx)) == dense, (sft.d, depth)
