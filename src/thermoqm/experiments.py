@@ -6,7 +6,9 @@ in trial order, and all reductions run over the assembled per-trial arrays, so
 results are bit-identical across runs and worker counts.  A block keeps one
 Philox and re-keys it per trial, which gives exactly trial_rng's streams, and
 draws uniforms a chunk of positions at a time by counter addressing (uniform k
-is lane k % 4 of counter k // 4).  Blocks walk all trials with one flat gather
+is lane k % 4 of counter k // 4), as one-byte bucket codes #{cuts <= u} where
+the block has _CUT_TRIALS trials per successor cut point: 8x the positions per
+chunk, so 8x fewer re-keys.  Blocks walk all trials with one flat gather
 per position, except a single path on at most _SCAN_STATES states, which
 composes its per-step state maps by a Hillis-Steele scan.  Both feed one
 evaluation step: path functionals are sums of the quasimorphism's window
@@ -34,14 +36,21 @@ def trial_rng(seed, trial):
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _rekey(gen, seed, trial, counter=0):
-    """Point gen's Philox at the stream of trial_rng(seed, trial), at Philox
-    counter `counter`: its next uniform is number 4 * counter of that stream."""
-    key = (int(seed) & _MASK, int(trial) & _MASK)
-    gen.bit_generator.state = {
-        "bit_generator": "Philox", "state": {"counter": (counter, 0, 0, 0), "key": key},
-        "buffer": (0,) * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    return gen
+def _rekeyer():
+    """rekey(seed, trial, counter=0) points one Generator at trial_rng(seed, trial)'s
+    stream at Philox counter `counter` (next uniform: number 4 * counter), by
+    replacing the counter and key of one state dict (the setter copies it)."""
+    gen = np.random.Generator(np.random.Philox(0))
+    full = {"bit_generator": "Philox", "state": {}, "buffer": (0,) * 4, "buffer_pos": 4,
+            "has_uint32": 0, "uinteger": 0}
+    state = full["state"]
+
+    def rekey(seed, trial, counter=0):
+        state["counter"], state["key"] = (counter, 0, 0, 0), (int(seed) & _MASK, int(trial) & _MASK)
+        gen.bit_generator.state = full
+        return gen
+
+    return rekey
 
 
 def dkw_band(trials, alpha=0.01):
@@ -73,10 +82,23 @@ def reflection_sup_cdf(x):
 # -- sampling specifications -----------------------------------------------------
 
 
+def _cut_ranks(succ_cum):
+    """The distinct cut points below 1, and rank = 1 + the index in cuts of each
+    entry (len(cuts) + 1 for entries >= 1): u >= succ_cum iff _codes(u) >= rank."""
+    cuts = np.unique(succ_cum[succ_cum < 1.0])
+    return cuts, np.searchsorted(cuts, succ_cum) + 1
+
+
+def _codes(u, cuts):
+    """One-byte bucket codes #{c in cuts : c <= u}, one comparison pass a cut."""
+    return sum((u >= c for c in cuts), np.zeros(u.shape, dtype=np.uint8))
+
+
 def markov_sampler_payload(mm):
     """Picklable arrays describing how to walk the chain symbol by symbol: the
     successors of each state in symbol order (the edges of its block graph),
-    padded with the last one, and their cumulative kernel probabilities."""
+    padded with the last one, their cumulative kernel probabilities, and
+    those probabilities as cut points and ranks."""
     sft = mm.sft
     g = sft.block_graph(mm.t)
     deg = np.bincount(g.src, minlength=len(g))
@@ -86,6 +108,7 @@ def markov_sampler_payload(mm):
     succ_cum[np.arange(deg.max()) >= last] = 1.0
     init_cum = np.cumsum(mm.stationary)
     init_cum[-1] = 1.0
+    cuts, rank = _cut_ranks(succ_cum)
     return {
         "kind": "markov",
         "d": sft.d,
@@ -93,6 +116,8 @@ def markov_sampler_payload(mm):
         "init_cum": init_cum,
         "state_words": mm.states.array,
         "succ_cum": succ_cum,
+        "cuts": cuts,
+        "rank": rank,
         "succ_state": g.dst[edge],
         "succ_sym": g.sym[edge].astype(symbol_dtype(sft.d)),
     }
@@ -115,8 +140,13 @@ def sample_path(mm, n, seed, trial=0):
 
 # -- the block engine -------------------------------------------------------------
 
-_DRAW_CELLS = 1 << 18  # uniforms per drawn chunk (B streams x positions, 2 MB); each chunk
-#                        re-keys every stream once, so smaller chunks trade time for memory
+_DRAW_CELLS = 1 << 18  # float64 cells (or 8x as many byte codes) per drawn chunk, 2 MB; each
+#                        chunk re-keys every stream once, so smaller chunks trade time for memory
+_CUT_TRIALS = 64  # trials a block needs per cut point to code: a code costs ~0.5 ns a cut, the
+#                   re-keys it saves ~3.5 us x B / 2^18 a uniform.  Measured (BENCH_8.json): codes
+#                   win at B = 2048 to 32 cuts (even at 48), at B = 1024 to 8 (16: a toss-up), and
+#                   stay within +-10 % at B <= 256 to 8 cuts
+_PIECE_CELLS = 1 << 14  # float scratch a chunk is drawn through, a multiple of 4 (128 KB)
 _EVAL_CELLS = 1 << 15  # cells per evaluated chunk and per state-map segment
 _SCAN_STATES = 64  # beyond this a single path walks flat: a scan step costs S log(segment)
 _ROW_ADD_TRIALS = 256  # from here a row-by-row add (~1 us a row) beats np.cumsum (~5 ns a cell)
@@ -142,20 +172,27 @@ def _scan(base, R, pick, nxt, sym, w):
 def _simulate_block(payload):
     t0, t1 = payload["trial_range"]
     B, n, d, seed = t1 - t0, payload["n"], payload["d"], payload["seed"]
-    gen = np.random.Generator(np.random.Philox(0))
+    rekey = _rekeyer()
     if payload["kind"] == "markov":
-        succ_state, succ_sym = payload["succ_state"], payload["succ_sym"]
-        w, cum, N = succ_state.shape[1], payload["succ_cum"].ravel(), max(n - payload["t"], 0)
-        cols = max(4, _DRAW_CELLS // B // 4 * 4)
-        buf = np.empty((min(cols, N + 1), B))  # refilled per chunk: the walk is done with it
+        succ_state, succ_sym, cuts = payload["succ_state"], payload["succ_sym"], payload["cuts"]
+        coded = len(cuts) < 255 and len(cuts) * _CUT_TRIALS <= B  # then pick compares ranks
+        cum = (payload["rank"].astype(np.uint8) if coded else payload["succ_cum"]).ravel()
+        w, N = succ_state.shape[1], max(n - payload["t"], 0)
+        cols = max(4, _DRAW_CELLS * (8 if coded else 1) // B // 4 * 4)
+        buf = np.empty((min(cols, N + 1), B), dtype=np.uint8 if coded else float)  # per chunk
+        u0 = np.empty(B)  # position 0 stays a float, for the init_cum search
 
         def draws(lo):  # uniforms lo.. of every stream (Philox counter lo // 4), position-major
             U = buf[:min(cols, N + 1 - lo)]
-            for b in range(0, B, 64):  # 64 streams at a time, then one blocked transpose
-                T = np.empty((min(64, B - b), len(U)))
-                for i, row in enumerate(T):
-                    _rekey(gen, seed, t0 + b + i, lo // 4).random(out=row)
-                U[:, b:b + len(T)] = T.T
+            p = min(len(U), _PIECE_CELLS)  # a multiple of 4 when a stream takes several pieces
+            T = np.empty((min(B, max(1, _PIECE_CELLS // p)), p))
+            for b, j in itertools.product(range(0, B, len(T)), range(0, len(U), p)):
+                V = T[:B - b, :len(U) - j]  # streams b.., positions lo + j.., one blocked transpose
+                for i, row in enumerate(V):
+                    rekey(seed, t0 + b + i, (lo + j) // 4).random(out=row)
+                if lo + j == 0:
+                    u0[b:b + len(V)] = V[:, 0]
+                U[j:j + p, b:b + len(V)] = (_codes(V, cuts) if coded else V).T
             return U
 
         def pick(base, u):  # successor column: #{k < w - 1 : u >= cum}; the last cum is 1
@@ -165,7 +202,7 @@ def _simulate_block(payload):
             return idx
 
         U0 = draws(0)
-        first = np.searchsorted(payload["init_cum"], U0[0], side="right")
+        first = np.searchsorted(payload["init_cum"], u0, side="right")
         head = payload["state_words"][first][:, :n]
         chunks = itertools.chain([U0[1:]], map(draws, range(cols, N + 1, cols)))
     elif payload["kind"] == "sphere":
@@ -174,7 +211,7 @@ def _simulate_block(payload):
         first = np.empty(B, dtype=np.int64)
         choice = np.empty((n - 1, B), dtype=succ_sym.dtype)
         for i in range(B):
-            g = _rekey(gen, seed, t0 + i)
+            g = rekey(seed, t0 + i)
             first[i] = g.integers(0, d)
             choice[:, i] = g.integers(0, d - 1, size=n - 1)
         head, chunks = first[:, None], [choice]
@@ -182,10 +219,10 @@ def _simulate_block(payload):
         raise ValueError(f"unknown sampler kind {payload['kind']!r}")
     nxt, sym = (succ_state.astype(np.int64) * w).ravel(), succ_sym.ravel()
 
-    def symbol_chunks():  # position-major; a single path on few states is scanned
+    def symbol_chunks():  # position-major, _EVAL_CELLS cells each; one path on few states scans
         yield head.T
-        base = first * w
-        for R in chunks:
+        base, rows = first * w, max(1, _EVAL_CELLS // B)
+        for R in (Y[i:i + rows] for Y in chunks for i in range(0, len(Y), rows)):
             if B == 1 and len(succ_state) <= _SCAN_STATES:
                 X, base = _scan(base, R, pick, nxt, sym, w)
             else:  # one flat gather step per position for all B walkers
@@ -200,7 +237,8 @@ def _simulate_block(payload):
 
 
 def _evaluate(payload, B, chunks, sym_dtype):
-    """Window-kernel sums along position-major symbol chunks: at each position
+    """Window-kernel sums along position-major symbol chunks (of at most
+    _EVAL_CELLS cells, or the head's t rows): at each position
     every full width-q window adds its table value, widths in payload order,
     summed in that order per trial (a running sum down the positions)."""
     n, d, e = payload["n"], payload["d"], payload["e"]
@@ -212,8 +250,8 @@ def _evaluate(payload, B, chunks, sym_dtype):
     acc, runmax, checks = np.zeros(B), np.zeros(B), np.zeros((B, len(checkpoints)))
     symbols = np.zeros((B, n), dtype=sym_dtype) if want_symbols else None
     keep = max(q for q, _ in kernels) - 1
-    hist, p0, rows = np.zeros((keep, B), dtype=np.int64), 0, max(1, _EVAL_CELLS // B)
-    for X in (Y[i:i + rows] for Y in chunks for i in range(0, len(Y), rows)):
+    hist, p0 = np.zeros((keep, B), dtype=np.int64), 0
+    for X in chunks:
         C = len(X)
         if want_symbols:
             symbols[:, p0:p0 + C] = X.T
@@ -234,13 +272,12 @@ def _evaluate(payload, B, chunks, sym_dtype):
                 seq[i] += seq[i - 1]
         run = seq[len(incs) - 1::len(incs)]
         acc = run[-1]
-        if want_max or checkpoints:
-            s_now = run - np.arange(p0 + 1, p0 + C + 1)[:, None] * e
-            if want_max:
-                np.maximum(runmax, s_now.max(axis=0), out=runmax)
-            for c, j in checkpoints.items():
-                if p0 < c <= p0 + C:
-                    checks[:, j] = s_now[c - p0 - 1]
+        if want_max:  # max of run_k - k e, unnamed so it is freed before the next chunk
+            np.maximum(runmax, (run - np.arange(p0 + 1, p0 + C + 1)[:, None] * e).max(axis=0),
+                       out=runmax)
+        for c, j in checkpoints.items():
+            if p0 < c <= p0 + C:
+                checks[:, j] = run[c - p0 - 1] - c * e
         hist, p0 = H[len(H) - keep:], p0 + C
     out = {"final": acc - n * e, "checks": checks, "runmax": runmax}
     if want_symbols:
@@ -502,6 +539,8 @@ def deviation_experiment(L, mm, n_list, trials, delta, seed, workers=1, block=20
     """Tail tables P(S_n / n >= delta) with a log-linear rate fit, plus the
     Gaussian-scale tail P(S_n / sqrt(n) >= delta') at the largest n."""
     n_list = sorted(set(int(n) for n in n_list))
+    if not n_list or n_list[0] < 1:
+        raise ValueError(f"n_list entries must be >= 1, got {n_list}")
     n_max = n_list[-1]
     payload, e = path_functional_payload(L, mm)
     payload.update(n=n_max, seed=seed, checkpoints=tuple(n_list), want_max=False)

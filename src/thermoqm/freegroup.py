@@ -242,6 +242,8 @@ class SphericalCltResult:
 
 def _spherical_stats(group, pattern, n, count, seed, workers, block, payload_kind, sigma2):
     """L(g)/(sigma sqrt n) over count samples of the given kind vs the normal."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     L = brooks(group, pattern) if not hasattr(pattern, "value") else pattern
     mm = parry_measure(group.sft())
     if sigma2 is None:

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -359,6 +360,17 @@ REFUSED = {  # Monte Carlo runs too small to give a statistic, and the bound eac
                                        "n must be a multiple of 4 and >= 4, got 0"),
     "lil-path-ending-before-its-start": ("lil", dict(MC, n_max=256),
                                          "n_max 256 < start index 1000"),
+    "deviations-at-length-zero": ("deviations", dict(MC, n_list=[0, 8], trials=16, delta=0.1),
+                                  "n_list entries must be >= 1, got [0, 8]"),
+    "deviations-at-negative-length": ("deviations",
+                                      dict(MC, n_list=[-4, 8], trials=16, delta=0.1),
+                                      "n_list entries must be >= 1, got [-4, 8]"),
+    "spherical-at-radius-zero": ("spherical", dict(SPHERE, n=0, count=16),
+                                 "n must be >= 1, got 0"),
+    "spherical-at-negative-radius": ("spherical", dict(SPHERE, n=-3, count=16),
+                                     "n must be >= 1, got -3"),
+    "rays-of-length-zero": ("spherical", dict(SPHERE, n=0, count=16, mode="ray"),
+                            "n must be >= 1, got 0"),
 }
 
 
@@ -367,7 +379,9 @@ def test_too_small_monte_carlo_runs_exit_two_naming_the_bound(case):
     from thermoqm import cli
 
     op, cfg, bound = REFUSED[case]
-    code, summary = cli.execute(op, cfg, None)
+    with mock.patch.object(cli.experiments, "_simulate_block",
+                           side_effect=AssertionError("sampled before refusing")):
+        code, summary = cli.execute(op, cfg, None)
     assert code == 2 and bound in summary["error"], summary["error"]
 
 

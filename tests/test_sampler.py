@@ -1,7 +1,9 @@
 """The sampler engine against the per-step loop it replaced: every per-trial
 array bit-identical, for wide blocks and single paths, on random primitive
-SFTs, chain memories 1-3, one or two kernel widths and small chunk sizes."""
+SFTs, chain memories 1-3, one or two kernel widths and small chunk sizes,
+with uniforms kept as floats or as one-byte bucket codes."""
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -12,8 +14,9 @@ from hypothesis import strategies as st
 from thermoqm import experiments as ex
 from thermoqm import freegroup as fg
 from thermoqm import markov as mk
+from thermoqm import qm
 from thermoqm.errors import InvalidMatrix, NotPrimitive, NumericalFailure, ResourceLimit
-from thermoqm.sft import Sft, symbol_dtype
+from thermoqm.sft import Sft, full_shift, symbol_dtype
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -143,8 +146,29 @@ def chains(draw):
 
 
 @st.composite
-def markov_payloads(draw):
-    mm = draw(chains())
+def few_cut_chains(draw):
+    """A Parry or Bernoulli-type (memory-0 potential) chain on a random
+    primitive SFT, d in {2, 3, 4}: at most d (d - 1) <= 12 cut points."""
+    d = draw(st.sampled_from([2, 3, 4]))
+    rows = draw(st.lists(st.lists(st.integers(0, 1), min_size=d, max_size=d),
+                         min_size=d, max_size=d))
+    try:
+        sft = Sft(rows)
+    except (InvalidMatrix, NotPrimitive):
+        assume(False)
+    if draw(st.booleans()):
+        return mk.parry_measure(sft)
+    p = draw(st.lists(st.floats(0.01, 1.0), min_size=d, max_size=d))
+    try:
+        norm, _, _ = mk.normalize_potential(mk.MarkovPotential(sft, 0, np.log(p)))
+    except NumericalFailure:
+        assume(False)
+    return mk.markov_measure(norm)
+
+
+@st.composite
+def markov_payloads(draw, chain=chains()):
+    mm = draw(chain)
     d = mm.sft.d
     payload = ex.markov_sampler_payload(mm)
     widths = draw(st.sampled_from([(), (1,), (2,), (3,), (1, 3), (2, 3), (3, 1)]))
@@ -164,17 +188,138 @@ def markov_payloads(draw):
     return payload
 
 
-# chunk sizes (uniforms per stream chunk, cells per evaluated chunk): the
-# defaults, and ones small enough that n is split into chunks of uneven length
-CHUNKS = st.sampled_from([(ex._DRAW_CELLS, ex._EVAL_CELLS), (28, 12), (56, 5)])
+# chunk sizes (float64 cells per drawn chunk, cells per evaluated chunk, float
+# scratch cells): the defaults, and ones small enough that n is split into
+# chunks of uneven length and a stream's chunk is drawn in several pieces
+CHUNKS = st.sampled_from([(ex._DRAW_CELLS, ex._EVAL_CELLS, ex._PIECE_CELLS), (28, 12, 8),
+                          (56, 5, 20)])
+
+
+def _chunked(chunks):
+    return mock.patch.multiple(ex, _DRAW_CELLS=chunks[0], _EVAL_CELLS=chunks[1],
+                               _PIECE_CELLS=chunks[2])
 
 
 @PROPERTY
 @given(markov_payloads(), CHUNKS)
 def test_markov_block_matches_per_step_loop(payload, chunks):
-    with mock.patch.multiple(ex, _DRAW_CELLS=chunks[0], _EVAL_CELLS=chunks[1]):
+    with _chunked(chunks):
         new = ex._simulate_block(payload)
     _assert_identical(new, _loop_block(payload))
+
+
+@PROPERTY
+@given(markov_payloads(few_cut_chains()), CHUNKS)
+def test_coded_block_matches_per_step_loop(payload, chunks):
+    """Byte codes at every block width (no trials needed per cut point)."""
+    with _chunked(chunks), mock.patch.object(ex, "_CUT_TRIALS", 0), \
+            mock.patch.object(ex, "_codes", wraps=ex._codes) as codes:
+        new = ex._simulate_block(payload)
+    assert codes.called
+    _assert_identical(new, _loop_block(payload))
+
+
+def test_codes_compare_with_ranks_as_uniforms_with_the_cumulative_kernel():
+    """u >= succ_cum iff code(u) >= rank, at every cut point, one ulp on either
+    side of it and at 0, against padded 1.0 entries and sums rounded past 1."""
+    up = np.nextafter(1.0, 2.0)
+    succ_cum = np.array([[0.25, 0.5, 1.0, 1.0], [0.1, 0.5, 0.75, 1.0],
+                         [0.3, up, 1.0, 1.0], [0.75, 1.0, up, 1.0]])
+    cuts, rank = ex._cut_ranks(succ_cum)
+    assert cuts.tolist() == [0.1, 0.25, 0.3, 0.5, 0.75]
+    assert rank[2].tolist() == [3, 6, 6, 6] and rank[1].tolist() == [1, 4, 5, 6]
+    u = np.array([0.0, np.nextafter(1.0, 0.0)]
+                 + [v for c in cuts for v in (np.nextafter(c, 0.0), c, np.nextafter(c, 1.0))])
+    codes = ex._codes(u, cuts)
+    assert codes.dtype == np.uint8 and codes[0] == 0 and codes[1] == len(cuts)
+    assert np.array_equal(codes[:, None, None] >= rank, u[:, None, None] >= succ_cum)
+
+
+def _full_shift_chain(memory):
+    """A random memory-`memory` chain on the full 2-shift: 2**memory states,
+    one distinct cut point each."""
+    sft = full_shift(2)
+    table = np.random.default_rng(memory).normal(size=len(sft.cylinders(memory + 1)))
+    return mk.markov_measure(mk.normalize_potential(mk.MarkovPotential(sft, memory, table))[0])
+
+
+def _switch_payload(memory, n, first, B):
+    payload = ex.markov_sampler_payload(_full_shift_chain(memory))
+    assert len(payload["cuts"]) == 2**memory
+    payload.update(n=n, seed=n + 17 * first, trial_range=(first, first + B),
+                   kernel_widths=(2,), kernel_tables=(np.linspace(-1.0, 1.0, 4),), e=0.125,
+                   checkpoints=tuple(sorted({1, n})), want_max=True, want_symbols=True)
+    return payload
+
+
+@pytest.mark.parametrize("B,coded", [(4 * ex._CUT_TRIALS - 1, False), (4 * ex._CUT_TRIALS, True)])
+@settings(PROPERTY, max_examples=20)
+@given(n=st.integers(1, 90), first=st.integers(0, 40), chunks=CHUNKS)
+def test_chains_on_either_side_of_the_code_switch(B, coded, n, first, chunks):
+    """A 4-cut chain keeps floats below 4 * _CUT_TRIALS trials a block and
+    byte codes from there; both match the loop."""
+    payload = _switch_payload(2, n, first, B)
+    with _chunked(chunks), mock.patch.object(ex, "_codes", wraps=ex._codes) as codes:
+        new = ex._simulate_block(payload)
+    assert codes.called == coded
+    _assert_identical(new, _loop_block(payload))
+
+
+def test_chains_past_one_byte_ranks_keep_floats():
+    """256 cut points need rank 257, past a byte: floats at any block width."""
+    payload = _switch_payload(8, 40, 3, 2)
+    with mock.patch.object(ex, "_CUT_TRIALS", 0), \
+            mock.patch.object(ex, "_codes", wraps=ex._codes) as codes:
+        new = ex._simulate_block(payload)
+    assert not codes.called
+    _assert_identical(new, _loop_block(payload))
+
+
+def _count01_payload(n, B, **kw):
+    payload, _ = ex.path_functional_payload(qm.PatternCount((0, 1)),
+                                            mk.parry_measure(full_shift(2)))
+    payload.update(n=n, seed=3, trial_range=(0, B), **kw)
+    return payload
+
+
+def test_coded_block_rekeys_each_stream_once_per_1024_positions():
+    """B = 2048, n = 4096 on the count01 Parry chain: 4 chunks of 1,024 codes
+    a stream, so 8,192 re-keys (float64 chunks of 128 positions took 65,536)."""
+    payload = _count01_payload(4096, 2048, checkpoints=(1024, 4096), want_max=True)
+    rekey = mock.Mock(wraps=ex._rekeyer())
+    with mock.patch.object(ex, "_rekeyer", return_value=rekey):
+        ex._simulate_block(payload)
+    assert rekey.call_count <= 8192
+
+
+@pytest.mark.parametrize("n,B,bound_kb", [(150000, 1, 3183), (4096, 2048, 4199)])
+def test_block_memory_stays_within_the_float_chunk_engine(n, B, bound_kb):
+    """tracemalloc peaks of a long single path (the LIL orbit) and of a
+    2048-trial invariance block on the count01 Parry chain stay at or below
+    those of the float64-chunk engine (3,183 and 4,199 KB, numpy 2.4)."""
+    payload = _count01_payload(n, B, checkpoints=(n // 4, n // 2, 3 * n // 4, n), want_max=True)
+    assert _peak_bytes(payload) <= bound_kb * 1024
+
+
+@pytest.mark.parametrize("B", [1, 3])
+@pytest.mark.parametrize("cut_trials,cell_bytes", [(0, 1), (ex._CUT_TRIALS, 8)])
+def test_float_scratch_does_not_grow_with_the_path(B, cut_trials, cell_bytes):
+    """With small evaluation chunks, a 150,000-step path holds its one-byte
+    codes or float64 cells plus a float scratch of at most _PIECE_CELLS cells
+    and small change."""
+    payload = _count01_payload(150000, B, checkpoints=(), want_max=True)
+    with mock.patch.multiple(ex, _EVAL_CELLS=1024, _CUT_TRIALS=cut_trials):
+        assert _peak_bytes(payload) <= 150000 * B * cell_bytes + 2 * ex._PIECE_CELLS * 8
+
+
+def _peak_bytes(payload):
+    ex._simulate_block(payload)  # warm caches outside the trace
+    tracemalloc.start()
+    try:
+        ex._simulate_block(payload)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @PROPERTY
@@ -189,7 +334,7 @@ def test_sphere_block_matches_per_step_loop(rank, n, first, B, widths, chunks):
     payload.update(n=n, seed=n * 7919 + first, trial_range=(first, first + B),
                    kernel_widths=widths, kernel_tables=tuple(rng.normal(size=d**q) for q in widths),
                    e=0.25, checkpoints=tuple(sorted({1, n})), want_max=True, want_symbols=True)
-    with mock.patch.multiple(ex, _DRAW_CELLS=chunks[0], _EVAL_CELLS=chunks[1]):
+    with _chunked(chunks):
         new = ex._simulate_block(payload)
     _assert_identical(new, _loop_block(payload))
 
@@ -212,17 +357,17 @@ def test_long_single_path_matches_per_step_loop(pattern, states, n):
 def test_reused_stream_equals_trial_rng():
     """One Generator re-keyed per trial gives trial_rng's stream, also after a
     draw that leaves a buffered 32-bit half behind, and from any counter."""
-    gen = np.random.Generator(np.random.Philox(0))
+    rekey = ex._rekeyer()
     seed, n, d = 2**63 + 11, 37, 6
     for trial in (0, 5, 2**64 - 1, 5):
         ref = ex.trial_rng(seed, trial)
-        assert np.array_equal(ex._rekey(gen, seed, trial).random(n), ref.random(n))
+        assert np.array_equal(rekey(seed, trial).random(n), ref.random(n))
         ref = ex.trial_rng(seed, trial)
-        g = ex._rekey(gen, seed, trial)
+        g = rekey(seed, trial)
         assert g.integers(0, d) == ref.integers(0, d)
         assert np.array_equal(g.integers(0, d - 1, size=13), ref.integers(0, d - 1, size=13))
     whole = ex.trial_rng(seed, 9).random(4 * 6 + 10)
-    assert np.array_equal(ex._rekey(gen, seed, 9, counter=6).random(10), whole[24:])
+    assert np.array_equal(rekey(seed, 9, counter=6).random(10), whole[24:])
 
 
 @pytest.mark.parametrize("rank,n,count,seed", [(2, 1, 3, 0), (2, 6, 5, 11), (3, 40, 9, 4),
