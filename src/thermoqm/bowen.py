@@ -9,23 +9,16 @@ conditional transition operator, so N can be astronomically large.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DepthExceeded, MeanNotZero, NonConvergence, ZeroMass
-from .markov import LocallyConstantFn, _masses_of, cyclic_birkhoff_average, project_conditional
-from .measures import CylinderMeasure
+from .markov import (LocallyConstantFn, cyclic_birkhoff_average, cyclic_birkhoff_sums,
+                     project_conditional)
 from .qm import Quasicocycle, homogenize
-
-
-def _mass_fn(mu):
-    """Uniform access to cylinder masses for CylinderMeasure / MarkovMeasure."""
-    if isinstance(mu, CylinderMeasure):
-        return mu.mass, mu.max_depth
-    if hasattr(mu, "cylinder_masses"):
-        return mu.mass, None  # Markov chains evaluate any depth
-    raise TypeError(f"unsupported reference measure {type(mu)!r}")
+from .sft import window_codes
 
 
 class WeakBowenFn:
@@ -37,11 +30,6 @@ class WeakBowenFn:
         self.reference = reference
         self.k_max = max(self.tables)
 
-    def depth_value(self, k, word):
-        if k not in self.tables:
-            raise DepthExceeded(f"no table at depth {k}")
-        return float(self.tables[k][self.sft.cylinders(k).index(tuple(word)[:k])])
-
     def value(self, word):
         word = tuple(word)
         k = min(self.k_max, len(word))
@@ -49,18 +37,17 @@ class WeakBowenFn:
             k -= 1
             if k == 0:
                 raise DepthExceeded("word shorter than every stored depth")
-        return self.depth_value(k, word)
+        return self.as_lc(k).value(word)
 
     def as_lc(self, k=None):
         k = self.k_max if k is None else k
+        if k not in self.tables:
+            raise DepthExceeded(f"no table at depth {k}")
         return LocallyConstantFn(self.sft, k, self.tables[k])
 
     def birkhoff_periodic(self, word, n, depth=None):
         """Exact S_n(phi) along the periodic point of `word`."""
-        k = self.k_max if depth is None else depth
-        return sum(
-            self.depth_value(k, self.sft.cyclic_window(word, l, k)) for l in range(n)
-        )
+        return float(cyclic_birkhoff_sums(self.as_lc(depth), np.array([word]), n)[0])
 
     def normalization_defect(self, k=None):
         """max over (k-1)-words w of |sum_s e^{phi^k(s.w)} - 1|."""
@@ -73,14 +60,15 @@ class WeakBowenFn:
 
 def potential_from_measure(mu, k):
     """phi^j(x) = log mu([x]_j) / mu([tau x]_{j-1}) tabulated for j = 1..k."""
-    _, max_depth = _mass_fn(mu)
-    if max_depth is not None and k > max_depth:
-        raise DepthExceeded(f"measure stores depth {max_depth} < {k}")
+    if k < 1:
+        raise ValueError(f"potential depth must be >= 1, got {k}")
+    if mu.max_depth is not None and k > mu.max_depth:
+        raise DepthExceeded(f"measure stores depth {mu.max_depth} < {k}")
     sft = mu.sft
     tables = {}
     for j in range(1, k + 1):
-        num = _masses_of(mu, j)
-        den = _masses_of(mu, j - 1)[sft.block_graph(j - 1).dst] if j > 1 else 1.0
+        num = mu.masses_at(j)
+        den = mu.masses_at(j - 1)[sft.block_graph(j - 1).dst] if j > 1 else 1.0
         _require_mass(sft, j, (num <= 0.0) | (den <= 0.0), "violates full support")
         tables[j] = np.log(num / den)
     return WeakBowenFn(sft, tables, reference=mu)
@@ -115,53 +103,31 @@ def birkhoff_check(phi, L, sft, ptop, n, sample, bound=None):
 
 def bowen_norm_estimate(phi, n_max):
     """Lower bound for ||phi||_B: spread of S_n(phi) over periodic points that
-    share their first n symbols, n <= n_max."""
-    sft = phi.sft
+    share their first n symbols (periodic words n + l long, l <= M), n <= n_max."""
+    sft, f = phi.sft, phi.as_lc()
     best = 0.0
     for n in range(1, n_max + 1):
-        for w in sft.words(n):
-            vals = []
-            for ell in range(0, sft.M + 1):
-                for u in sft.words(ell) if ell else [()]:
-                    cand = w + u
-                    if sft.is_word(cand) and sft.wraps(cand):
-                        vals.append(phi.birkhoff_periodic(cand, n))
-            if len(vals) > 1:
-                best = max(best, max(vals) - min(vals))
-    return float(best)
+        idx = sft.cylinders(n)
+        hi, lo, count = np.full(len(idx), -np.inf), np.full(len(idx), np.inf), np.zeros(len(idx))
+        for arr in (sft.word_array(n + l, periodic=True) for l in range(sft.M + 1)):
+            vals = cyclic_birkhoff_sums(f, arr, n)
+            prefix = idx.index_of_codes(window_codes(arr, 0, n, sft.d))
+            np.maximum.at(hi, prefix, vals)
+            np.minimum.at(lo, prefix, vals)
+            count += np.bincount(prefix, minlength=len(idx))
+        best = max(best, float((hi - lo)[count > 1].max(initial=0.0)))
+    return best
 
 
 def quasicocycle_from_potential(phi, mu, n_max):
     """B_n = E_mu[S_n(phi) | depth-n cylinders], a locally constant quasicocycle."""
-    mass, max_depth = _mass_fn(mu)
-    sft = phi.sft
-    k = phi.k_max
-    if max_depth is not None and n_max - 1 + k > max_depth:
+    f = phi.as_lc()
+    if mu.max_depth is not None and n_max - 1 + f.m > mu.max_depth:
         raise DepthExceeded("reference measure too shallow for the requested tables")
-    tables = {}
-    for n in range(1, n_max + 1):
-        idx = sft.cylinders(n)
-        vals = np.zeros(len(idx))
-        for i, w in enumerate(idx.words):
-            tot = 0.0
-            for l in range(n):
-                if l + k <= n:
-                    tot += phi.depth_value(k, w[l:l + k])
-                else:
-                    ext_len = l + k - n
-                    mw = mass(w)
-                    if mw <= 0:
-                        raise ZeroMass(f"cylinder {w} has no mass")
-                    acc = 0.0
-                    for v in sft.words(ext_len):
-                        if sft.R[w[-1], v[0]]:
-                            mv = mass(w + v)
-                            if mv > 0:
-                                acc += mv * phi.depth_value(k, (w + v)[l:l + k])
-                    tot += acc / mw
-            vals[i] = tot
-        tables[n] = vals
-    return Quasicocycle(sft, tables)
+    shifts = itertools.accumulate(range(1, n_max), lambda g, _: g.shift(), initial=f)  # phi o tau^l
+    sums = itertools.accumulate(shifts, LocallyConstantFn.__add__)  # S_n phi for n = 1..n_max
+    return Quasicocycle(phi.sft, {n: project_conditional(S, mu, n).values
+                                  for n, S in enumerate(sums, 1)})
 
 
 # -- Komlós construction --------------------------------------------------------
@@ -191,8 +157,8 @@ def komlos_potential(L, mu, n_list, depth, tol=1e-9, strict=True):
     The subsequence is n_list itself (r(j) = j by default choice); successive
     averages are monitored and NonConvergence is raised, never hidden.
     """
-    if list(n_list) != sorted(set(n_list)):
-        raise ValueError("n_list must be strictly increasing")
+    if not n_list or list(n_list) != sorted(set(n_list)):
+        raise ValueError(f"n_list must be nonempty and strictly increasing, got {list(n_list)}")
     sft = mu.sft
     avg = None
     diffs = []
@@ -218,16 +184,15 @@ def komlos_potential(L, mu, n_list, depth, tol=1e-9, strict=True):
 
 def _conditional_step_matrix(mu, depth):
     """Row-stochastic K with (K f)(w) = E[f o tau | [w]] on depth-`depth` tables."""
-    _, max_depth = _mass_fn(mu)
-    if max_depth is not None and depth + 1 > max_depth:
+    if mu.max_depth is not None and depth + 1 > mu.max_depth:
         raise DepthExceeded(f"need masses at depth {depth + 1}")
     sft = mu.sft
-    weights = _masses_of(mu, depth)
+    weights = mu.masses_at(depth)
     _require_mass(sft, depth, weights <= 0, "has no mass")
     # edge w.s of the depth-`depth` block graph steps from w to its suffix w[1:].s
     g = sft.block_graph(depth)
     K = np.zeros((len(g), len(g)))
-    K[g.src, g.dst] = _masses_of(mu, depth + 1) / weights[g.src]
+    K[g.src, g.dst] = mu.masses_at(depth + 1) / weights[g.src]
     return g.states, K, weights
 
 
@@ -283,6 +248,8 @@ def coboundary_solve(phi, mu, N, depth, tol_mean=1e-8, strict=False, bowen_bound
     the periodic-orbit test stays the authoritative decision).  strict=True
     turns a non-vanishing residual into NonConvergence.
     """
+    if N < 1:
+        raise ValueError(f"N must be >= 1, got {N}")
     if isinstance(phi, WeakBowenFn):
         phi = phi.as_lc()
     sft = mu.sft
@@ -375,26 +342,22 @@ def livsic_quasicocycle_test(B, B2, sft, n_max, tol=1e-8):
     d1 = B.delta_estimate() + B.bowen_norm
     d2 = B2.delta_estimate() + B2.bowen_norm
     worst_gap = 0.0
-    for n in range(1, n_max + 1):
-        for a in sft.periodic_words(n):
-            depth = (B.n_max // n) * n if n <= B.n_max else None
-            depth2 = (B2.n_max // n) * n if n <= B2.n_max else None
-            if not depth or not depth2:
-                continue
-            c1 = B.value(depth, sft.cyclic_window(a, 0, depth)) / depth
-            c2 = B2.value(depth2, sft.cyclic_window(a, 0, depth2)) / depth2
-            r1, r2 = d1 / depth, d2 / depth2
-            gap = abs(c1 - c2)
-            worst_gap = max(worst_gap, gap)
-            if gap > r1 + r2 + tol:
-                return LivsicVerdict("distinct", a, n, worst_gap)
+    for n in range(1, min(n_max, B.n_max, B2.n_max) + 1):  # periods both tables reach
+        depth, depth2 = (B.n_max // n) * n, (B2.n_max // n) * n
+        arr = sft.word_array(n, periodic=True)  # each table on the first k-window of p(a), / k
+        c1, c2 = (cyclic_birkhoff_sums(LocallyConstantFn(sft, k, C.tables[k]), arr, 1) / k
+                  for C, k in ((B, depth), (B2, depth2)))
+        gap = np.abs(c1 - c2)
+        apart = np.flatnonzero(gap > d1 / depth + d2 / depth2 + tol)
+        upto = apart[0] + 1 if len(apart) else len(arr)  # gaps up to the witness
+        worst_gap = float(np.fmax.reduce(gap[:upto], initial=worst_gap))
+        if len(apart):
+            return LivsicVerdict("distinct", tuple(arr[apart[0]].tolist()), n, worst_gap)
     # quantitative uniform-bound check on the difference cocycle
-    sup_diff = 0.0
-    for n in range(1, min(B.n_max, B2.n_max) + 1):
-        sup_diff = max(sup_diff, float(np.abs(B.tables[n] - B2.tables[n]).max()))
     diff = Quasicocycle(sft, {
         n: B.tables[n] - B2.tables[n] for n in range(1, min(B.n_max, B2.n_max) + 1)
     })
+    sup_diff = max(float(np.abs(t).max()) for t in diff.tables.values())
     bound = diff.delta_estimate() + B.bowen_norm + B2.bowen_norm
     check = {"sup_diff": sup_diff, "bound": bound, "ok": bool(sup_diff <= bound + tol)}
     return LivsicVerdict("cohomologous", None, n_max, worst_gap, check)

@@ -13,7 +13,9 @@ per position, except a single path on at most _SCAN_STATES states, which
 composes its per-step state maps by a Hillis-Steele scan.  Both feed one
 evaluation step: path functionals are sums of the quasimorphism's window
 kernels over the symbol chunks, accumulated in order per trial, which makes
-L(x_0..x_{k-1}) exact at every step without storing words.
+L(x_0..x_{k-1}) exact at every step without storing words; the CLT reads the
+final sums, the other experiments the running sums at ascending checkpoints
+(the LIL orbit: every n of one single-trial block).
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import numpy as np
 from .errors import DegenerateSigma
 from .markov import LocallyConstantFn, per_step_fn, variance
 from .sft import symbol_dtype
+from .thermo import window_expectation
 
 _MASK = (1 << 64) - 1
 
@@ -245,7 +248,7 @@ def _evaluate(payload, B, chunks, sym_dtype):
     # with no kernel, add zeros: acc + 0.0 == acc, as acc is never -0.0
     kernels = [(q, np.asarray(k)) for q, k in zip(payload["kernel_widths"],
                                                   payload["kernel_tables"])] or [(1, np.zeros(d))]
-    checkpoints = {c: j for j, c in enumerate(payload["checkpoints"])}
+    checkpoints = np.asarray(payload["checkpoints"], dtype=np.int64)  # ascending
     want_max, want_symbols = payload["want_max"], payload.get("want_symbols", False)
     acc, runmax, checks = np.zeros(B), np.zeros(B), np.zeros((B, len(checkpoints)))
     symbols = np.zeros((B, n), dtype=sym_dtype) if want_symbols else None
@@ -275,9 +278,9 @@ def _evaluate(payload, B, chunks, sym_dtype):
         if want_max:  # max of run_k - k e, unnamed so it is freed before the next chunk
             np.maximum(runmax, (run - np.arange(p0 + 1, p0 + C + 1)[:, None] * e).max(axis=0),
                        out=runmax)
-        for c, j in checkpoints.items():
-            if p0 < c <= p0 + C:
-                checks[:, j] = run[c - p0 - 1] - c * e
+        lo, hi = np.searchsorted(checkpoints, (p0 + 1, p0 + C + 1))  # p0 < c <= p0 + C
+        c = checkpoints[lo:hi]
+        checks[:, lo:hi] = (run[c - p0 - 1] - (c * e)[:, None]).T
         hist, p0 = H[len(H) - keep:], p0 + C
     out = {"final": acc - n * e, "checks": checks, "runmax": runmax}
     if want_symbols:
@@ -316,11 +319,7 @@ def path_functional_payload(L, mm, center=True):
             "(tabulated kinds cannot be evaluated along long paths)"
         )
     payload = markov_sampler_payload(mm)
-    e = 0.0
-    if center:
-        for q, table in kernels.items():
-            idx = sft.cylinders(q)
-            e += float(np.dot(mm.cylinder_masses(q), table[idx.codes]))
+    e = window_expectation(mm, L, sft) if center else 0.0
     payload.update(
         kernel_widths=tuple(sorted(kernels)),
         kernel_tables=tuple(kernels[q] for q in sorted(kernels)),
@@ -479,26 +478,18 @@ def lil_experiment(L, mm, n_max, seed, n_min=1000, sigma2=None, trial=0):
     start = max(n_min, int(np.ceil((np.e + 1e-9) / sigma2)))
     if n_max < start:
         raise ValueError(f"n_max {n_max} < start index {start} = max(n_min, ceil(e / sigma2))")
-    payload, e = path_functional_payload(L, mm)
-    sft = mm.sft
-    kernels = {q: t for q, t in zip(payload["kernel_widths"], payload["kernel_tables"])}
-    symbols = sample_path(mm, n_max, seed, trial=trial)
-    inc = np.zeros(n_max)
-    x = symbols.astype(np.int64)
-    for q, table in kernels.items():
-        win = np.lib.stride_tricks.sliding_window_view(x, q)
-        codes = win @ (sft.d ** np.arange(q - 1, -1, -1, dtype=np.int64))
-        inc[q - 1:] += table[codes]
-    S = np.cumsum(inc) - np.arange(1, n_max + 1) * e
-    ns = np.arange(1, n_max + 1)
-    t = ns[start - 1:] * sigma2
-    denom = np.sqrt(2.0 * t * np.log(np.log(t)))
-    stat = S[start - 1:] / denom
+    payload, _ = path_functional_payload(L, mm)
+    ns = np.arange(start, n_max + 1)
+    payload.update(n=n_max, seed=seed, trial_range=(trial, trial + 1), checkpoints=ns,
+                   want_max=False)
+    S = _simulate_block(payload)["checks"][0]  # S_n - n e for n = start..n_max
+    t = ns * sigma2
+    stat = S / np.sqrt(2.0 * t * np.log(np.log(t)))
     k = int(np.argmax(stat))
     grid = np.unique(np.geomspace(start, n_max, 200).astype(np.int64))
-    series = [(int(n), float(S[n - 1] / np.sqrt(2 * n * sigma2 * np.log(np.log(n * sigma2)))))
+    series = [(int(n), float(S[n - start] / np.sqrt(2 * n * sigma2 * np.log(np.log(n * sigma2)))))
               for n in grid]
-    return LilResult(float(stat[k]), int(ns[start - 1 + k]), start, n_max, float(sigma2), series)
+    return LilResult(float(stat[k]), int(ns[k]), start, n_max, float(sigma2), series)
 
 
 @dataclass

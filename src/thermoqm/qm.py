@@ -391,16 +391,14 @@ class Quasicocycle:
 
     def delta_estimate(self):
         """sup over split points of |B_{n+m} - B_n - B_m o tau^n| on stored depths."""
-        best = 0.0
+        best, d, cyl = 0.0, self.sft.d, self.sft.cylinders
         for total in range(2, self.n_max + 1):
-            idx = self.sft.cylinders(total)
+            codes = cyl(total).codes  # w = u.v: u = code // d**m, v = code % d**m
             for n in range(1, total):
                 m = total - n
-                for w in idx.words:
-                    dev = abs(
-                        self.value(total, w) - self.value(n, w[:n]) - self.value(m, w[n:])
-                    )
-                    best = max(best, dev)
+                u, v = cyl(n).index_of_codes(codes // d**m), cyl(m).index_of_codes(codes % d**m)
+                best = max(best, float(np.abs(self.tables[total] - self.tables[n][u]
+                                              - self.tables[m][v]).max()))
         return best
 
     def scaled(self, c):

@@ -109,22 +109,30 @@ def _short_word_log_partition(kernels, sft, n):
     return _logsumexp(vals)
 
 
+def _method_kernels(L, sft, method):
+    """The window kernels a partition sum runs on by `method`, None to enumerate."""
+    if method not in ("auto", "transfer", "enumerate"):
+        raise ValueError(f"method must be 'auto', 'transfer' or 'enumerate', got {method!r}")
+    kernels = None if method == "enumerate" else L.window_tables(sft.d)
+    if method == "transfer" and kernels is None:
+        raise ValueError("quasimorphism is not window-additive")
+    return kernels
+
+
 def log_partition(L, sft, n, cap=None, method="auto"):
     """log Z_n(L), the log-sum-exp of L over wrapping words of length n."""
     if n < 1:
         raise ValueError("partition function needs n >= 1")
-    kernels = L.window_tables(sft.d) if method in ("auto", "transfer") else None
-    if method == "transfer" and kernels is None:
-        raise ValueError("quasimorphism is not window-additive")
-    if kernels is not None and method in ("auto", "transfer"):
-        if n < max(kernels):
-            return _short_word_log_partition(kernels, sft, n)
-        return float(_WindowTransfer(kernels, sft).log_partitions(n)[n - 1])
-    return _enumerated_log_partition(L, sft, n, cap=cap)
+    kernels = _method_kernels(L, sft, method)
+    if kernels is None:
+        return _enumerated_log_partition(L, sft, n, cap=cap)
+    if n < max(kernels):
+        return _short_word_log_partition(kernels, sft, n)
+    return float(_WindowTransfer(kernels, sft).log_partitions(n)[n - 1])
 
 
 def log_partition_sequence(L, sft, n_max, cap=None, method="auto"):
-    kernels = L.window_tables(sft.d) if method in ("auto", "transfer") else None
+    kernels = _method_kernels(L, sft, method)
     if kernels is not None:
         return _WindowTransfer(kernels, sft).log_partitions(n_max)
     return np.array([_enumerated_log_partition(L, sft, n, cap=cap) for n in range(1, n_max + 1)])
@@ -310,7 +318,7 @@ def mixing_ratio_report(mu, a, b, k_range):
             continue
         if k >= len(a):
             total_len = k + len(b)
-            if total_len > mu.max_depth:
+            if mu.max_depth is not None and total_len > mu.max_depth:
                 raise ResourceLimit(f"depth {total_len} not stored")
             joint = 0.0
             for w in sft.cylinders(total_len).words:
@@ -334,7 +342,7 @@ def weak_bernoulli_report(mu, n, gaps):
     rows = []
     for N in gaps:
         total_len = 2 * n + N
-        if total_len > mu.max_depth:
+        if mu.max_depth is not None and total_len > mu.max_depth:
             raise ResourceLimit(f"weak-Bernoulli at gap {N} needs depth {total_len}")
         codes = sft.cylinders(total_len).codes  # the prefix A and the suffix B of each word
         pair = idx_n.index_of_codes(codes // sft.d ** (n + N)) * S + idx_n.index_of_codes(
@@ -376,6 +384,8 @@ class EntropyReport:
 def entropy_report(mu, n_max=None):
     """Block entropies H_mu(depth-n partition), their rates, and the
     conditional-entropy extrapolation of h_mu."""
+    if n_max is not None and n_max < 1:
+        raise ValueError(f"entropy depth must be >= 1, got {n_max}")
     depths = [k for k in mu.depths() if n_max is None or k <= n_max]
     H = [float(-_plogp(mu.masses_at(k)).sum()) for k in depths]
     rates = [h / k for h, k in zip(H, depths)]
@@ -394,15 +404,15 @@ def qm_integral(mu, L, n):
     return float(sum(m * L.value(w) for m, w in zip(arr, idx.words)) / n)
 
 
-def window_expectation(masses_lookup, L, sft):
-    """Exact per-window mean of a window-additive L: the limit of qm_integral."""
+def window_expectation(mu, L, sft):
+    """Exact per-window mean of a window-additive L under mu: the limit of qm_integral."""
     kernels = L.window_tables(sft.d)
     if kernels is None:
         raise ValueError("window_expectation needs a window-additive L")
     total = 0.0
     for q, table in kernels.items():
         idx = sft.cylinders(q)
-        total += float(np.dot(masses_lookup(q), table[idx.codes]))
+        total += float(np.dot(mu.masses_at(q), table[idx.codes]))
     return total
 
 
@@ -415,23 +425,18 @@ def variational_check(L, sft, candidates, ptop, integral_depth=None):
     Candidates are (name, measure) pairs; a measure is either a MarkovMeasure
     (exact entropy and integral) or a CylinderMeasure (finite-depth numbers).
     """
+    if not candidates:
+        raise ValueError("variational_check needs at least 1 candidate measure")
     rows = []
     additive = L.window_tables(sft.d) is not None
     for name, mu in candidates:
-        if hasattr(mu, "entropy_exact"):
-            h = mu.entropy_exact()
-            if additive:
-                integ = window_expectation(lambda q: mu.cylinder_masses(q), L, sft)
-            else:
-                depth = integral_depth or 8
-                integ = qm_integral(mu.cylinder_measure(depth), L, depth)
+        exact = hasattr(mu, "entropy_exact")
+        h = mu.entropy_exact() if exact else entropy_report(mu).h_extrapolated
+        if additive:
+            integ = window_expectation(mu, L, sft)
         else:
-            h = entropy_report(mu).h_extrapolated
-            if additive:
-                integ = window_expectation(lambda q: mu.masses_at(q), L, sft)
-            else:
-                depth = integral_depth or mu.max_depth
-                integ = qm_integral(mu, L, depth)
+            depth = integral_depth or mu.max_depth or 8  # a Markov chain has no max_depth
+            integ = qm_integral(mu, L, depth)
         rows.append({
             "name": name,
             "entropy": float(h),

@@ -349,7 +349,8 @@ QM01 = {"kind": "pattern_count", "pattern": "12"}
 MC = {"sft": F2, "qm": QM01, "seed": 1}
 SPHERE = {"rank": 2, "pattern": "ab", "n": 16, "count": 0, "seed": 1}
 NO_TRIALS = "need at least 1 trial or sample, got 0"
-REFUSED = {  # Monte Carlo runs too small to give a statistic, and the bound each names
+COB = {"sft": F2, "phi": {"coboundary_of": {"memory": 1, "values": {"1": 1.0}}}, "depth": 2}
+REFUSED = {  # runs too small or empty to give a result, and the bound each names
     "clt-without-trials": ("clt", dict(MC, n=16, trials=0), "trials must be >= 1"),
     "invariance-without-trials": ("invariance", dict(MC, n=16, trials=0), NO_TRIALS),
     "deviations-without-trials": ("deviations", dict(MC, n_list=[8, 16], trials=0, delta=0.1),
@@ -371,6 +372,20 @@ REFUSED = {  # Monte Carlo runs too small to give a statistic, and the bound eac
                                      "n must be >= 1, got -3"),
     "rays-of-length-zero": ("spherical", dict(SPHERE, n=0, count=16, mode="ray"),
                             "n must be >= 1, got 0"),
+    "coboundary-without-terms": ("coboundary", dict(COB, N=0), "N must be >= 1, got 0"),
+    "coboundary-at-negative-terms": ("coboundary", dict(COB, N=-1), "N must be >= 1, got -1"),
+    "entropy-at-depth-zero": ("entropy", {"sft": F2, "measure": {"kind": "parry"}, "depth": 0},
+                              "entropy depth must be >= 1, got 0"),
+    "entropy-of-bernoulli-at-negative-depth": (
+        "entropy", {"sft": F2, "measure": {"kind": "bernoulli", "p": [0.5, 0.5], "depth": 3},
+                    "depth": -1}, "entropy depth must be >= 1, got -1"),
+    "komlos-without-lengths": ("komlos", {"sft": F2, "qm": QM01, "n_list": [], "depth": 2},
+                               "n_list must be nonempty and strictly increasing, got []"),
+    "potential-at-depth-zero": ("potential", {"sft": F2, "measure": {"kind": "parry"}, "depth": 0},
+                                "potential depth must be >= 1, got 0"),
+    "variational-without-candidates": (
+        "variational", {"sft": F2, "qm": QM01, "n_max": 8, "candidates": []},
+        "variational_check needs at least 1 candidate measure"),
 }
 
 
@@ -379,10 +394,30 @@ def test_too_small_monte_carlo_runs_exit_two_naming_the_bound(case):
     from thermoqm import cli
 
     op, cfg, bound = REFUSED[case]
+    # a negative N never returns from _matrix_power (-1 >> 1 == -1): refuse before either
     with mock.patch.object(cli.experiments, "_simulate_block",
-                           side_effect=AssertionError("sampled before refusing")):
+                           side_effect=AssertionError("sampled before refusing")), \
+            mock.patch.object(cli.bowen, "_matrix_power",
+                              side_effect=AssertionError("solved before refusing")):
         code, summary = cli.execute(op, cfg, None)
     assert code == 2 and bound in summary["error"], summary["error"]
+
+
+TABULATED = {"kind": "tabulated", "tables": {"1": {"1": 1.0, "2": 0.5}}, "defect": 1.0}
+
+
+@pytest.mark.parametrize("method,qm,error", [
+    ("Transfer", QM01, "method must be 'auto', 'transfer' or 'enumerate', got 'Transfer'"),
+    ("transfer", TABULATED, "quasimorphism is not window-additive"),
+], ids=["unknown-method", "transfer-without-window-tables"])
+def test_pressure_method_is_checked_before_evaluating(method, qm, error):
+    from thermoqm import cli
+
+    with mock.patch.object(cli.thermo, "_enumerated_log_partition",
+                           side_effect=AssertionError("enumerated before checking")):
+        code, summary = cli.execute("pressure", {"sft": F2, "qm": qm, "n_max": 8,
+                                                 "method": method}, None)
+    assert (code, summary["error"]) == (2, f"ValueError: {error}")
 
 
 MINIMAL = {  # each op with its required keys only, at small sizes

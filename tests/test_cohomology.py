@@ -157,3 +157,18 @@ def test_green_kubo_runs_past_the_pattern_length():
     var = mk.variance(par.potential, psi, par)
     assert var.n_terms >= 7
     assert var.agreement <= 1e-12
+
+
+def test_residual_gate_is_relative_to_h_on_a_sticky_chain():
+    # the chain leaves a letter with probability about 2e-9, so |h| is about
+    # 2.4e8 and a correct solve keeps a residual of 3e-8 (1e-16 relative to
+    # |h|), which the gate 1e-8 max(1, |psi|) refused with SingularSystem
+    sft = full_shift(2)
+    pot = mk.normalize_potential(mk.MarkovPotential(sft, 1, [20.0, 0.0, 0.0, 20.0]))[0]
+    mm = mk.markov_measure(pot)
+    psi = mk.LocallyConstantFn(sft, 1, [1.0, -1.0])
+    psi = psi - mk.LocallyConstantFn.constant(sft, mm.integral(psi))
+    sol = mk.solve_cohomological(pot, psi, mm)
+    assert sol.h_sup > 1e8 and 1e-8 < sol.residual <= 1e-15 * sol.h_sup
+    want = _dense_solve(pot, psi, mm)
+    assert np.abs(sol.h.values - want).max() <= 1e-12 * np.abs(want).max()

@@ -1,0 +1,412 @@
+"""One implementation per computation: the LIL on the block engine, the
+periodic-orbit sums on word arrays, quasicocycles from potentials through
+project_conditional and one mass interface, each against a frozen copy of
+the code it replaced."""
+
+import re
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from thermoqm import bowen, thermo
+from thermoqm import experiments as ex
+from thermoqm import markov as mk
+from thermoqm.errors import InconsistentVerdicts, InvalidMatrix, NotPrimitive, ZeroMass
+from thermoqm.freegroup import FreeGroup, brooks
+from thermoqm.measures import bernoulli_measure
+from thermoqm.qm import (
+    LetterWeights,
+    LinearCombinationQm,
+    PatternCount,
+    Quasicocycle,
+    TabulatedQm,
+    quasicocycle_of,
+)
+from thermoqm.sft import Sft, full_shift
+
+PROPERTY = settings(max_examples=30, deadline=None, derandomize=True, database=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+# -- frozen references ------------------------------------------------------------
+
+
+def old_depth_value(phi, k, word):
+    return float(phi.tables[k][phi.sft.cylinders(k).index(tuple(word)[:k])])
+
+
+def old_birkhoff_periodic(phi, word, n, depth=None):
+    k = phi.k_max if depth is None else depth
+    return sum(old_depth_value(phi, k, phi.sft.cyclic_window(word, l, k)) for l in range(n))
+
+
+def old_cyclic_birkhoff_average(f, sft, word):
+    word = tuple(word)
+    n = len(word)
+    return sum(f.value(sft.cyclic_window(word, j, max(f.m, 1))) for j in range(n)) / n
+
+
+def old_bowen_norm_estimate(phi, n_max):
+    sft = phi.sft
+    best = 0.0
+    for n in range(1, n_max + 1):
+        for w in sft.words(n):
+            vals = []
+            for ell in range(0, sft.M + 1):
+                for u in sft.words(ell) if ell else [()]:
+                    cand = w + u
+                    if sft.is_word(cand) and sft.wraps(cand):
+                        vals.append(old_birkhoff_periodic(phi, cand, n))
+            if len(vals) > 1:
+                best = max(best, max(vals) - min(vals))
+    return float(best)
+
+
+def old_degeneracy_test(psi, pot, mm, n_max=8, tol=1e-10):
+    sft = pot.sft
+    scale = max(1.0, psi.sup_norm())
+    var = mk.variance(pot, psi, mm)
+    sigma_trivial = var.sigma2_martingale <= tol * scale ** 2
+    worst, witness = 0.0, None
+    for n in range(1, n_max + 1):
+        for a in sft.periodic_words(n):
+            avg = abs(old_cyclic_birkhoff_average(psi, sft, a))
+            if avg > worst:
+                worst, witness = avg, a
+    livsic_trivial = worst <= tol * scale
+    if sigma_trivial != livsic_trivial:
+        raise InconsistentVerdicts(
+            f"sigma2 = {var.sigma2_martingale} but max periodic average = {worst}"
+        )
+    return {"sigma2": var.sigma2_martingale, "trivial": sigma_trivial,
+            "max_periodic_average": worst, "witness": witness}
+
+
+def old_delta_estimate(B):
+    best = 0.0
+    for total in range(2, B.n_max + 1):
+        idx = B.sft.cylinders(total)
+        for n in range(1, total):
+            m = total - n
+            for w in idx.words:
+                dev = abs(B.value(total, w) - B.value(n, w[:n]) - B.value(m, w[n:]))
+                best = max(best, dev)
+    return best
+
+
+def old_livsic_quasicocycle_test(B, B2, sft, n_max, tol=1e-8):
+    d1 = old_delta_estimate(B) + B.bowen_norm
+    d2 = old_delta_estimate(B2) + B2.bowen_norm
+    worst_gap = 0.0
+    for n in range(1, n_max + 1):
+        for a in sft.periodic_words(n):
+            depth = (B.n_max // n) * n if n <= B.n_max else None
+            depth2 = (B2.n_max // n) * n if n <= B2.n_max else None
+            if not depth or not depth2:
+                continue
+            c1 = B.value(depth, sft.cyclic_window(a, 0, depth)) / depth
+            c2 = B2.value(depth2, sft.cyclic_window(a, 0, depth2)) / depth2
+            r1, r2 = d1 / depth, d2 / depth2
+            gap = abs(c1 - c2)
+            worst_gap = max(worst_gap, gap)
+            if gap > r1 + r2 + tol:
+                return ("distinct", a, n, worst_gap, None)
+    sup_diff = 0.0
+    for n in range(1, min(B.n_max, B2.n_max) + 1):
+        sup_diff = max(sup_diff, float(np.abs(B.tables[n] - B2.tables[n]).max()))
+    diff = Quasicocycle(sft, {
+        n: B.tables[n] - B2.tables[n] for n in range(1, min(B.n_max, B2.n_max) + 1)
+    })
+    bound = old_delta_estimate(diff) + B.bowen_norm + B2.bowen_norm
+    check = {"sup_diff": sup_diff, "bound": bound, "ok": bool(sup_diff <= bound + tol)}
+    return ("cohomologous", None, n_max, worst_gap, check)
+
+
+def old_quasicocycle_from_potential(phi, mu, n_max):
+    sft, k, mass = phi.sft, phi.k_max, mu.mass
+    tables = {}
+    for n in range(1, n_max + 1):
+        idx = sft.cylinders(n)
+        vals = np.zeros(len(idx))
+        for i, w in enumerate(idx.words):
+            tot = 0.0
+            for l in range(n):
+                if l + k <= n:
+                    tot += old_depth_value(phi, k, w[l:l + k])
+                else:
+                    mw = mass(w)
+                    if mw <= 0:
+                        raise ZeroMass(f"cylinder {w} has no mass")
+                    acc = 0.0
+                    for v in sft.words(l + k - n):
+                        if sft.R[w[-1], v[0]]:
+                            mv = mass(w + v)
+                            if mv > 0:
+                                acc += mv * old_depth_value(phi, k, (w + v)[l:l + k])
+                    tot += acc / mw
+            vals[i] = tot
+        tables[n] = vals
+    return tables
+
+
+def old_lil(L, mm, n_max, seed, n_min=1000, sigma2=None, trial=0):
+    """The LIL before it ran on the engine: the orbit from sample_path, then
+    window codes through sliding_window_view and one cumsum."""
+    if sigma2 is None:
+        sigma2 = ex.sigma2_of(L, mm).sigma2_martingale
+    start = max(n_min, int(np.ceil((np.e + 1e-9) / sigma2)))
+    tables, e = L.window_tables(mm.sft.d), 0.0
+    kernels = {q: tables[q] for q in sorted(tables)}
+    for q, table in kernels.items():
+        e += float(np.dot(mm.cylinder_masses(q), table[mm.sft.cylinders(q).codes]))
+    symbols = ex.sample_path(mm, n_max, seed, trial=trial)
+    inc = np.zeros(n_max)
+    x = symbols.astype(np.int64)
+    for q, table in kernels.items():
+        win = np.lib.stride_tricks.sliding_window_view(x, q)
+        inc[q - 1:] += table[win @ (mm.sft.d ** np.arange(q - 1, -1, -1, dtype=np.int64))]
+    S = np.cumsum(inc) - np.arange(1, n_max + 1) * e
+    ns = np.arange(1, n_max + 1)
+    t = ns[start - 1:] * sigma2
+    stat = S[start - 1:] / np.sqrt(2.0 * t * np.log(np.log(t)))
+    k = int(np.argmax(stat))
+    grid = np.unique(np.geomspace(start, n_max, 200).astype(np.int64))
+    series = [(int(n), float(S[n - 1] / np.sqrt(2 * n * sigma2 * np.log(np.log(n * sigma2)))))
+              for n in grid]
+    return ex.LilResult(float(stat[k]), int(ns[start - 1 + k]), start, n_max, float(sigma2),
+                        series)
+
+
+def old_variational_check(L, sft, candidates, ptop, integral_depth=None):
+    rows = []
+    additive = L.window_tables(sft.d) is not None
+    for name, mu in candidates:
+        if hasattr(mu, "entropy_exact"):
+            h = mu.entropy_exact()
+            if additive:
+                integ = old_window_expectation(mu.cylinder_masses, L, sft)
+            else:
+                depth = integral_depth or 8
+                integ = thermo.qm_integral(mu.cylinder_measure(depth), L, depth)
+        else:
+            h = thermo.entropy_report(mu).h_extrapolated
+            if additive:
+                integ = old_window_expectation(mu.masses_at, L, sft)
+            else:
+                depth = integral_depth or mu.max_depth
+                integ = thermo.qm_integral(mu, L, depth)
+        rows.append({"name": name, "entropy": float(h), "integral": float(integ),
+                     "metric_pressure": float(h + integ), "shortfall": float(ptop - (h + integ))})
+    return rows
+
+
+def old_window_expectation(masses_lookup, L, sft):
+    total = 0.0
+    for q, table in L.window_tables(sft.d).items():
+        total += float(np.dot(masses_lookup(q), table[sft.cylinders(q).codes]))
+    return total
+
+
+# -- strategies --------------------------------------------------------------------
+
+
+@st.composite
+def primitive_sfts(draw):
+    d = draw(st.sampled_from([2, 3, 4]))
+    rows = draw(st.lists(st.lists(st.integers(0, 1), min_size=d, max_size=d),
+                         min_size=d, max_size=d))
+    try:
+        return Sft(rows)
+    except (InvalidMatrix, NotPrimitive):
+        assume(False)
+
+
+def _chain(sft, rng, memory=1):
+    pot = mk.MarkovPotential(sft, memory, rng.standard_normal(len(sft.cylinders(memory + 1))))
+    norm = mk.normalize_potential(pot)[0]
+    return norm, mk.markov_measure(norm)
+
+
+def _weak_bowen(sft, rng, k, reference=None):
+    return bowen.WeakBowenFn(
+        sft, {j: rng.standard_normal(len(sft.cylinders(j))) for j in range(1, k + 1)}, reference)
+
+
+# -- periodic-orbit sums on word arrays -------------------------------------------
+
+
+@PROPERTY
+@given(primitive_sfts(), st.integers(0, 2**32 - 1), st.integers(1, 3))
+def test_periodic_orbit_sums_equal_word_loops(sft, seed, k):
+    rng = np.random.default_rng(seed)
+    phi = _weak_bowen(sft, rng, k)
+    for n in range(1, 6):
+        for a in sft.periodic_words(n)[:12]:
+            for m in (1, n, 2 * n + 1):
+                for depth in range(1, k + 1):
+                    assert phi.birkhoff_periodic(a, m, depth) == old_birkhoff_periodic(
+                        phi, a, m, depth)
+            for f in (phi.as_lc(), mk.LocallyConstantFn.constant(sft, rng.standard_normal())):
+                assert mk.cyclic_birkhoff_average(f, sft, a) == old_cyclic_birkhoff_average(
+                    f, sft, a)
+    n_max = 4 if sft.d < 4 else 3
+    assert bowen.bowen_norm_estimate(phi, n_max) == old_bowen_norm_estimate(phi, n_max)
+
+
+@PROPERTY
+@given(primitive_sfts(), st.integers(0, 2**32 - 1), st.sampled_from(["random", "coboundary"]))
+def test_degeneracy_test_equals_word_loop(sft, seed, kind):
+    rng = np.random.default_rng(seed)
+    pot, mm = _chain(sft, rng)
+    g = mk.LocallyConstantFn(sft, 2, rng.standard_normal(len(sft.cylinders(2))))
+    psi = g - g.shift() if kind == "coboundary" else g - mk.LocallyConstantFn.constant(
+        sft, mm.integral(g))
+    try:
+        want = old_degeneracy_test(psi, pot, mm, n_max=6)
+    except InconsistentVerdicts as exc:
+        with pytest.raises(InconsistentVerdicts, match=re.escape(str(exc))):
+            mk.degeneracy_test(psi, pot, mm, n_max=6)
+        return
+    got = mk.degeneracy_test(psi, pot, mm, n_max=6)
+    assert got == want
+    assert type(got["max_periodic_average"]) is float
+
+
+@PROPERTY
+@given(primitive_sfts(), st.integers(0, 2**32 - 1),
+       st.sampled_from(["same", "scaled", "bumped", "random", "shallow"]))
+def test_delta_estimate_and_livsic_test_equal_word_loops(sft, seed, other):
+    rng = np.random.default_rng(seed)
+    n_max = 5 if sft.d < 4 else 4
+    tables = [{n: rng.standard_normal(len(sft.cylinders(n))) for n in range(1, n_max + 1)}
+              for _ in range(2)]
+    B = Quasicocycle(sft, tables[0])
+    B2 = {
+        "same": B,
+        "scaled": B.scaled(1.0 + rng.random()),
+        "bumped": B.shifted_by_bounded({n: 1e-3 * rng.standard_normal() for n in range(1, 3)}),
+        "random": Quasicocycle(sft, tables[1]),
+        "shallow": Quasicocycle(sft, {n: B.tables[n] * 0.5 for n in range(1, 3)}),
+    }[other]
+    assert B.delta_estimate() == old_delta_estimate(B)
+    for C in (B, B2, quasicocycle_of(PatternCount((0, 1)), sft, n_max)):
+        assert C.delta_estimate() == old_delta_estimate(C)
+    for tol in (1e-8, 10.0):
+        v = bowen.livsic_quasicocycle_test(B, B2, sft, 6, tol=tol)
+        want = old_livsic_quasicocycle_test(B, B2, sft, 6, tol=tol)
+        assert (v.verdict, v.witness, v.certificate_depth, v.max_gap, v.bound_check) == want
+        assert v.witness is None or type(v.witness[0]) is int
+
+
+# -- quasicocycles through project_conditional --------------------------------------
+
+
+@PROPERTY
+@given(primitive_sfts(), st.integers(0, 2**32 - 1), st.integers(1, 3))
+def test_quasicocycle_from_potential_matches_word_loop(sft, seed, k):
+    rng = np.random.default_rng(seed)
+    _, mm = _chain(sft, rng, memory=int(rng.integers(0, 3)))
+    phi = _weak_bowen(sft, rng, k)
+    n_max = 4 if sft.d < 4 else 3
+    for mu in (mm, mm.cylinder_measure(n_max - 1 + k)):
+        B = bowen.quasicocycle_from_potential(phi, mu, n_max)
+        want = old_quasicocycle_from_potential(phi, mu, n_max)
+        assert B.tables.keys() == want.keys()
+        for n, table in want.items():
+            scale = np.abs(table).max()
+            assert np.abs(B.tables[n] - table).max() <= 1e-13 * scale, n
+            if k == 1:  # no conditioning: the window sums in the same order
+                assert np.array_equal(B.tables[n], table)
+
+
+def test_quasicocycle_from_potential_refuses_shallow_or_null_measures():
+    sft = full_shift(2)
+    phi = _weak_bowen(sft, np.random.default_rng(3), 2)
+    with pytest.raises(bowen.DepthExceeded):
+        bowen.quasicocycle_from_potential(phi, bernoulli_measure(sft, [0.5, 0.5], range(1, 4)), 3)
+    dirac = bernoulli_measure(sft, [1.0, 0.0], range(1, 5))
+    with pytest.raises(ZeroMass):
+        bowen.quasicocycle_from_potential(phi, dirac, 3)
+
+
+# -- one mass interface -------------------------------------------------------------
+
+
+def test_markov_measure_answers_the_cylinder_measure_interface():
+    mm = mk.parry_measure(full_shift(3))
+    assert mm.max_depth is None
+    for k in (1, 2, 4):
+        assert mm.masses_at(k) is mm.cylinder_masses(k)
+
+
+def test_mixing_reports_read_a_markov_chain_at_any_depth():
+    _, mm = _chain(full_shift(2), np.random.default_rng(2), memory=2)
+    stored = mm.cylinder_measure(8)
+    assert thermo.weak_bernoulli_report(mm, 2, [0, 2, 4]) == thermo.weak_bernoulli_report(
+        stored, 2, [0, 2, 4])
+    assert thermo.mixing_ratio_report(mm, (0, 1), (1,), range(1, 6)) == \
+        thermo.mixing_ratio_report(stored, (0, 1), (1,), range(1, 6))
+
+
+@pytest.mark.parametrize("additive", [True, False], ids=["window-additive", "tabulated"])
+def test_variational_check_equals_the_per_type_branches(additive):
+    sft = full_shift(2)
+    rng = np.random.default_rng(5)
+    L = PatternCount((0, 1)) if additive else TabulatedQm(
+        {n: {w: float(rng.standard_normal()) for w in sft.words(n)} for n in (1, 2)},
+        defect_bound=1.0, extend=True)
+    _, mm = _chain(sft, rng, memory=2)
+    cands = [("parry", mk.parry_measure(sft)), ("chain", mm), ("cyl", mm.cylinder_measure(6)),
+             ("bern", bernoulli_measure(sft, [0.3, 0.7], range(1, 6)))]
+    for depth in (None, 4):
+        assert thermo.variational_check(L, sft, cands, 0.7, depth) == old_variational_check(
+            L, sft, cands, 0.7, depth)
+
+
+# -- the LIL on the block engine ------------------------------------------------------
+
+F2 = FreeGroup(2)
+LIL_CASES = {  # name: (quasimorphism, chain, n_max); abaBa's Gibbs chain has 108 states
+    "letter-weights": (LetterWeights([0.5, -0.5]), mk.parry_measure(full_shift(2)), 40000),
+    "count01": (PatternCount((0, 1)), mk.parry_measure(full_shift(2)), 40000),
+    "brooks-abaB": (brooks(F2, "abaB"), mk.parry_measure(F2.sft()), 20000),
+    "gibbs-abaBa": (brooks(F2, "abaBa"), None, 6000),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LIL_CASES))
+def test_lil_on_the_engine_equals_the_old_evaluation(case):
+    L, mm, n_max = LIL_CASES[case]
+    if mm is None:
+        mm = mk.gibbs_chain_from_qm(L, F2.sft())[0]
+        assert len(mm.stationary) == 108 > ex._SCAN_STATES  # the flat single-path walk
+    for seed, trial in ((3, 0), (4, 2)):
+        got = ex.lil_experiment(L, mm, n_max, seed, trial=trial)
+        want = old_lil(L, mm, n_max, seed, trial=trial)
+        assert got.summary() == want.summary()
+        assert got.series == want.series
+
+
+def test_lil_with_mixed_widths_moves_at_rounding_level():
+    """Widths 1 and 2: the engine adds them inside its running sum, the old
+    evaluation added them per position first, so only the last bits move."""
+    L = LinearCombinationQm([(0.7, LetterWeights([0.5, -0.25])), (1.3, PatternCount((0, 1)))])
+    mm = mk.parry_measure(full_shift(2))
+    got, want = ex.lil_experiment(L, mm, 30000, 7), old_lil(L, mm, 30000, 7)
+    assert got.argmax_n == want.argmax_n
+    assert got.sup_stat == pytest.approx(want.sup_stat, rel=1e-10)
+    assert [n for n, _ in got.series] == [n for n, _ in want.series]
+    assert np.allclose([s for _, s in got.series], [s for _, s in want.series], rtol=1e-10,
+                       atol=1e-12)
+
+
+def test_lil_samples_one_block_and_no_symbol_array(monkeypatch):
+    calls = []
+    simulate = ex._simulate_block
+    monkeypatch.setattr(ex, "_simulate_block", lambda p: calls.append(dict(p)) or simulate(p))
+    ex.lil_experiment(PatternCount((0, 1)), mk.parry_measure(full_shift(2)), 3000, 1, trial=5)
+    (p,) = calls
+    assert p["trial_range"] == (5, 6) and not p.get("want_symbols", False)
+    assert np.array_equal(p["checkpoints"], np.arange(1000, 3001))

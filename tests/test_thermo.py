@@ -6,7 +6,7 @@ import pytest
 from thermoqm import markov as mk
 from thermoqm import thermo
 from thermoqm.measures import bernoulli_measure, periodic_orbit_measure
-from thermoqm.qm import LetterWeights, PatternCount, Quasimorphism, zero_qm
+from thermoqm.qm import LetterWeights, PatternCount, Quasimorphism, TabulatedQm, zero_qm
 from thermoqm.sft import full_shift, golden_mean
 
 GOLD = (1 + np.sqrt(5)) / 2
@@ -32,6 +32,22 @@ def test_transfer_path_agrees_with_enumeration():
                 a = thermo.log_partition(L, sft, n, method="enumerate")
                 b = thermo.log_partition(L, sft, n, method="transfer")
                 assert b == pytest.approx(a, abs=1e-10)
+
+
+@pytest.mark.parametrize("fn", [thermo.log_partition, thermo.log_partition_sequence])
+def test_partition_method_is_checked_before_evaluating(fn, monkeypatch):
+    def enumerate_(*args, **kwargs):
+        raise AssertionError("enumerated before checking the method")
+
+    monkeypatch.setattr(thermo, "_enumerated_log_partition", enumerate_)
+    f = full_shift(2)
+    for method in ("Transfer", "", "exact"):
+        with pytest.raises(ValueError, match=f"^method must be 'auto', 'transfer' or "
+                                             f"'enumerate', got '{method}'$"):
+            fn(PatternCount((0, 1)), f, 6, method=method)
+    tabulated = TabulatedQm({1: {(0,): 1.0, (1,): 0.5}}, defect_bound=1.0, extend=True)
+    with pytest.raises(ValueError, match="^quasimorphism is not window-additive$"):
+        fn(tabulated, f, 6, method="transfer")
 
 
 def test_transfer_path_multi_width_kernels():
