@@ -423,6 +423,8 @@ def run_solve_cohomological(a):
     sft, mm = a["sft"], a["chain"]
     if "random" in a:
         r = a["random"]
+        if r["count"] < 1:
+            raise InvalidConfig(f"random.count must be >= 1, got {r['count']}")
         rng = experiments.trial_rng(r["seed"], 0)
         size = len(sft.cylinders(r["memory"]))
         psis = (markov.LocallyConstantFn(sft, r["memory"], rng.standard_normal(size))
@@ -442,6 +444,8 @@ def run_solve_cohomological(a):
 @op("variance", "sft qm|psi", "mc expect_sigma2", threshold_agreement=1e-8, expect_tol=1e-12,
     chain=None)
 def run_variance(a):
+    if "mc" in a and a["mc"]["trials"] < 2:
+        raise InvalidConfig(f"mc.trials must be >= 2 for a sample variance, got {a['mc']['trials']}")
     mm = a["chain"]
     psi = _centred(markov.per_step_fn(a["qm"], a["sft"]) if "qm" in a else a["psi"], mm)
     var = markov.variance(mm.potential, psi, mm)

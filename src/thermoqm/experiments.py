@@ -107,7 +107,7 @@ def markov_sampler_payload(mm):
     deg = np.bincount(g.src, minlength=len(g))
     last = (deg - 1)[:, None]
     edge = (np.cumsum(deg) - deg)[:, None] + np.minimum(np.arange(deg.max()), last)
-    succ_cum = np.cumsum(mm.kernel[g.src[edge], g.dst[edge]], axis=1)
+    succ_cum = np.cumsum(mm.edge_prob[edge], axis=1)
     succ_cum[np.arange(deg.max()) >= last] = 1.0
     init_cum = np.cumsum(mm.stationary)
     init_cum[-1] = 1.0
@@ -309,7 +309,7 @@ def _run_blocks(payload, trials, workers, block):
 # -- shared setup ------------------------------------------------------------------
 
 
-def path_functional_payload(L, mm, center=True):
+def path_functional_payload(L, mm):
     """Sampler payload plus kernel tables and the per-step mean of L."""
     sft = mm.sft
     kernels = L.window_tables(sft.d)
@@ -319,7 +319,7 @@ def path_functional_payload(L, mm, center=True):
             "(tabulated kinds cannot be evaluated along long paths)"
         )
     payload = markov_sampler_payload(mm)
-    e = window_expectation(mm, L, sft) if center else 0.0
+    e = window_expectation(mm, L, sft)
     payload.update(
         kernel_widths=tuple(sorted(kernels)),
         kernel_tables=tuple(kernels[q] for q in sorted(kernels)),
@@ -328,14 +328,14 @@ def path_functional_payload(L, mm, center=True):
     return payload, e
 
 
-def sigma2_of(L, mm, min_sigma2=1e-10):
+def sigma2_of(L, mm):
     """Two-way transfer-operator variance of the per-step observable of L."""
     ps = per_step_fn(L, mm.sft)
     e = mm.integral(ps)
     psi = ps - LocallyConstantFn.constant(mm.sft, e)
     var = variance(mm.potential, psi, mm)
     scale = max(1.0, psi.sup_norm()) ** 2
-    if var.sigma2_martingale <= min_sigma2 * scale:
+    if var.sigma2_martingale <= 1e-10 * scale:
         raise DegenerateSigma(
             f"sigma2 = {var.sigma2_martingale}; the quasimorphism is cohomologically trivial"
         )
@@ -525,8 +525,7 @@ def _weighted_line_fit(xs, ys, ws):
     return float((ws * (xs - xbar) * (ys - ybar)).sum() / den)
 
 
-def deviation_experiment(L, mm, n_list, trials, delta, seed, workers=1, block=2048,
-                         gauss_deltas=(0.5, 1.0, 1.5, 2.0)):
+def deviation_experiment(L, mm, n_list, trials, delta, seed, workers=1, block=2048):
     """Tail tables P(S_n / n >= delta) with a log-linear rate fit, plus the
     Gaussian-scale tail P(S_n / sqrt(n) >= delta') at the largest n."""
     n_list = sorted(set(int(n) for n in n_list))
@@ -557,7 +556,7 @@ def deviation_experiment(L, mm, n_list, trials, delta, seed, workers=1, block=20
         )
     last = res["checks"][:, -1] / np.sqrt(n_max)
     gauss_rows = []
-    for dg in gauss_deltas:
+    for dg in (0.5, 1.0, 1.5, 2.0):
         count = int((last >= dg).sum())
         gauss_rows.append({
             "delta": dg,

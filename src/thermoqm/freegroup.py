@@ -170,6 +170,8 @@ def pushforward_measure_enumerated(group, n, depth, cap=None):
 
 def compactification_experiment(group, n_list, depth):
     """TV distance between the cyclic-word pushforwards and the Parry chain."""
+    if not n_list:
+        raise ValueError(f"n_list must be nonempty, got {n_list}")
     sft = group.sft()
     parry = parry_measure(sft).cylinder_masses(depth)
     rows = []

@@ -1,13 +1,16 @@
 """Markov potentials, their normalization, stationary chains, and the exact
 finite-dimensional cohomological machinery behind the limit theorems.
 
-A memory-s potential is a table on (s+1)-cylinders.  Its transfer operator R
-acts on the locally constant functions LC_m (tables on m-cylinders) by one
-gather over the edges of the depth-(m-1) block graph, and maps LC_m into
-LC_max(t, m-1), t = max(s, 1).  The cohomological equation (Id - R) h = psi
-for psi in LC_N is therefore solved by memory reduction: R^K psi lies in LC_t
-for K = N - t, and h = sum_{k<K} R^k psi + (Id - R)|_{LC_t}^{-1} R^K psi.  The
-only dense solve is the bordered one on LC_t, the chain's own state space.
+A memory-s potential is a locally constant function on (s+1)-cylinders; its
+stationary chain is one transition probability per edge of the depth-t block
+graph, t = max(s, 1), whose edges are the (t+1)-words in index order (`kernel`
+is a dense view built on request).  The transfer operator R acts on the
+locally constant functions LC_m (tables on m-cylinders) by one gather over the
+edges of the depth-(m-1) block graph, and maps LC_m into LC_max(t, m-1).  The
+cohomological equation (Id - R) h = psi for psi in LC_N is therefore solved by
+memory reduction: R^K psi lies in LC_t for K = N - t, and h = sum_{k<K} R^k psi
++ (Id - R)|_{LC_t}^{-1} R^K psi.  The only dense solve is the bordered one on
+LC_t, the chain's own state space.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from .errors import (
     ZeroMass,
 )
 from .measures import CylinderMeasure
-from .sft import window_codes
+from .sft import kernel_sums, window_codes
 
 
 class LocallyConstantFn:
@@ -92,25 +95,19 @@ class LocallyConstantFn:
         return LocallyConstantFn(self.sft, self.m + 1, self._at_codes(codes % self.sft.d ** self.m))
 
 
-class MarkovPotential:
-    """Memory-s potential: a value table on the (s+1)-cylinders."""
+class MarkovPotential(LocallyConstantFn):
+    """Memory-s potential: a locally constant function with `table` on the (s+1)-cylinders."""
 
     def __init__(self, sft, memory, table, normalized=False):
-        self.sft = sft
+        super().__init__(sft, int(memory) + 1, table)
         self.s = int(memory)
-        table = np.asarray(table, dtype=float)
-        if table.shape != (len(sft.cylinders(self.s + 1)),):
-            raise ValueError("table must cover the (s+1)-cylinders")
-        self.table = table
+        self.table = self.values
         self.normalized = normalized
-
-    def value(self, word):
-        return float(self.table[self.sft.cylinders(self.s + 1).index(tuple(word)[: self.s + 1])])
 
     def normalization_defect(self):
         """max over w of |sum_a e^{phi(a.w)} - 1| (w at the chain's state depth)."""
         g = self.sft.block_graph(max(self.s, 1))
-        tot = np.bincount(g.dst, weights=np.exp(_edge_phi(self, g)), minlength=len(g))
+        tot = np.bincount(g.dst, weights=np.exp(self.as_memory(g.t + 1).values), minlength=len(g))
         return float(np.abs(tot - 1.0).max())
 
     @classmethod
@@ -125,30 +122,18 @@ class MarkovPotential:
             raise ValueError("quasimorphism is not window-additive")
         s = max(kernels) - 1
         codes = sft.cylinders(s + 1).codes
-        vals = 0.0
-        for q, table in kernels.items():
-            vals = vals + table[codes // sft.d ** (s + 1 - q)]
-        return cls(sft, s, vals)
+        return cls(sft, s, kernel_sums(kernels, codes, s + 1, sft.d, lambda q: [0]))
 
 
 def per_step_fn(L, sft):
     """The locally constant per-step observable whose Birkhoff sums track L."""
-    pot = MarkovPotential.from_qm(L, sft)
-    return LocallyConstantFn(sft, pot.s + 1, pot.table)
-
-
-def _edge_phi(pot, g):
-    """phi on the edges of block graph g (depth t >= s), read off each
-    edge's (s+1)-prefix."""
-    sft = pot.sft
-    prefix = g.ext // sft.d ** (g.t - pot.s)
-    return pot.table[sft.cylinders(pot.s + 1).index_of_codes(prefix)]
+    return MarkovPotential.from_qm(L, sft)
 
 
 def _transfer_on(pot, t):
     """(depth-t word index, dense transfer matrix of pot on LC_t)."""
     g = pot.sft.block_graph(t)
-    return g.states, g.matrix(np.exp(_edge_phi(pot, g)))
+    return g.states, g.matrix(np.exp(pot.as_memory(t + 1).values))
 
 
 def _block_transfer_matrix(pot):
@@ -171,7 +156,7 @@ def _is_primitive(B):
     return bool(P.all())
 
 
-def normalize_potential(pot, max_iter=10000, tol=1e-15):
+def normalize_potential(pot):
     """Return (normalized potential, Perron eigenvalue, positive eigenfunction).
 
     phi' = phi + log h - log h o tau - log lambda on memory max(s, 1); the
@@ -192,11 +177,11 @@ def normalize_potential(pot, max_iter=10000, tol=1e-15):
         h = -h
     lam = float(np.real(evals[k]))
     converged = False
-    for _ in range(max_iter):
+    for _ in range(10000):
         h_new = M @ h
         lam = float(h_new.sum() / h.sum())
         h_new /= h_new.sum()
-        if np.abs(h_new - h).max() < tol:
+        if np.abs(h_new - h).max() < 1e-15:
             h = h_new
             converged = True
             break
@@ -206,7 +191,7 @@ def normalize_potential(pot, max_iter=10000, tol=1e-15):
     if lam <= 0 or (h <= 0).any():
         raise NumericalFailure("Perron pair is not positive")
     logh = np.log(h)
-    vals = _edge_phi(pot, g) + logh[g.src] - logh[g.dst] - np.log(lam)
+    vals = pot.as_memory(t + 1).values + logh[g.src] - logh[g.dst] - np.log(lam)
     out = MarkovPotential(sft, t, vals, normalized=True)
     defect = out.normalization_defect()
     if defect > 1e-12:
@@ -216,17 +201,18 @@ def normalize_potential(pot, max_iter=10000, tol=1e-15):
 
 
 class MarkovMeasure:
-    """Stationary chain of a normalized potential, with exact cylinder masses
-    at every depth (read by masses_at, as on a CylinderMeasure)."""
+    """Stationary chain of a normalized potential, one probability per edge of its block
+    graph, with exact cylinder masses at every depth (masses_at, as on a CylinderMeasure)."""
 
     max_depth = None  # no deepest stored depth
 
-    def __init__(self, sft, potential, states, kernel, stationary):
+    def __init__(self, sft, potential, edge_prob, stationary):
         self.sft = sft
         self.potential = potential  # normalized MarkovPotential, memory t
         self.t = max(potential.s, 1)
-        self.states = states  # WordIndex at depth t
-        self.kernel = kernel  # row-stochastic over states
+        self.graph = sft.block_graph(self.t)
+        self.states = self.graph.states  # WordIndex at depth t
+        self.edge_prob = edge_prob  # P(src -> dst) on each edge of graph
         self.stationary = stationary
         self._mass_cache = {}
         self._lam2 = None
@@ -234,6 +220,11 @@ class MarkovMeasure:
     @property
     def s(self):
         return self.potential.s
+
+    @property
+    def kernel(self):
+        """The row-stochastic S x S matrix over states, built on each call."""
+        return self.graph.matrix(self.edge_prob).T
 
     def lam2(self):
         """Modulus of the second eigenvalue of the chain kernel (computed once)."""
@@ -252,11 +243,10 @@ class MarkovMeasure:
             prefix = sft.cylinders(k).index_of_codes(self.states.codes // d ** (t - k))
             out = np.bincount(prefix, weights=self.stationary, minlength=len(sft.cylinders(k)))
         else:
-            # edges of the depth-(k-1) graph are the k-words, in index order
+            # the k-words (depth-(k-1) edges) step by the chain's edge on their last t+1 symbols
             g = sft.block_graph(k - 1)
-            src = self.states.index_of_codes(g.ext // d % d ** t)
-            dst = self.states.index_of_codes(g.ext % d ** t)
-            out = self.cylinder_masses(k - 1)[g.src] * self.kernel[src, dst]
+            edge = sft.cylinders(t + 1).index_of_codes(g.ext % d ** (t + 1))
+            out = self.cylinder_masses(k - 1)[g.src] * self.edge_prob[edge]
         self._mass_cache[k] = out
         return out
 
@@ -277,10 +267,9 @@ class MarkovMeasure:
         )
 
     def entropy_exact(self):
-        P, pi = self.kernel, self.stationary
-        with np.errstate(divide="ignore", invalid="ignore"):
-            logP = np.where(P > 0, np.log(np.where(P > 0, P, 1.0)), 0.0)
-        return float(-(pi[:, None] * P * logP).sum())
+        p = self.edge_prob
+        logp = np.log(np.where(p > 0, p, 1.0))  # 0 log 0 = 0
+        return float(-(self.stationary[self.graph.src] * p * logp).sum())
 
     def integral(self, f):
         """Exact integral of a LocallyConstantFn."""
@@ -305,23 +294,22 @@ def markov_measure(pot):
     sft = pot.sft
     g = sft.block_graph(max(pot.s, 1))
     S = len(g)
-    A = np.zeros((S, S))
-    A[g.src, g.dst] = np.exp(_edge_phi(pot, g))
+    w = np.exp(pot.as_memory(g.t + 1).values)
     try:
-        m = np.linalg.solve(A - np.eye(S) + np.ones((S, S)) / S, np.full(S, 1.0 / S))
+        m = np.linalg.solve(g.matrix(w).T - np.eye(S) + np.ones((S, S)) / S, np.full(S, 1.0 / S))
     except np.linalg.LinAlgError as exc:
-        p = A[g.src, g.dst].min()
+        p = w.min()
         why = (f"; the smallest transition probability {p:.3g} lies below float64 resolution, "
                "so the chain is numerically reducible" if p < np.finfo(float).eps else "")
         raise NumericalFailure(f"stationary solve failed: {exc}{why}") from exc
     if (m <= 0).any():
         raise NumericalFailure("stationary vector not positive")
     m /= m.sum()
-    kernel = A * m[None, :] / m[:, None]
-    fix = np.abs(m @ kernel - m).max()
+    edge_prob = w * m[g.dst] / m[g.src]
+    fix = np.abs(np.bincount(g.dst, m[g.src] * edge_prob, S) - m).max()
     if fix > 1e-12:
         raise NumericalFailure(f"stationary fix-point defect {fix}")
-    return MarkovMeasure(sft, pot, g.states, kernel, m)
+    return MarkovMeasure(sft, pot, edge_prob, m)
 
 
 def parry_measure(sft):
@@ -349,7 +337,7 @@ def transfer_apply(pot, f):
         raise ValueError("transfer_apply expects a normalized potential")
     r = max(pot.s, f.m - 1, 1)
     g = pot.sft.block_graph(r)
-    w = np.exp(_edge_phi(pot, g)) * f.as_memory(r + 1).values
+    w = np.exp(pot.as_memory(r + 1).values) * f.as_memory(r + 1).values
     return LocallyConstantFn(pot.sft, r, np.bincount(g.dst, weights=w, minlength=len(g)))
 
 
@@ -393,7 +381,7 @@ class CohomologySolve:
     lam2: float
 
 
-def solve_cohomological(pot, psi, mm, tol_mean=1e-10):
+def solve_cohomological(pot, psi, mm):
     """Solve (Id - R) h = psi exactly on the zero-mean part of LC_N, as
     h = sum_{k<K} R^k psi + g, K = N - t, with g from the bordered system
     (Id - R + 1 masses^T) g = R^K psi on LC_t (R preserves every mean)."""
@@ -402,7 +390,7 @@ def solve_cohomological(pot, psi, mm, tol_mean=1e-10):
     psi = psi.as_memory(N)
     scale = max(1.0, psi.sup_norm())
     mean = mm.integral(psi)
-    if abs(mean) > tol_mean * scale:
+    if abs(mean) > 1e-10 * scale:
         raise MeanNotZero(f"integral of psi is {mean}")
     h_vals = np.zeros(len(pot.sft.cylinders(N)))
     f = psi
@@ -455,7 +443,7 @@ class VarianceResult:
         }
 
 
-def variance(pot, psi, mm, tail_tol=1e-13, n_cut=None):
+def variance(pot, psi, mm):
     """Two-way CLT variance: ||psi_bar||^2 and the Green-Kubo series."""
     N = max(psi.m, pot.s, 1)
     psi = psi.as_memory(N)
@@ -465,11 +453,10 @@ def variance(pot, psi, mm, tail_tol=1e-13, n_cut=None):
     sigma2 = mm.l2_norm_sq(psi)
     scale = max(1.0, sigma2)
     lam2 = solve.lam2
-    if n_cut is None:
-        if lam2 < 1e-12:
-            n_cut = 64
-        else:
-            n_cut = int(min(20000, max(64, np.ceil(np.log(tail_tol) / np.log(lam2)) * 4)))
+    if lam2 < 1e-12:
+        n_cut = 64
+    else:
+        n_cut = int(min(20000, max(64, np.ceil(np.log(1e-13) / np.log(lam2)) * 4)))
     f = psi
     small = 0
     n_used = 0
@@ -479,7 +466,7 @@ def variance(pot, psi, mm, tail_tol=1e-13, n_cut=None):
         sigma2 += 2.0 * term
         n_used = n
         # lags shorter than the memory of psi can correlate exactly zero
-        small = small + 1 if n >= N and abs(term) < tail_tol * scale else 0
+        small = small + 1 if n >= N and abs(term) < 1e-13 * scale else 0
         if small >= 5:
             break
     agreement = abs(sigma2_mart - sigma2)

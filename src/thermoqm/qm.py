@@ -285,12 +285,11 @@ class PerturbedQm(Quasimorphism):
 
     kind = "bounded_perturbation"
 
-    def __init__(self, base, bump, bump_sup=None):
+    def __init__(self, base, bump):
         self.base = base
         self.bump = bump
-        if bump_sup is None:
-            bump_sup = max((abs(v) for t in bump.tables.values() for v in t.values()), default=0.0)
-        self.bump_sup = float(bump_sup)
+        sup = max((abs(v) for t in bump.tables.values() for v in t.values()), default=0.0)
+        self.bump_sup = float(sup)
         self.defect_bound = base.defect_bound + 3.0 * self.bump_sup
 
     def value(self, word):
@@ -463,6 +462,8 @@ def cohomologous(L, L2, sft, n_max, m=None, resolution=1e-2, cap=None):
     all intervals overlapped and shrank below `resolution`, a bounded-depth
     certificate only.
     """
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
     delta = max(L.defect_bound, L2.defect_bound)
     if m is None:
         m = max(1, int(np.ceil(2.0 * delta / resolution)))

@@ -391,6 +391,16 @@ def window_codes(arr, start, width, d):
     return code
 
 
+def kernel_sums(kernels, codes, n, d, starts):
+    """Sums over `kernels` {q: table} in dict order, then over i in starts(q), of the
+    table at the width-q window from symbol i of n-symbol words with these base-d codes."""
+    out = np.zeros(len(codes))
+    for q, table in kernels.items():
+        for i in starts(q):
+            out = out + table[codes // d ** (n - q - i) % d**q]
+    return out
+
+
 def render_word(word):
     """1-based external rendering; comma separated once symbols pass 9, with a
     trailing comma on a one-symbol word ("10,") so it differs from "1", "0"."""

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ResourceLimit
 from .measures import CylinderMeasure
-from .sft import window_codes
+from .sft import kernel_sums, window_codes
 
 
 # -- partition functions -------------------------------------------------------
@@ -63,17 +63,12 @@ class _WindowTransfer:
         t = max(self.Q - 1, 1)
         g = sft.block_graph(t)
         S = len(g)
-        w = 0.0
-        for q, table in kernels.items():
-            w = w + table[g.ext % d**q]
+        w = kernel_sums(kernels, g.ext, t + 1, d, lambda q: [t + 1 - q])
         self.weights, self.sources = g.incoming(np.exp(w))
         if self.Q == 1:
             self.base, self.init, self.close = 0, np.ones(S), np.eye(S)
         else:
-            w = np.zeros(S)
-            for q, table in kernels.items():
-                for i in range(t - q + 1):
-                    w = w + table[g.codes // d ** (t - q - i) % d**q]
+            w = kernel_sums(kernels, g.codes, t, d, lambda q: range(t - q + 1))
             self.base, self.init = t, np.exp(w)
             self.close = sft.R[g.codes % d].astype(float)
         self.V0 = np.zeros((S, d))

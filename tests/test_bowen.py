@@ -287,6 +287,11 @@ def test_livsic_quasicocycle_verdicts():
     bump = {n: 0.05 * np.ones(len(f.cylinders(n))) for n in range(1, 9)}
     v3 = bowen.livsic_quasicocycle_test(B1, B1.shifted_by_bounded(bump), f, 6)
     assert v3.verdict == "cohomologous"
+    B11 = quasicocycle_of(PatternCount((1, 1)), f, 8)
+    assert bowen.livsic_quasicocycle_test(B1, B11, f, 6).verdict == "distinct"
+    for n_max in (0, -3):  # no period compared is no certificate
+        with pytest.raises(ValueError, match=f"n_max must be >= 1, got {n_max}"):
+            bowen.livsic_quasicocycle_test(B1, B11, f, n_max)
 
 
 def test_quasicocycle_from_potential_delta_bound():

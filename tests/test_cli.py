@@ -349,6 +349,7 @@ QM01 = {"kind": "pattern_count", "pattern": "12"}
 MC = {"sft": F2, "qm": QM01, "seed": 1}
 SPHERE = {"rank": 2, "pattern": "ab", "n": 16, "count": 0, "seed": 1}
 NO_TRIALS = "need at least 1 trial or sample, got 0"
+LIVSIC = {"sft": F2, "qm": QM01, "qm2": {"kind": "pattern_count", "pattern": "11"}}
 COB = {"sft": F2, "phi": {"coboundary_of": {"memory": 1, "values": {"1": 1.0}}}, "depth": 2}
 REFUSED = {  # runs too small or empty to give a result, and the bound each names
     "clt-without-trials": ("clt", dict(MC, n=16, trials=0), "trials must be >= 1"),
@@ -386,6 +387,16 @@ REFUSED = {  # runs too small or empty to give a result, and the bound each name
     "variational-without-candidates": (
         "variational", {"sft": F2, "qm": QM01, "n_max": 8, "candidates": []},
         "variational_check needs at least 1 candidate measure"),
+    "livsic-without-periods": ("livsic", dict(LIVSIC, n_max=0), "n_max must be >= 1, got 0"),
+    "livsic-at-negative-period": ("livsic", dict(LIVSIC, n_max=-3), "n_max must be >= 1, got -3"),
+    "variance-from-one-trial": ("variance", {"sft": F2, "qm": QM01,
+                                             "mc": {"n": 16, "trials": 1, "seed": 1}},
+                                "mc.trials must be >= 2 for a sample variance, got 1"),
+    "compactify-without-lengths": ("compactify", {"rank": 2, "n_list": [], "depth": 2},
+                                   "n_list must be nonempty, got []"),
+    "solve-cohomological-without-psis": (
+        "solve-cohomological", {"sft": F2, "random": {"memory": 2, "count": 0, "seed": 1}},
+        "random.count must be >= 1, got 0"),
 }
 
 
