@@ -13,7 +13,6 @@ from thermoqm import (
     markov_measure,
     martingale_part,
     normalize_potential,
-    per_step_fn,
     solve_cohomological,
     transfer_apply,
     variance,
@@ -34,7 +33,7 @@ print("stationary vector:", mm.stationary)
 print("second eigenvalue modulus:", mm.lam2())
 
 # Center the per-step observable and solve (Id - R) h = psi exactly.
-ps = per_step_fn(c01, f)
+ps = MarkovPotential.from_qm(c01, f)
 psi = ps - LocallyConstantFn.constant(f, mm.integral(ps))
 sol = solve_cohomological(norm, psi, mm)
 print(f"\ncohomological solve residual: {sol.residual:.2e}"

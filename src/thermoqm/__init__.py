@@ -41,7 +41,6 @@ from .markov import (
     martingale_part,
     normalize_potential,
     parry_measure,
-    per_step_fn,
     project_conditional,
     solve_cohomological,
     transfer_apply,

@@ -203,7 +203,7 @@ class CoboundarySolve:
     u_sup: float
     cesaro_drift: float  # sup |u_{2N} - u_N|
     n_terms: int
-    bowen_bound: float | None = None  # 6 ||phi||_B estimate when available
+    bowen_bound: float | None = None  # 6 ||phi||_B; no solve estimates it, summary.json prints null
 
     def to_json(self):
         return {
@@ -235,7 +235,7 @@ def _cesaro_average(A, Kpow_n, phi0, N):
     return s1 - s2 / N
 
 
-def coboundary_solve(phi, mu, N, depth, strict=False, bowen_bound=None):
+def coboundary_solve(phi, mu, N, depth, strict=False):
     """Depth-restricted Cesàro solve of u - u o tau = phi under mu.
 
     Returns the average u_N and the sup residual of the cohomological
@@ -278,7 +278,7 @@ def coboundary_solve(phi, mu, N, depth, strict=False, bowen_bound=None):
     if strict and not vanishing:
         raise NonConvergence(f"residual {res} does not shrink when N doubles ({res2})")
     return CoboundarySolve(
-        u, res, res2, vanishing, u.sup_norm(), drift, N, bowen_bound
+        u, res, res2, vanishing, u.sup_norm(), drift, N
     )
 
 

@@ -414,7 +414,7 @@ def run_normalize(a):
         "log_lambda": log_lam,
         "normalization_defect": defect,
         "checks": [check("normalization_defect", defect, 1e-12)],
-    }, {"normalized.json": _table_json(a["sft"], norm.s + 1, norm.table,
+    }, {"normalized.json": _table_json(a["sft"], norm.m, norm.values,
                                        memory=norm.s, log_lambda=log_lam)}
 
 
@@ -447,7 +447,7 @@ def run_variance(a):
     if "mc" in a and a["mc"]["trials"] < 2:
         raise InvalidConfig(f"mc.trials must be >= 2 for a sample variance, got {a['mc']['trials']}")
     mm = a["chain"]
-    psi = _centred(markov.per_step_fn(a["qm"], a["sft"]) if "qm" in a else a["psi"], mm)
+    psi = _centred(markov.MarkovPotential.from_qm(a["qm"], a["sft"]) if "qm" in a else a["psi"], mm)
     var = markov.variance(mm.potential, psi, mm)
     sigma2 = var.sigma2_martingale
     checks = [check("two_way_agreement", var.agreement, a["threshold_agreement"] * (1 + sigma2))]

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSigma
-from .markov import LocallyConstantFn, per_step_fn, variance
+from .markov import LocallyConstantFn, MarkovPotential, variance
 from .sft import symbol_dtype
 from .thermo import window_expectation
 
@@ -330,7 +330,7 @@ def path_functional_payload(L, mm):
 
 def sigma2_of(L, mm):
     """Two-way transfer-operator variance of the per-step observable of L."""
-    ps = per_step_fn(L, mm.sft)
+    ps = MarkovPotential.from_qm(L, mm.sft)
     e = mm.integral(ps)
     psi = ps - LocallyConstantFn.constant(mm.sft, e)
     var = variance(mm.potential, psi, mm)

@@ -96,13 +96,15 @@ class LocallyConstantFn:
 
 
 class MarkovPotential(LocallyConstantFn):
-    """Memory-s potential: a locally constant function with `table` on the (s+1)-cylinders."""
+    """Memory-s potential: a locally constant function with `values` on the (s+1)-cylinders."""
 
     def __init__(self, sft, memory, table, normalized=False):
         super().__init__(sft, int(memory) + 1, table)
-        self.s = int(memory)
-        self.table = self.values
         self.normalized = normalized
+
+    @property
+    def s(self):
+        return self.m - 1
 
     def normalization_defect(self):
         """max over w of |sum_a e^{phi(a.w)} - 1| (w at the chain's state depth)."""
@@ -111,23 +113,19 @@ class MarkovPotential(LocallyConstantFn):
         return float(np.abs(tot - 1.0).max())
 
     @classmethod
-    def zero(cls, sft):
-        return cls(sft, 0, np.zeros(len(sft.cylinders(1))))
+    def constant(cls, sft, c):
+        """The memory-0 potential c, one value per symbol."""
+        return cls(sft, 0, np.full(len(sft.cylinders(1)), float(c)))
 
     @classmethod
     def from_qm(cls, L, sft):
-        """Lift the window kernels of a window-additive L to one potential table."""
+        """The per-step potential whose Birkhoff sums track a window-additive L."""
         kernels = L.window_tables(sft.d)
         if kernels is None:
             raise ValueError("quasimorphism is not window-additive")
         s = max(kernels) - 1
         codes = sft.cylinders(s + 1).codes
         return cls(sft, s, kernel_sums(kernels, codes, s + 1, sft.d, lambda q: [0]))
-
-
-def per_step_fn(L, sft):
-    """The locally constant per-step observable whose Birkhoff sums track L."""
-    return MarkovPotential.from_qm(L, sft)
 
 
 def _transfer_on(pot, t):
@@ -314,7 +312,7 @@ def markov_measure(pot):
 
 def parry_measure(sft):
     """The maximal-entropy (Parry) chain of the subshift."""
-    pot, _, _ = normalize_potential(MarkovPotential.zero(sft))
+    pot, _, _ = normalize_potential(MarkovPotential.constant(sft, 0.0))
     return markov_measure(pot)
 
 

@@ -184,9 +184,9 @@ def test_criterion_07_variance_two_way(chains, solver_runs):
     ok &= iid_err <= 1e-12
     # Monte Carlo Var(S_n)/n against the exact sigma^2
     L = PatternCount((0, 1))
+    ps = mk.MarkovPotential.from_qm(L, f)
     var01 = mk.variance(par.potential,
-                        mk.per_step_fn(L, f) - mk.LocallyConstantFn.constant(
-                            f, par.integral(mk.per_step_fn(L, f))), par)
+                        ps - mk.LocallyConstantFn.constant(f, par.integral(ps)), par)
     res = ex.clt_experiment(L, par, n=10 ** 4, trials=5000, seed=303,
                             sigma2=var01.sigma2_martingale)
     emp = float(res.stats.var(ddof=1)) * var01.sigma2_martingale

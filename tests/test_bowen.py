@@ -45,7 +45,7 @@ def test_potential_matches_normalized_chain_table():
     f = full_shift(2)
     mm, pot, _ = mk.gibbs_chain_from_qm(PatternCount((0, 1)), f)
     phi = bowen.potential_from_measure(mm, 2)
-    assert np.allclose(phi.tables[2], pot.table, atol=1e-12)
+    assert np.allclose(phi.tables[2], pot.values, atol=1e-12)
 
 
 def test_normalization_holds_when_invariance_holds():

@@ -152,7 +152,7 @@ def test_green_kubo_runs_past_the_pattern_length():
     G = fg.FreeGroup(2)
     sft = G.sft()
     par = mk.parry_measure(sft)
-    ps = mk.per_step_fn(fg.brooks(G, "abaBabb"), sft)
+    ps = mk.MarkovPotential.from_qm(fg.brooks(G, "abaBabb"), sft)
     psi = ps - mk.LocallyConstantFn.constant(sft, par.integral(ps))
     var = mk.variance(par.potential, psi, par)
     assert var.n_terms >= 7

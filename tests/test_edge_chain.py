@@ -30,7 +30,7 @@ PROPERTY = settings(max_examples=30, deadline=None, derandomize=True, database=N
 def old_edge_phi(pot, g):
     sft = pot.sft
     prefix = g.ext // sft.d ** (g.t - pot.s)
-    return pot.table[sft.cylinders(pot.s + 1).index_of_codes(prefix)]
+    return pot.values[sft.cylinders(pot.s + 1).index_of_codes(prefix)]
 
 
 def old_markov_measure(pot):
@@ -201,9 +201,7 @@ def test_window_sums_equal_the_three_loops(sft, seed):
     kernels = L.window_tables(sft.d)
     s, table = old_from_qm_table(kernels, sft)
     pot = mk.MarkovPotential.from_qm(L, sft)
-    assert pot.s == s and np.array_equal(pot.table, table)
-    ps = mk.per_step_fn(L, sft)
-    assert ps.m == s + 1 and np.array_equal(ps.values, table)
+    assert pot.s == s and pot.m == s + 1 and np.array_equal(pot.values, table)
     wt = thermo._WindowTransfer(kernels, sft)
     weights, sources, init = old_window_transfer(kernels, sft)
     assert np.array_equal(wt.weights, weights) and np.array_equal(wt.sources, sources)
@@ -217,7 +215,7 @@ def test_window_sums_of_library_kinds_equal_the_loops():
               LinearCombinationQm([(0.5, LetterWeights([1.0, -2.0, 0.5, 0.0])),
                                    (-1.5, PatternCount((0, 0, 2)))])):
         kernels = L.window_tables(sft.d)
-        assert np.array_equal(mk.MarkovPotential.from_qm(L, sft).table,
+        assert np.array_equal(mk.MarkovPotential.from_qm(L, sft).values,
                               old_from_qm_table(kernels, sft)[1])
         weights, sources, init = old_window_transfer(kernels, sft)
         wt = thermo._WindowTransfer(kernels, sft)

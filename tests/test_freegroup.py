@@ -123,7 +123,7 @@ def test_brooks_ab_variance_closed_form(G):
     sft = G.sft()
     mm = mk.parry_measure(sft)
     h = fg.brooks(G, "ab")
-    ps = mk.per_step_fn(h, sft)
+    ps = mk.MarkovPotential.from_qm(h, sft)
     psi = ps - mk.LocallyConstantFn.constant(sft, mm.integral(ps))
     var = mk.variance(mm.potential, psi, mm)
     assert var.sigma2_martingale == pytest.approx(5 / 24, abs=1e-12)

@@ -15,18 +15,24 @@ from thermoqm.sft import full_shift, golden_mean
 GOLD = (1 + np.sqrt(5)) / 2
 
 
+def test_constant_potential_has_one_value_per_symbol():
+    for d in (2, 3):
+        pot = mk.MarkovPotential.constant(full_shift(d), -0.5)
+        assert pot.s == 0 and pot.m == 1 and np.array_equal(pot.values, np.full(d, -0.5))
+
+
 def test_normalize_zero_potential_full_shift():
     f = full_shift(2)
-    pot, lam, h = mk.normalize_potential(mk.MarkovPotential.zero(f))
+    pot, lam, h = mk.normalize_potential(mk.MarkovPotential.constant(f, 0.0))
     assert lam == pytest.approx(2.0)
-    assert np.allclose(pot.table, -np.log(2))
+    assert np.allclose(pot.values, -np.log(2))
     assert np.allclose(h.values, h.values[0])  # constant eigenfunction
     assert pot.normalization_defect() < 1e-12
 
 
 def test_normalize_zero_potential_golden_mean():
     g = golden_mean()
-    pot, lam, _ = mk.normalize_potential(mk.MarkovPotential.zero(g))
+    pot, lam, _ = mk.normalize_potential(mk.MarkovPotential.constant(g, 0.0))
     assert lam == pytest.approx(GOLD, abs=1e-12)
     mm = mk.markov_measure(pot)
     idx = g.cylinders(1)
@@ -212,7 +218,7 @@ def test_variance_count01_expected():
     # hand derivation: Var(1_[01]) = 3/16, lag-1 covariance = -1/16, rest 0
     f = full_shift(2)
     par = mk.parry_measure(f)
-    ps = mk.per_step_fn(PatternCount((0, 1)), f)
+    ps = mk.MarkovPotential.from_qm(PatternCount((0, 1)), f)
     psi = ps - mk.LocallyConstantFn.constant(f, par.integral(ps))
     var = mk.variance(par.potential, psi, par)
     assert var.sigma2_martingale == pytest.approx(3 / 16 - 2 / 16, abs=1e-12)
@@ -234,7 +240,7 @@ def test_birkhoff_decomposition_along_sampled_path():
     f = full_shift(2)
     par = mk.parry_measure(f)
     pot = par.potential
-    ps = mk.per_step_fn(PatternCount((0, 1)), f)
+    ps = mk.MarkovPotential.from_qm(PatternCount((0, 1)), f)
     psi = (ps - mk.LocallyConstantFn.constant(f, par.integral(ps))).as_memory(2)
     sol = mk.solve_cohomological(pot, psi, par)
     bar = mk.martingale_part(pot, psi, sol.h)
