@@ -444,6 +444,8 @@ def run_solve_cohomological(a):
 @op("variance", "sft qm|psi", "mc expect_sigma2", threshold_agreement=1e-8, expect_tol=1e-12,
     chain=None)
 def run_variance(a):
+    if "mc" in a and "qm" not in a:
+        raise InvalidConfig("variance with mc needs qm; psi alone has no Monte Carlo check")
     if "mc" in a and a["mc"]["trials"] < 2:
         raise InvalidConfig(f"mc.trials must be >= 2 for a sample variance, got {a['mc']['trials']}")
     mm = a["chain"]
@@ -454,7 +456,7 @@ def run_variance(a):
     if "expect_sigma2" in a:
         checks.append(check("sigma2_vs_expected", abs(sigma2 - a["expect_sigma2"]), a["expect_tol"]))
     summary = {"variance": var.to_json(), "checks": checks}
-    if "mc" in a and "qm" in a:
+    if "mc" in a:
         m = a["mc"]
         res = experiments.clt_experiment(
             a["qm"], mm, m["n"], m["trials"], m["seed"], workers=a["workers"], sigma2=sigma2

@@ -8,14 +8,19 @@ Philox and re-keys it per trial, which gives exactly trial_rng's streams, and
 draws uniforms a chunk of positions at a time by counter addressing (uniform k
 is lane k % 4 of counter k // 4), as one-byte bucket codes #{cuts <= u} where
 the block has _CUT_TRIALS trials per successor cut point: 8x the positions per
-chunk, so 8x fewer re-keys.  Blocks walk all trials with one flat gather
-per position, except a single path on at most _SCAN_STATES states, which
-composes its per-step state maps by a Hillis-Steele scan.  Both feed one
-evaluation step: path functionals are sums of the quasimorphism's window
-kernels over the symbol chunks, accumulated in order per trial, which makes
-L(x_0..x_{k-1}) exact at every step without storing words; the CLT reads the
-final sums, the other experiments the running sums at ascending checkpoints
-(the LIL orbit: every n of one single-trial block).
+chunk, so 8x fewer re-keys.  A coded block walks all trials k positions per
+table lookup: a trial's state s and its next k codes c_i (r = len(cuts) + 1
+values each; a sphere's non-backtracking choices are codes with r = d - 1)
+pack into one index s r^k + sum c_i r^(k-1-i) of two (k, S r^k) tables, the
+symbol of each step and the state after it, with k the largest depth whose
+table fits _WALK_CELLS cells.  A float block takes one flat gather per
+position, and a single path on at most _SCAN_STATES states composes its
+per-step state maps by a Hillis-Steele scan.  All feed one evaluation step:
+path functionals are sums of the quasimorphism's window kernels over the
+symbol chunks, accumulated in order per trial, which makes L(x_0..x_{k-1})
+exact at every step without storing words; the CLT reads the final sums, the
+other experiments the running sums at ascending checkpoints (the LIL orbit:
+every n of one single-trial block).
 """
 
 from __future__ import annotations
@@ -145,12 +150,14 @@ def sample_path(mm, n, seed, trial=0):
 
 _DRAW_CELLS = 1 << 18  # float64 cells (or 8x as many byte codes) per drawn chunk, 2 MB; each
 #                        chunk re-keys every stream once, so smaller chunks trade time for memory
-_CUT_TRIALS = 64  # trials a block needs per cut point to code: a code costs ~0.5 ns a cut, the
-#                   re-keys it saves ~3.5 us x B / 2^18 a uniform.  Measured (BENCH_8.json): codes
-#                   win at B = 2048 to 32 cuts (even at 48), at B = 1024 to 8 (16: a toss-up), and
-#                   stay within +-10 % at B <= 256 to 8 cuts
+_CUT_TRIALS = 40  # trials a block needs per cut point to code: a code costs ~0.5 ns a cut, and
+#                   saves re-keys and the float compares of the walk.  Measured (BENCH_11.json):
+#                   codes win at B = 2048 to 48 cuts (64: +9-18 %), at B = 1024 to 16 (32: +4-9 %),
+#                   at B = 256 to 8 and at B = 64 to 16: the crossover is 32-43 trials a cut at
+#                   B >= 1024 and lower below
 _PIECE_CELLS = 1 << 14  # float scratch a chunk is drawn through, a multiple of 4 (128 KB)
 _EVAL_CELLS = 1 << 15  # cells per evaluated chunk and per state-map segment
+_WALK_CELLS = 1 << 16  # cells of each k-step walk table (k, S r^k): k is the largest that fits
 _SCAN_STATES = 64  # beyond this a single path walks flat: a scan step costs S log(segment)
 _ROW_ADD_TRIALS = 256  # from here a row-by-row add (~1 us a row) beats np.cumsum (~5 ns a cell)
 
@@ -172,21 +179,74 @@ def _scan(base, R, pick, nxt, sym, w):
     return X, base
 
 
+def _walk_depth(S, r):
+    """Steps k per table lookup: the largest k >= 1 with k S r^k <= _WALK_CELLS."""
+    k = 1
+    while r > 1 and (k + 1) * S * r ** (k + 1) <= _WALK_CELLS:
+        k += 1
+    return k
+
+
+def _walk_tables(succ_state, succ_sym, rank, r, k):
+    """k-step tables of a coded walk: index s r^k + sum_i c_i r^(k-1-i) packs
+    state s and the codes c_0..c_{k-1} (code c picks column #{j < w - 1 :
+    c >= rank[s, j]}); row i of sym holds the symbol of step i, row i of nxt
+    the state after it, times r^k."""
+    S, w = succ_state.shape
+    col = (np.arange(r)[:, None] >= rank[:, None, :w - 1]).sum(axis=2)  # (S, r)
+    step_state = np.take_along_axis(succ_state, col, axis=1).astype(np.intp)
+    step_sym = np.take_along_axis(succ_sym, col, axis=1)
+    sym = np.empty((k, S * r**k), dtype=succ_sym.dtype)
+    nxt = np.empty((k, S * r**k), dtype=np.min_scalar_type(S * r**k - 1))
+    state = np.arange(S)  # the state after i steps, by packed prefix s, c_0..c_{i-1}
+    for i in range(k):
+        sym[i] = np.repeat(step_sym[state].ravel(), r ** (k - 1 - i))
+        state = step_state[state].ravel()
+        nxt[i] = np.repeat(state * r**k, r ** (k - 1 - i))
+    return sym, nxt
+
+
+def _pack(C, r, k):
+    """Position-major codes C (m, B) as one index offset per group of k rows,
+    sum_i c_i r^(k-1-i); a short last group reads as padded with code 0."""
+    P = np.zeros((-(-len(C) // k), C.shape[1]), dtype=np.min_scalar_type(r**k - 1))
+    for i in range(k):
+        P *= r
+        P[:len(C[i::k])] += C[i::k]
+    return P
+
+
 def _simulate_block(payload):
     t0, t1 = payload["trial_range"]
     B, n, d, seed = t1 - t0, payload["n"], payload["d"], payload["seed"]
     rekey = _rekeyer()
     if payload["kind"] == "markov":
         succ_state, succ_sym, cuts = payload["succ_state"], payload["succ_sym"], payload["cuts"]
-        coded = len(cuts) < 255 and len(cuts) * _CUT_TRIALS <= B  # then pick compares ranks
-        cum = (payload["rank"].astype(np.uint8) if coded else payload["succ_cum"]).ravel()
-        w, N = succ_state.shape[1], max(n - payload["t"], 0)
+        coded = len(cuts) < 255 and len(cuts) * _CUT_TRIALS <= B  # then codes, ranks 1..r
+        rank, r = payload["rank"], len(cuts) + 1
+    elif payload["kind"] == "sphere":
+        succ_state = succ_sym = payload["succ_table"]
+        coded, rank, r = True, np.broadcast_to(np.arange(1, d), succ_state.shape), d - 1
+    else:
+        raise ValueError(f"unknown sampler kind {payload['kind']!r}")
+    w, rows = succ_state.shape[1], max(1, _EVAL_CELLS // B)
+    scan = B == 1 and len(succ_state) <= _SCAN_STATES
+    walk = coded and not scan  # by the k-step tables
+    k = _walk_depth(len(succ_state), r) if walk else 1
+
+    def ready(C):  # a position-major chunk of codes as its walk reads it
+        return (len(C), _pack(C, r, k)) if walk else C
+
+    if payload["kind"] == "markov":
+        cum = (rank.astype(np.uint8) if coded else payload["succ_cum"]).ravel()
+        N = max(n - payload["t"], 0)
         cols = max(4, _DRAW_CELLS * (8 if coded else 1) // B // 4 * 4)
-        buf = np.empty((min(cols, N + 1), B), dtype=np.uint8 if coded else float)  # per chunk
+        buf = None if coded else np.empty((min(cols, N + 1), B))  # codes: packed per chunk
         u0 = np.empty(B)  # position 0 stays a float, for the init_cum search
 
         def draws(lo):  # uniforms lo.. of every stream (Philox counter lo // 4), position-major
-            U = buf[:min(cols, N + 1 - lo)]
+            m = min(cols, N + 1 - lo)
+            U = np.empty((m, B), dtype=np.uint8) if coded else buf[:m]
             p = min(len(U), _PIECE_CELLS)  # a multiple of 4 when a stream takes several pieces
             T = np.empty((min(B, max(1, _PIECE_CELLS // p)), p))
             for b, j in itertools.product(range(0, B, len(T)), range(0, len(U), p)):
@@ -196,7 +256,7 @@ def _simulate_block(payload):
                 if lo + j == 0:
                     u0[b:b + len(V)] = V[:, 0]
                 U[j:j + p, b:b + len(V)] = (_codes(V, cuts) if coded else V).T
-            return U
+            return ready(U[lo == 0:])  # position 0 picks the initial state
 
         def pick(base, u):  # successor column: #{k < w - 1 : u >= cum}; the last cum is 1
             idx = base + (u >= cum.take(base))
@@ -204,29 +264,38 @@ def _simulate_block(payload):
                 idx += u >= cum[k:].take(base)
             return idx
 
-        U0 = draws(0)
+        chunk0 = draws(0)
         first = np.searchsorted(payload["init_cum"], u0, side="right")
         head = payload["state_words"][first][:, :n]
-        chunks = itertools.chain([U0[1:]], map(draws, range(cols, N + 1, cols)))
-    elif payload["kind"] == "sphere":
-        succ_state = succ_sym = payload["succ_table"]
-        w, pick = d - 1, np.add
-        first = np.empty(B, dtype=np.int64)
-        choice = np.empty((n - 1, B), dtype=succ_sym.dtype)
+        chunks = itertools.chain([chunk0], map(draws, range(cols, N + 1, cols)))
+    else:
+        pick, first = np.add, np.empty(B, dtype=np.int64)
+        choice = np.empty((n - 1, B), dtype=np.min_scalar_type(d - 2))  # c takes column c
         for i in range(B):
             g = rekey(seed, t0 + i)
             first[i] = g.integers(0, d)
             choice[:, i] = g.integers(0, d - 1, size=n - 1)
-        head, chunks = first[:, None], [choice]
-    else:
-        raise ValueError(f"unknown sampler kind {payload['kind']!r}")
+        head, chunks = first[:, None], [ready(choice)]
+        del choice  # the walk reads the packed copy
     nxt, sym = (succ_state.astype(np.int64) * w).ravel(), succ_sym.ravel()
 
-    def symbol_chunks():  # position-major, _EVAL_CELLS cells each; one path on few states scans
-        yield head.T
-        base, rows = first * w, max(1, _EVAL_CELLS // B)
+    def walk_chunks():  # k codes a table lookup; a chunk is the fewest whole groups >= rows
+        wsym, wnxt = _walk_tables(succ_state, succ_sym, rank, r, k)  # after the first draw
+        base, groups = (first * r**k).astype(wnxt.dtype), -(-rows // k)
+        for m, P in chunks:
+            for lo in range(0, len(P), groups):
+                X = np.empty((min(groups * k, m - lo * k), B), dtype=sym.dtype)
+                for i, p in enumerate(P[lo:lo + groups]):
+                    j = min(k, len(X) - i * k)  # < k in the last group of a chunk
+                    idx = base + p
+                    wsym[:j].take(idx, axis=1, out=X[i * k:i * k + j])
+                    base = wnxt[j - 1].take(idx)
+                yield X
+
+    def pick_chunks():  # _EVAL_CELLS cells each; one path on few states scans
+        base = first * w
         for R in (Y[i:i + rows] for Y in chunks for i in range(0, len(Y), rows)):
-            if B == 1 and len(succ_state) <= _SCAN_STATES:
+            if scan:
                 X, base = _scan(base, R, pick, nxt, sym, w)
             else:  # one flat gather step per position for all B walkers
                 X = np.empty(R.shape, dtype=sym.dtype)
@@ -236,11 +305,12 @@ def _simulate_block(payload):
                     base = nxt.take(idx)
             yield X
 
-    return _evaluate(payload, B, symbol_chunks(), sym.dtype)
+    symbols = walk_chunks() if walk else pick_chunks()
+    return _evaluate(payload, B, itertools.chain([head.T], symbols), sym.dtype)
 
 
 def _evaluate(payload, B, chunks, sym_dtype):
-    """Window-kernel sums along position-major symbol chunks (of at most
+    """Window-kernel sums along position-major symbol chunks (of about
     _EVAL_CELLS cells, or the head's t rows): at each position
     every full width-q window adds its table value, widths in payload order,
     summed in that order per trial (a running sum down the positions)."""
@@ -253,17 +323,18 @@ def _evaluate(payload, B, chunks, sym_dtype):
     acc, runmax, checks = np.zeros(B), np.zeros(B), np.zeros((B, len(checkpoints)))
     symbols = np.zeros((B, n), dtype=sym_dtype) if want_symbols else None
     keep = max(q for q, _ in kernels) - 1
-    hist, p0 = np.zeros((keep, B), dtype=np.int64), 0
+    hist, p0 = np.zeros((keep, B), dtype=sym_dtype), 0
     for X in chunks:
         C = len(X)
         if want_symbols:
             symbols[:, p0:p0 + C] = X.T
-        H = np.concatenate([hist, X])
-        incs = []
-        for q, table in kernels:
-            code = 0
-            for k in range(keep - q + 1, keep + 1):
-                code = code * d + H[k:k + C]
+        H = np.concatenate([hist, X], dtype=sym_dtype)
+        code, incs = np.empty((C, B), dtype=np.intp), []
+        for q, table in kernels:  # code = base-d window value, built in place
+            code[:] = H[keep - q + 1:keep - q + 1 + C]
+            for k in range(keep - q + 2, keep + 1):
+                code *= d
+                code += H[k:k + C]
             incs.append(table.take(code))
             incs[-1][:max(0, q - 1 - p0)] = 0.0  # the window is not full yet
         seq = np.stack(incs, axis=1).reshape(-1, B) if len(incs) > 1 else incs[0]

@@ -207,6 +207,19 @@ def test_variance_with_explicit_psi(tmp_path):
     assert code == 0
 
 
+def test_variance_with_psi_refuses_the_monte_carlo_check(tmp_path):
+    """The mc check samples a quasimorphism; with psi alone it is refused, not dropped."""
+    from thermoqm import cli
+
+    cfg = {"sft": {"builtin": "full_shift", "d": 2},
+           "psi": {"memory": 1, "values": {"1": 0.5, "2": -0.5}},
+           "mc": {"n": 64, "trials": 100, "seed": 1}}
+    code, summary = cli.execute("variance", cfg, str(tmp_path))
+    assert code == 2 and "needs qm" in summary["error"], summary["error"]
+    with open(tmp_path / "summary.json") as fh:
+        assert json.load(fh)["exit_code"] == 2
+
+
 def test_console_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "thermoqm.cli", "sft-validate", "--json",

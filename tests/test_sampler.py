@@ -189,15 +189,35 @@ def markov_payloads(draw, chain=chains()):
 
 
 # chunk sizes (float64 cells per drawn chunk, cells per evaluated chunk, float
-# scratch cells): the defaults, and ones small enough that n is split into
-# chunks of uneven length and a stream's chunk is drawn in several pieces
-CHUNKS = st.sampled_from([(ex._DRAW_CELLS, ex._EVAL_CELLS, ex._PIECE_CELLS), (28, 12, 8),
-                          (56, 5, 20)])
+# scratch cells, cells per walk table): the defaults, and ones small enough that
+# n is split into chunks of uneven length, a stream's chunk is drawn in several
+# pieces and a coded walk takes one step (budget 1) or a few steps a lookup
+WALK_CELLS = ex._WALK_CELLS
+CHUNKS = st.sampled_from([(ex._DRAW_CELLS, ex._EVAL_CELLS, ex._PIECE_CELLS, WALK_CELLS),
+                          (28, 12, 8, 1), (56, 5, 20, 100)])
 
 
 def _chunked(chunks):
     return mock.patch.multiple(ex, _DRAW_CELLS=chunks[0], _EVAL_CELLS=chunks[1],
-                               _PIECE_CELLS=chunks[2])
+                               _PIECE_CELLS=chunks[2], _WALK_CELLS=chunks[3])
+
+
+def _walk_cases(seen):
+    """Record the coded-walk cases a block reaches, one per packed chunk: k = 1,
+    the largest k (k > 1 at the default table budget), and rows that are no
+    multiple of k (a chunk ending in a partial group)."""
+    pack = ex._pack
+
+    def recording(C, r, k):
+        seen.add("k = 1" if k == 1 else "largest k" if ex._WALK_CELLS == WALK_CELLS else "k > 1")
+        if len(C) % k:
+            seen.add("partial group")
+        return pack(C, r, k)
+
+    return mock.patch.object(ex, "_pack", recording)
+
+
+WALK_CASES = {"k = 1", "largest k", "partial group"}
 
 
 @PROPERTY
@@ -208,15 +228,22 @@ def test_markov_block_matches_per_step_loop(payload, chunks):
     _assert_identical(new, _loop_block(payload))
 
 
-@PROPERTY
-@given(markov_payloads(few_cut_chains()), CHUNKS)
-def test_coded_block_matches_per_step_loop(payload, chunks):
-    """Byte codes at every block width (no trials needed per cut point)."""
-    with _chunked(chunks), mock.patch.object(ex, "_CUT_TRIALS", 0), \
-            mock.patch.object(ex, "_codes", wraps=ex._codes) as codes:
-        new = ex._simulate_block(payload)
-    assert codes.called
-    _assert_identical(new, _loop_block(payload))
+def test_coded_block_matches_per_step_loop():
+    """Byte codes at every block width (no trials needed per cut point), walked
+    one step a lookup, k steps at the default budget, and in partial groups."""
+    seen = set()
+
+    @PROPERTY
+    @given(markov_payloads(few_cut_chains()), CHUNKS)
+    def check(payload, chunks):
+        with _chunked(chunks), _walk_cases(seen), mock.patch.object(ex, "_CUT_TRIALS", 0), \
+                mock.patch.object(ex, "_codes", wraps=ex._codes) as codes:
+            new = ex._simulate_block(payload)
+        assert codes.called
+        _assert_identical(new, _loop_block(payload))
+
+    check()
+    assert seen >= WALK_CASES, seen
 
 
 def test_codes_compare_with_ranks_as_uniforms_with_the_cumulative_kernel():
@@ -265,6 +292,19 @@ def test_chains_on_either_side_of_the_code_switch(B, coded, n, first, chunks):
     _assert_identical(new, _loop_block(payload))
 
 
+@pytest.mark.parametrize("n,B", [(1, 3), (2, 3), (57, 5), (40, 1)])
+def test_chains_past_the_table_budget_walk_one_step_a_lookup(n, B):
+    """128 cut points on 128 states: S r^2 = 128 * 129^2 cells exceed the table
+    budget, so the coded walk takes k = 1 step a lookup."""
+    payload = _switch_payload(7, n, 3, B)
+    assert 128 * 129**2 > ex._WALK_CELLS and ex._walk_depth(128, 129) == 1
+    seen = set()
+    with mock.patch.object(ex, "_CUT_TRIALS", 0), _walk_cases(seen):
+        new = ex._simulate_block(payload)
+    assert seen == {"k = 1"}
+    _assert_identical(new, _loop_block(payload))
+
+
 def test_chains_past_one_byte_ranks_keep_floats():
     """256 cut points need rank 257, past a byte: floats at any block width."""
     payload = _switch_payload(8, 40, 3, 2)
@@ -301,6 +341,15 @@ def test_block_memory_stays_within_the_float_chunk_engine(n, B, bound_kb):
     assert _peak_bytes(payload) <= bound_kb * 1024
 
 
+def test_lil_block_peaks_below_the_int64_history_engine():
+    """The B = 1, n = 150,000 LIL block on the count01 Parry chain (a checkpoint
+    at every n from 1,000) peaks below the 4,370,992 bytes it took while the
+    evaluation widened every symbol chunk to int64 (tracemalloc, numpy 2.4)."""
+    n = 150000
+    payload = _count01_payload(n, 1, checkpoints=np.arange(1000, n + 1), want_max=False)
+    assert _peak_bytes(payload) < 4370992
+
+
 @pytest.mark.parametrize("B", [1, 3])
 @pytest.mark.parametrize("cut_trials,cell_bytes", [(0, 1), (ex._CUT_TRIALS, 8)])
 def test_float_scratch_does_not_grow_with_the_path(B, cut_trials, cell_bytes):
@@ -322,21 +371,46 @@ def _peak_bytes(payload):
         tracemalloc.stop()
 
 
-@PROPERTY
-@given(st.sampled_from([2, 3, 7]), st.integers(1, 80), st.integers(0, 30),
-       st.sampled_from([1, 2, 7, ex._ROW_ADD_TRIALS + 3]), st.sampled_from([(), (1,), (2,), (1, 2)]),
-       CHUNKS)
-def test_sphere_block_matches_per_step_loop(rank, n, first, B, widths, chunks):
-    """Rank 7 (d = 14) has successor offsets up to 13 * 13, beyond int8."""
-    d = 2 * rank
-    rng = np.random.default_rng(n)
-    payload = ex.uniform_sphere_payload(d, [x ^ 1 for x in range(d)])
-    payload.update(n=n, seed=n * 7919 + first, trial_range=(first, first + B),
-                   kernel_widths=widths, kernel_tables=tuple(rng.normal(size=d**q) for q in widths),
-                   e=0.25, checkpoints=tuple(sorted({1, n})), want_max=True, want_symbols=True)
-    with _chunked(chunks):
-        new = ex._simulate_block(payload)
-    _assert_identical(new, _loop_block(payload))
+def test_sphere_block_matches_per_step_loop():
+    """Rank 7 (d = 14) has successor offsets up to 13 * 13, beyond int8; every
+    walk case is reached."""
+    seen = set()
+
+    @PROPERTY
+    @given(st.sampled_from([2, 3, 7]), st.integers(1, 80), st.integers(0, 30),
+           st.sampled_from([1, 2, 7, ex._ROW_ADD_TRIALS + 3]),
+           st.sampled_from([(), (1,), (2,), (1, 2)]), CHUNKS)
+    def check(rank, n, first, B, widths, chunks):
+        d = 2 * rank
+        rng = np.random.default_rng(n)
+        payload = ex.uniform_sphere_payload(d, [x ^ 1 for x in range(d)])
+        payload.update(n=n, seed=n * 7919 + first, trial_range=(first, first + B),
+                       kernel_widths=widths,
+                       kernel_tables=tuple(rng.normal(size=d**q) for q in widths),
+                       e=0.25, checkpoints=tuple(sorted({1, n})), want_max=True, want_symbols=True)
+        with _chunked(chunks), _walk_cases(seen):
+            new = ex._simulate_block(payload)
+        _assert_identical(new, _loop_block(payload))
+
+    check()
+    assert seen >= WALK_CASES, seen
+
+
+def test_sphere_sample_matches_per_letter_walk():
+    """sphere_sample against the per-letter walk at every table budget and chunk size."""
+    seen = set()
+
+    @PROPERTY
+    @given(st.sampled_from([2, 3, 7]), st.integers(1, 60), st.integers(1, 12),
+           st.integers(0, 2**40), CHUNKS)
+    def check(rank, n, count, seed, chunks):
+        G = fg.FreeGroup(rank)
+        with _chunked(chunks), _walk_cases(seen):
+            got = fg.sphere_sample(G, n, count, seed)
+        assert np.array_equal(got, _loop_sphere_sample(G, n, count, seed))
+
+    check()
+    assert seen >= WALK_CASES, seen
 
 
 @pytest.mark.parametrize("pattern,states,n", [("abA", 12, 30011), ("abaBa", 108, 6007)])
