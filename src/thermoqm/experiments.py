@@ -154,7 +154,7 @@ _CUT_TRIALS = 40  # trials a block needs per cut point to code: a code costs ~0.
 #                   saves re-keys and the float compares of the walk.  Measured (BENCH_11.json):
 #                   codes win at B = 2048 to 48 cuts (64: +9-18 %), at B = 1024 to 16 (32: +4-9 %),
 #                   at B = 256 to 8 and at B = 64 to 16: the crossover is 32-43 trials a cut at
-#                   B >= 1024 and lower below
+#                   B = 2048, 32-64 at B = 1024 and lower below
 _PIECE_CELLS = 1 << 14  # float scratch a chunk is drawn through, a multiple of 4 (128 KB)
 _EVAL_CELLS = 1 << 15  # cells per evaluated chunk and per state-map segment
 _WALK_CELLS = 1 << 16  # cells of each k-step walk table (k, S r^k): k is the largest that fits

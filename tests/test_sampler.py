@@ -351,11 +351,11 @@ def test_lil_block_peaks_below_the_int64_history_engine():
 
 
 @pytest.mark.parametrize("B", [1, 3])
-@pytest.mark.parametrize("cut_trials,cell_bytes", [(0, 1), (ex._CUT_TRIALS, 8)])
+@pytest.mark.parametrize("cut_trials,cell_bytes", [(0, 1), (64, 8)])
 def test_float_scratch_does_not_grow_with_the_path(B, cut_trials, cell_bytes):
     """With small evaluation chunks, a 150,000-step path holds its one-byte
-    codes or float64 cells plus a float scratch of at most _PIECE_CELLS cells
-    and small change."""
+    codes (no trials needed per cut point) or float64 cells (64 needed, more
+    than B) plus a float scratch of at most _PIECE_CELLS cells and small change."""
     payload = _count01_payload(150000, B, checkpoints=(), want_max=True)
     with mock.patch.multiple(ex, _EVAL_CELLS=1024, _CUT_TRIALS=cut_trials):
         assert _peak_bytes(payload) <= 150000 * B * cell_bytes + 2 * ex._PIECE_CELLS * 8
