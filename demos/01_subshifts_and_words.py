@@ -32,10 +32,10 @@ f = full_shift(2)
 print('full shift star("1", "2") =', render_word(f.star((0,), (1,))))
 
 # Cylinder indexing is the bijection words <-> 0..|W_k|-1 used everywhere
-# downstream; parents and children express the refinement structure.
+# downstream; prefix and suffix maps express the refinement structure.
 idx = g.cylinders(3)
 print("\ndepth-3 cylinders:", {render_word(w): i for i, w in enumerate(idx.words)})
-print("parent of each depth-3 word:", [int(i) for i in g.parent_map(3)])
+print("parent of each depth-3 word:", [int(i) for i in idx.prefix(2)])
 
 # Bad matrices are refused with a reason.
 for rows in ([[1, 0], [0, 1]], [[0, 1], [1, 0]]):

@@ -52,8 +52,7 @@ class WeakBowenFn:
     def normalization_defect(self, k=None):
         """max over (k-1)-words w of |sum_s e^{phi^k(s.w)} - 1|."""
         k = self.k_max if k is None else k
-        # the k-words s.w are the edges into w of the depth-(k-1) block graph
-        suffix = self.sft.block_graph(k - 1).dst if k > 1 else np.zeros(self.sft.d, dtype=np.int64)
+        suffix = self.sft.cylinders(k).suffix(k - 1)  # w of each k-word s.w
         tot = np.bincount(suffix, np.exp(self.tables[k]))  # adds s by s, as a loop would
         return float(np.abs(tot - 1.0).max())
 
@@ -68,7 +67,7 @@ def potential_from_measure(mu, k):
     tables = {}
     for j in range(1, k + 1):
         num = mu.masses_at(j)
-        den = mu.masses_at(j - 1)[sft.block_graph(j - 1).dst] if j > 1 else 1.0
+        den = mu.masses_at(j - 1)[sft.cylinders(j).suffix(j - 1)] if j > 1 else 1.0
         _require_mass(sft, j, (num <= 0.0) | (den <= 0.0), "violates full support")
         tables[j] = np.log(num / den)
     return WeakBowenFn(sft, tables, reference=mu)
@@ -133,11 +132,11 @@ def quasicocycle_from_potential(phi, mu, n_max):
 # -- Komlós construction --------------------------------------------------------
 
 
-def komlos_zeta(L, sft, n, cap=None):
+def komlos_zeta(L, sft, n):
     """zeta_n(x) = (1/n) sum_{k=1..n} L(x_0..x_k) - L(x_1..x_k), depth n+1."""
     if n < 1:
         raise ValueError("komlos_zeta needs n >= 1")
-    arr = sft.cylinders(n + 1, cap=cap).array
+    arr = sft.cylinders(n + 1).array
     tot = np.zeros(len(arr))
     for k in range(1, n + 1):
         tot += L.values(arr[:, : k + 1], sft.d) - L.values(arr[:, 1: k + 1], sft.d)

@@ -148,6 +148,7 @@ def sample_path(mm, n, seed, trial=0):
 
 # -- the block engine -------------------------------------------------------------
 
+_BLOCK = 2048  # trials per engine block: blocks are cut in the calling process, one job each
 _DRAW_CELLS = 1 << 18  # float64 cells (or 8x as many byte codes) per drawn chunk, 2 MB; each
 #                        chunk re-keys every stream once, so smaller chunks trade time for memory
 _CUT_TRIALS = 40  # trials a block needs per cut point to code: a code costs ~0.5 ns a cut, and
@@ -345,24 +346,24 @@ def _evaluate(payload, B, chunks, sym_dtype):
             for i in range(1, len(seq)):
                 seq[i] += seq[i - 1]
         run = seq[len(incs) - 1::len(incs)]
-        acc = run[-1]
         if want_max:  # max of run_k - k e, unnamed so it is freed before the next chunk
             np.maximum(runmax, (run - np.arange(p0 + 1, p0 + C + 1)[:, None] * e).max(axis=0),
                        out=runmax)
         lo, hi = np.searchsorted(checkpoints, (p0 + 1, p0 + C + 1))  # p0 < c <= p0 + C
         c = checkpoints[lo:hi]
         checks[:, lo:hi] = (run[c - p0 - 1] - (c * e)[:, None]).T
-        hist, p0 = H[len(H) - keep:], p0 + C
+        acc, hist, p0 = run[-1].copy(), H[len(H) - keep:].copy(), p0 + C
+        del H, code, incs, seq, run  # freed before the next chunk is drawn and walked
     out = {"final": acc - n * e, "checks": checks, "runmax": runmax}
     if want_symbols:
         out["symbols"] = symbols
     return out
 
 
-def _run_blocks(payload, trials, workers, block):
+def _run_blocks(payload, trials, workers):
     if trials < 1:
         raise ValueError(f"need at least 1 trial or sample, got {trials}")
-    ranges = [(lo, min(lo + block, trials)) for lo in range(0, trials, block)]
+    ranges = [(lo, min(lo + _BLOCK, trials)) for lo in range(0, trials, _BLOCK)]
     jobs = [dict(payload, trial_range=r) for r in ranges]
     if workers <= 1:
         parts = [_simulate_block(j) for j in jobs]
@@ -445,7 +446,7 @@ class CltResult:
         return out
 
 
-def clt_experiment(L, mm, n, trials, seed, workers=1, block=2048, sigma2=None):
+def clt_experiment(L, mm, n, trials, seed, workers=1, sigma2=None):
     """Empirical law of (L(x_0..x_{n-1}) - n e) / (sigma sqrt n) vs the normal."""
     var = None
     if sigma2 is None:
@@ -455,7 +456,7 @@ def clt_experiment(L, mm, n, trials, seed, workers=1, block=2048, sigma2=None):
         raise DegenerateSigma("sigma2 must be positive")
     payload, e = path_functional_payload(L, mm)
     payload.update(n=n, seed=seed, checkpoints=(), want_max=False)
-    res = _run_blocks(payload, trials, workers, block)
+    res = _run_blocks(payload, trials, workers)
     stats = res["final"] / np.sqrt(sigma2 * n)
     ks = ks_distance(stats, standard_normal_cdf)
     return CltResult(stats, ks, dkw_band(trials), float(sigma2), var, e, n, trials, seed)
@@ -488,7 +489,7 @@ class InvarianceResult:
         }
 
 
-def invariance_experiment(L, mm, n, trials, seed, workers=1, block=2048, sigma2=None):
+def invariance_experiment(L, mm, n, trials, seed, workers=1, sigma2=None):
     """Donsker-type checks: normal terminal law, uncorrelated dyadic
     increments, and the reflection-principle law of the running maximum."""
     if n < 4 or n % 4:
@@ -498,7 +499,7 @@ def invariance_experiment(L, mm, n, trials, seed, workers=1, block=2048, sigma2=
     payload, _ = path_functional_payload(L, mm)
     cps = (n // 4, n // 2, 3 * n // 4, n)
     payload.update(n=n, seed=seed, checkpoints=cps, want_max=True)
-    res = _run_blocks(payload, trials, workers, block)
+    res = _run_blocks(payload, trials, workers)
     scale = np.sqrt(sigma2 * n)
     terminal = res["final"] / scale
     checks = res["checks"] / scale
@@ -596,7 +597,7 @@ def _weighted_line_fit(xs, ys, ws):
     return float((ws * (xs - xbar) * (ys - ybar)).sum() / den)
 
 
-def deviation_experiment(L, mm, n_list, trials, delta, seed, workers=1, block=2048):
+def deviation_experiment(L, mm, n_list, trials, delta, seed, workers=1):
     """Tail tables P(S_n / n >= delta) with a log-linear rate fit, plus the
     Gaussian-scale tail P(S_n / sqrt(n) >= delta') at the largest n."""
     n_list = sorted(set(int(n) for n in n_list))
@@ -605,7 +606,7 @@ def deviation_experiment(L, mm, n_list, trials, delta, seed, workers=1, block=20
     n_max = n_list[-1]
     payload, e = path_functional_payload(L, mm)
     payload.update(n=n_max, seed=seed, checkpoints=tuple(n_list), want_max=False)
-    res = _run_blocks(payload, trials, workers, block)
+    res = _run_blocks(payload, trials, workers)
     rows = []
     for j, n in enumerate(n_list):
         count = int((res["checks"][:, j] / n >= delta).sum())

@@ -153,11 +153,11 @@ def pushforward_measure(group, n, depth):
     return CylinderMeasure(group.sft(), {depth: masses}, check=True)
 
 
-def pushforward_measure_enumerated(group, n, depth, cap=None):
+def pushforward_measure_enumerated(group, n, depth):
     """Brute-force oracle for the pushforward, for small n only."""
     sft = group.sft()
     total = sum(sft.periodic_count(ell) for ell in range(1, n + 1))
-    if total > word_cap(cap):
+    if total > word_cap():
         raise ResourceLimit(f"{total} cyclic words exceed the word cap")
     idx = sft.cylinders(depth)
     mass = np.zeros(len(idx))
@@ -242,7 +242,7 @@ class SphericalCltResult:
         }
 
 
-def _spherical_stats(group, pattern, n, count, seed, workers, block, payload_kind, sigma2):
+def _spherical_stats(group, pattern, n, count, seed, workers, payload_kind, sigma2):
     """L(g)/(sigma sqrt n) over count samples of the given kind vs the normal."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -255,28 +255,28 @@ def _spherical_stats(group, pattern, n, count, seed, workers, block, payload_kin
         tables = {k: payload[k] for k in ("kernel_widths", "kernel_tables", "e")}
         payload = dict(uniform_sphere_payload(group.d, [x ^ 1 for x in range(group.d)]), **tables)
     payload.update(n=n, seed=seed, checkpoints=(), want_max=False)
-    stats = _run_blocks(payload, count, workers, block)["final"] / np.sqrt(sigma2 * n)
+    stats = _run_blocks(payload, count, workers)["final"] / np.sqrt(sigma2 * n)
     se = float(stats.std(ddof=1) / np.sqrt(len(stats)))
     return SphericalCltResult(stats, ks_distance(stats, standard_normal_cdf), dkw_band(count),
                               float(stats.mean()), se, float(sigma2), group.sphere_size(n),
                               n, count, seed)
 
 
-def spherical_clt(group, pattern, n, count, seed, workers=1, block=2048, sigma2=None):
+def spherical_clt(group, pattern, n, count, seed, workers=1, sigma2=None):
     """Law of L(g)/(sigma sqrt n) over uniform sphere samples vs the normal.
 
     The uniform-sphere prefix process coincides with the Parry chain of the
     no-cancellation subshift (uniform first letter, uniform non-backtracking
     steps), which is where sigma^2 comes from.
     """
-    return _spherical_stats(group, pattern, n, count, seed, workers, block, "sphere", sigma2)
+    return _spherical_stats(group, pattern, n, count, seed, workers, "sphere", sigma2)
 
 
-def boundary_ray_clt(group, pattern, n, count, seed, workers=1, block=2048, sigma2=None):
+def boundary_ray_clt(group, pattern, n, count, seed, workers=1, sigma2=None):
     """Same statistic along boundary rays started at the identity.
 
     For a free group with its standard generators the Patterson-Sullivan lift
     is exactly the Parry chain, so rays are sampled from that chain; the law
     agrees with spherical sampling up to the sampling bands.
     """
-    return _spherical_stats(group, pattern, n, count, seed, workers, block, "markov", sigma2)
+    return _spherical_stats(group, pattern, n, count, seed, workers, "markov", sigma2)

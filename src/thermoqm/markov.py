@@ -51,20 +51,13 @@ class LocallyConstantFn:
             return float(self.values[0])
         return float(self.values[self.sft.cylinders(self.m).index(tuple(word)[: self.m])])
 
-    def _at_codes(self, codes):
-        """Values on the m-words with the given base-d codes."""
-        if self.m == 0:
-            return np.full(len(codes), self.values[0])
-        return self.values[self.sft.cylinders(self.m).index_of_codes(codes)]
-
     def as_memory(self, m2):
         """The same function tabulated on deeper cylinders."""
         if m2 < self.m:
             raise ValueError("cannot lower memory without projecting")
         if m2 == self.m:
             return self
-        codes = self.sft.cylinders(m2).codes
-        return LocallyConstantFn(self.sft, m2, self._at_codes(codes // self.sft.d ** (m2 - self.m)))
+        return LocallyConstantFn(self.sft, m2, self.values[self.sft.cylinders(m2).prefix(self.m)])
 
     def sup_norm(self):
         return float(np.abs(self.values).max())
@@ -91,8 +84,8 @@ class LocallyConstantFn:
 
     def shift(self):
         """f o tau, a memory-(m+1) table."""
-        codes = self.sft.cylinders(self.m + 1).codes
-        return LocallyConstantFn(self.sft, self.m + 1, self._at_codes(codes % self.sft.d ** self.m))
+        return LocallyConstantFn(self.sft, self.m + 1,
+                                 self.values[self.sft.cylinders(self.m + 1).suffix(self.m)])
 
 
 class MarkovPotential(LocallyConstantFn):
@@ -234,17 +227,16 @@ class MarkovMeasure:
     def cylinder_masses(self, k):
         if k in self._mass_cache:
             return self._mass_cache[k]
-        sft, t, d = self.sft, self.t, self.sft.d
+        sft, t = self.sft, self.t
         if k == t:
             out = self.stationary.copy()
         elif k < t:
-            prefix = sft.cylinders(k).index_of_codes(self.states.codes // d ** (t - k))
-            out = np.bincount(prefix, weights=self.stationary, minlength=len(sft.cylinders(k)))
+            out = np.bincount(self.states.prefix(k), weights=self.stationary,
+                              minlength=len(sft.cylinders(k)))
         else:
-            # the k-words (depth-(k-1) edges) step by the chain's edge on their last t+1 symbols
-            g = sft.block_graph(k - 1)
-            edge = sft.cylinders(t + 1).index_of_codes(g.ext % d ** (t + 1))
-            out = self.cylinder_masses(k - 1)[g.src] * self.edge_prob[edge]
+            # a k-word steps from its (k-1)-prefix by the chain's edge on its last t+1 symbols
+            idx = sft.cylinders(k)
+            out = self.cylinder_masses(k - 1)[idx.prefix(k - 1)] * self.edge_prob[idx.suffix(t + 1)]
         self._mass_cache[k] = out
         return out
 
@@ -357,11 +349,9 @@ def project_conditional(f, mm, s):
         return LocallyConstantFn.constant(f.sft, mean)
     sft = f.sft
     deep_mass = mm.masses_at(f.m)
-    idx_deep = sft.cylinders(f.m)
-    idx = sft.cylinders(s)
-    prefix = idx.index_of_codes(idx_deep.codes // sft.d ** (f.m - s))
-    num = np.bincount(prefix, deep_mass * f.values, len(idx))  # adds in word order
-    den = np.bincount(prefix, deep_mass, len(idx))
+    prefix, S = sft.cylinders(f.m).prefix(s), len(sft.cylinders(s))
+    num = np.bincount(prefix, deep_mass * f.values, S)  # adds in word order
+    den = np.bincount(prefix, deep_mass, S)
     if (den <= 0).any():
         raise ZeroMass("conditional expectation over a null cylinder")
     return LocallyConstantFn(sft, s, num / den)

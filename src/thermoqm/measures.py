@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ZeroMass
-from .sft import parse_word, render_word
+from .sft import WordIndex, parse_word, render_word
 
 
 class CylinderMeasure:
@@ -49,25 +49,20 @@ class CylinderMeasure:
 
     def consistency_defect(self):
         """max over stored adjacent depths of |mass[a] - sum_s mass[a.s]|."""
-        worst = 0.0
-        for k in self.depths():
-            if k + 1 not in self.masses:
-                continue
-            parent = self.sft.parent_map(k + 1)
-            rollup = np.zeros(len(self.masses[k]))
-            np.add.at(rollup, parent, self.masses[k + 1])
-            worst = max(worst, float(np.abs(rollup - self.masses[k]).max()))
-        return worst
+        return self._rollup_defect(WordIndex.prefix)
 
     def invariance_defect(self):
         """max over depths of |sum_a mass[a.w] - mass[w]| (one-step shift)."""
+        return self._rollup_defect(WordIndex.suffix)
+
+    def _rollup_defect(self, part):
+        """max over stored k, k+1 of |mass - (k+1)-masses added onto their k-part|."""
         worst = 0.0
         for k in self.depths():
-            if k + 1 not in self.masses:
-                continue
-            tails = self.sft.block_graph(k).dst  # the suffix of each (k+1)-word
-            pushed = np.bincount(tails, self.masses[k + 1], len(self.masses[k]))  # in word order
-            worst = max(worst, float(np.abs(pushed - self.masses[k]).max()))
+            if k + 1 in self.masses:
+                onto = part(self.sft.cylinders(k + 1), k)
+                rolled = np.bincount(onto, self.masses[k + 1], len(self.masses[k]))  # in word order
+                worst = max(worst, float(np.abs(rolled - self.masses[k]).max()))
         return worst
 
     def tv_distance(self, other, depth):

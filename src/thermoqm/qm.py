@@ -311,7 +311,7 @@ class DefectReport:
     lower_bound: bool = True  # brute force under-counts the true sup
 
 
-def defect(L, sft, n_max, cap=None):
+def defect(L, sft, n_max):
     """Empirical sup of |L(ab) - L(a) - L(b)| over pairs with |a|+|b| <= n_max."""
     if n_max < 2:
         raise ValueError("defect needs n_max >= 2")
@@ -320,7 +320,7 @@ def defect(L, sft, n_max, cap=None):
         for n in range(1, n_max)
         for m in range(1, n_max - n + 1)
     )
-    if total_pairs > word_cap(cap):
+    if total_pairs > word_cap():
         raise ResourceLimit(f"{total_pairs} concatenable pairs exceed the word cap")
     best, arg, pairs = 0.0, ((), ()), 0
     for n in range(1, n_max):
@@ -390,14 +390,13 @@ class Quasicocycle:
 
     def delta_estimate(self):
         """sup over split points of |B_{n+m} - B_n - B_m o tau^n| on stored depths."""
-        best, d, cyl = 0.0, self.sft.d, self.sft.cylinders
+        best = 0.0
         for total in range(2, self.n_max + 1):
-            codes = cyl(total).codes  # w = u.v: u = code // d**m, v = code % d**m
+            idx = self.sft.cylinders(total)  # w = u.v: u its n-prefix, v its m-suffix
             for n in range(1, total):
                 m = total - n
-                u, v = cyl(n).index_of_codes(codes // d**m), cyl(m).index_of_codes(codes % d**m)
-                best = max(best, float(np.abs(self.tables[total] - self.tables[n][u]
-                                              - self.tables[m][v]).max()))
+                best = max(best, float(np.abs(self.tables[total] - self.tables[n][idx.prefix(n)]
+                                              - self.tables[m][idx.suffix(m)]).max()))
         return best
 
     def scaled(self, c):
@@ -410,12 +409,12 @@ class Quasicocycle:
         )
 
 
-def quasicocycle_of(L, sft, n_max, cap=None):
+def quasicocycle_of(L, sft, n_max):
     """Tables B_n = L on depth-n cylinders for n = 1..n_max."""
     if n_max < 1:
         raise ValueError("n_max >= 1")
     total = sum(sft.word_count(n) for n in range(1, n_max + 1))
-    if total > word_cap(cap):
+    if total > word_cap():
         raise ResourceLimit(f"{total} cylinder values exceed the word cap")
     tables = {n: L.values(sft.cylinders(n).array, sft.d) for n in range(1, n_max + 1)}
     return Quasicocycle(sft, tables)
@@ -455,7 +454,7 @@ class CohomologyVerdict:
         }
 
 
-def cohomologous(L, L2, sft, n_max, m=None, resolution=1e-2, cap=None):
+def cohomologous(L, L2, sft, n_max, m=None, resolution=1e-2):
     """Compare homogenization intervals on every periodic word up to n_max.
 
     Distinct (disjoint intervals somewhere) is rigorous; Cohomologous means
@@ -468,7 +467,7 @@ def cohomologous(L, L2, sft, n_max, m=None, resolution=1e-2, cap=None):
     if m is None:
         m = max(1, int(np.ceil(2.0 * delta / resolution)))
     total = sum(sft.periodic_count(n) for n in range(1, n_max + 1))
-    if total > word_cap(cap):
+    if total > word_cap():
         raise ResourceLimit(f"{total} periodic words exceed the word cap")
     max_width = 0.0
     s1, s2 = L.defect_bound / m, L2.defect_bound / m

@@ -6,6 +6,10 @@ arrays, with tuple views: the words of one length are one (count, n) array of
 enumerations are in lexicographic order and all
 tie-breaking (connectors, lifts, star words) is shortest-then-lexicographic,
 so every operation here is a deterministic function of its inputs.
+
+Only this module reads the base-d word codes: the one way from a cylinder
+index to a shorter one is `WordIndex.prefix(j)` / `suffix(j)`, the position
+of each word's first or last j symbols among the j-words.
 """
 
 from __future__ import annotations
@@ -27,12 +31,11 @@ Word = tuple
 _DENSE_TABLE = 8  # code lookups use a d**depth table up to this many entries a word
 
 
-def word_cap(explicit=None):
-    """Effective enumeration cap: explicit arg > SCOPED_WORD_CAP > env override > default."""
-    if explicit is None:
-        explicit = SCOPED_WORD_CAP.get()
-    if explicit is not None:
-        return int(explicit)
+def word_cap():
+    """Effective enumeration cap: SCOPED_WORD_CAP > env override > default."""
+    scoped = SCOPED_WORD_CAP.get()
+    if scoped is not None:
+        return int(scoped)
     env = os.environ.get(WORD_CAP_ENV)
     if env is not None:
         return int(env)
@@ -57,6 +60,7 @@ class WordIndex:
         self.depth = depth
         self.array = array
         self.codes = window_codes(array, 0, depth, sft.d)
+        self._maps = {}
 
     @functools.cached_property
     def words(self):
@@ -96,17 +100,36 @@ class WordIndex:
             raise KeyError("inadmissible word code in lookup")
         return idx
 
+    def prefix(self, j):
+        """Position among the j-words of each word's first j symbols; with
+        j = 0 every word maps to 0, the empty word.  Computed once per j."""
+        return self._map("prefix", j)
+
+    def suffix(self, j):
+        """Position among the j-words of each word's last j symbols, as prefix."""
+        return self._map("suffix", j)
+
+    def _map(self, side, j):
+        if not 0 <= j <= self.depth:
+            raise ValueError(f"a {self.depth}-word has no {j}-symbol {side}")
+        if (side, j) not in self._maps:
+            d = self.sft.d
+            codes = self.codes // d ** (self.depth - j) if side == "prefix" else self.codes % d**j
+            out = self.sft.cylinders(j).index_of_codes(codes) if j else np.zeros(len(self), np.int64)
+            out.flags.writeable = False  # one array for every caller
+            self._maps[side, j] = out
+        return self._maps[side, j]
+
 
 class BlockGraph:
     """The depth-t block graph: its states are the admissible t-words, its
     edges the admissible (t+1)-words, each from its t-prefix to its t-suffix.
 
     Edges are listed in (state, symbol) order, which is the lexicographic
-    order of their (t+1)-words; ``ext`` holds those words' base-d codes, so
-    callers weight the edges by reading their own tables off ``ext`` (for
-    example ``table[ext % d**q]``, the width-q window that ends at the new
-    symbol).  ``pred[j, a]`` is the edge into state j from the state that
-    starts with symbol a, or -1 where there is none.
+    order of their (t+1)-words, so edge e is word e of ``cylinders(t + 1)``
+    and ``src`` / ``dst`` are its prefix(t) / suffix(t); ``ext`` holds those
+    words' base-d codes for `kernel_sums`.  ``pred[j, a]`` is the edge into
+    state j from the state that starts with symbol a, or -1 where there is none.
     """
 
     def __init__(self, sft, t):
@@ -244,15 +267,15 @@ class Sft:
 
     # -- enumeration ------------------------------------------------------
 
-    def word_array(self, n, cap=None, periodic=False):
+    def word_array(self, n, periodic=False):
         """All admissible words of length n as a (count, n) symbol array, in
         lexicographic order; with periodic=True only the wrapping ones.  The
-        cap applies to |W_n| and is checked before anything is allocated."""
+        word cap applies to |W_n| and is checked before anything is allocated."""
         if n < int(periodic):
             raise ValueError("periodic words have length >= 1" if periodic
                              else "word length must be >= 0")
         count = self.word_count(n)
-        if count > word_cap(cap):
+        if count > word_cap():
             raise ResourceLimit(f"|W_{n}| = {count} exceeds the word cap")
         dt = symbol_dtype(self.d)
         arr = np.arange(self.d, dtype=dt)[:, None] if n else np.zeros((1, 0), dtype=dt)
@@ -262,20 +285,20 @@ class Sft:
             arr = np.concatenate([arr[rows], syms.astype(dt)[:, None]], axis=1)
         return arr[self.R[arr[:, -1], arr[:, 0]] == 1] if periodic else arr
 
-    def words(self, n, cap=None):
+    def words(self, n):
         """All admissible words of length n as tuples, lexicographic."""
-        return [tuple(w) for w in self.word_array(n, cap=cap).tolist()]
+        return [tuple(w) for w in self.word_array(n).tolist()]
 
-    def periodic_words(self, n, cap=None):
+    def periodic_words(self, n):
         """All wrapping words of length exactly n as tuples, lexicographic."""
-        return [tuple(w) for w in self.word_array(n, cap=cap, periodic=True).tolist()]
+        return [tuple(w) for w in self.word_array(n, periodic=True).tolist()]
 
-    def cylinders(self, k, cap=None):
+    def cylinders(self, k):
         """Cached WordIndex for depth k >= 1."""
         if k < 1:
             raise ValueError("cylinder depth must be >= 1")
         if k not in self._cyl:
-            self._cyl[k] = WordIndex(self, k, self.word_array(k, cap=cap))
+            self._cyl[k] = WordIndex(self, k, self.word_array(k))
         return self._cyl[k]
 
     def block_graph(self, t):
@@ -283,17 +306,6 @@ class Sft:
         if t not in self._graphs:
             self._graphs[t] = BlockGraph(self, t)
         return self._graphs[t]
-
-    def parent_map(self, k):
-        """Array mapping each depth-k index to the index of its parent cylinder."""
-        return self.block_graph(k - 1).src
-
-    def child_map(self, k):
-        """(count_k, d) array of child indices at depth k+1, -1 where inadmissible."""
-        g = self.block_graph(k)
-        out = np.full((len(g), self.d), -1, dtype=np.int64)
-        out[g.src, g.sym] = np.arange(len(g.ext))
-        return out
 
     # -- periodic closure operations ---------------------------------------
 

@@ -38,8 +38,8 @@ def _logsumexp(a):
         return float(out if np.isfinite(out) else np.log(np.exp(a).sum()))
 
 
-def _enumerated_log_partition(L, sft, n, cap=None):
-    return _logsumexp(L.values(sft.word_array(n, cap=cap, periodic=True), sft.d))
+def _enumerated_log_partition(L, sft, n):
+    return _logsumexp(L.values(sft.word_array(n, periodic=True), sft.d))
 
 
 class _WindowTransfer:
@@ -70,9 +70,9 @@ class _WindowTransfer:
         else:
             w = kernel_sums(kernels, g.codes, t, d, lambda q: range(t - q + 1))
             self.base, self.init = t, np.exp(w)
-            self.close = sft.R[g.codes % d].astype(float)
+            self.close = sft.R[g.states.suffix(1)].astype(float)
         self.V0 = np.zeros((S, d))
-        self.V0[np.arange(S), g.codes // d ** (t - 1)] = self.init
+        self.V0[np.arange(S), g.states.prefix(1)] = self.init
 
     def log_partitions(self, n_max):
         """P_n = log Z_n for n = 1..n_max, with running rescaling."""
@@ -114,27 +114,27 @@ def _method_kernels(L, sft, method):
     return kernels
 
 
-def log_partition(L, sft, n, cap=None, method="auto"):
+def log_partition(L, sft, n, method="auto"):
     """log Z_n(L), the log-sum-exp of L over wrapping words of length n."""
     if n < 1:
         raise ValueError("partition function needs n >= 1")
     kernels = _method_kernels(L, sft, method)
     if kernels is None:
-        return _enumerated_log_partition(L, sft, n, cap=cap)
+        return _enumerated_log_partition(L, sft, n)
     if n < max(kernels):
         return _short_word_log_partition(kernels, sft, n)
     return float(_WindowTransfer(kernels, sft).log_partitions(n)[n - 1])
 
 
-def log_partition_sequence(L, sft, n_max, cap=None, method="auto"):
+def log_partition_sequence(L, sft, n_max, method="auto"):
     kernels = _method_kernels(L, sft, method)
     if kernels is not None:
         return _WindowTransfer(kernels, sft).log_partitions(n_max)
-    return np.array([_enumerated_log_partition(L, sft, n, cap=cap) for n in range(1, n_max + 1)])
+    return np.array([_enumerated_log_partition(L, sft, n) for n in range(1, n_max + 1)])
 
 
-def partition_function(L, sft, n, cap=None, method="auto"):
-    return float(np.exp(log_partition(L, sft, n, cap=cap, method=method)))
+def partition_function(L, sft, n, method="auto"):
+    return float(np.exp(log_partition(L, sft, n, method=method)))
 
 
 # -- pressure -------------------------------------------------------------------
@@ -188,7 +188,7 @@ def _split_constant(p, n0, n_max):
     return max(0.0, float(best)) if best > -np.inf else np.nan
 
 
-def pressure(L, sft, n_max, cap=None, method="auto"):
+def pressure(L, sft, n_max, method="auto"):
     """Pressure interval from the quasi-bounded sequence (log Z_n)_n.
 
     The sub-multiplicativity constant is only in force once both block
@@ -198,7 +198,7 @@ def pressure(L, sft, n_max, cap=None, method="auto"):
     """
     if n_max < 4:
         raise ValueError("pressure needs n_max >= 4")
-    p = log_partition_sequence(L, sft, n_max, cap=cap, method=method)
+    p = log_partition_sequence(L, sft, n_max, method=method)
     c_all = _split_constant(p, 1, n_max)
     n0 = 3 * sft.M if 6 * sft.M <= n_max else 1
     c_used = _split_constant(p, n0, n_max)
@@ -233,7 +233,7 @@ def pressure_oracle_memory1(L, sft):
 # -- the periodic-orbit Gibbs measure -------------------------------------------
 
 
-def gibbs_measure(L, sft, N, depth, cap=None, weighting="homogenized"):
+def gibbs_measure(L, sft, N, depth, weighting="homogenized"):
     """Orbit-averaged Gibbs approximant at cylinder depths 1..depth.
 
     Every periodic word a of length N carries a normalized weight, spread
@@ -247,7 +247,7 @@ def gibbs_measure(L, sft, N, depth, cap=None, weighting="homogenized"):
     """
     if not (1 <= depth <= N):
         raise ValueError("need 1 <= depth <= N")
-    arr = sft.word_array(N, cap=cap, periodic=True)
+    arr = sft.word_array(N, periodic=True)
     if not len(arr):
         raise ValueError(f"no periodic words of length {N}")
     if weighting == "homogenized":
@@ -333,15 +333,14 @@ def weak_bernoulli_report(mu, n, gaps):
     """beta(n, N) = sum_{A,B depth-n} |mu(A n tau^{-(N+n)} B) - mu(A) mu(B)|."""
     sft = mu.sft
     m = mu.masses_at(n)
-    idx_n, S = sft.cylinders(n), len(m)
+    S = len(m)
     rows = []
     for N in gaps:
         total_len = 2 * n + N
         if mu.max_depth is not None and total_len > mu.max_depth:
             raise ResourceLimit(f"weak-Bernoulli at gap {N} needs depth {total_len}")
-        codes = sft.cylinders(total_len).codes  # the prefix A and the suffix B of each word
-        pair = idx_n.index_of_codes(codes // sft.d ** (n + N)) * S + idx_n.index_of_codes(
-            codes % sft.d**n)
+        idx = sft.cylinders(total_len)  # the prefix A and the suffix B of each word
+        pair = idx.prefix(n) * S + idx.suffix(n)
         joint = np.bincount(pair, mu.masses_at(total_len), S * S).reshape(S, S)  # in word order
         beta = float(np.abs(joint - np.outer(m, m)).sum())
         rows.append({"gap": N, "beta": beta})

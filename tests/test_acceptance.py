@@ -233,8 +233,7 @@ def test_criterion_10_deviations(chains):
     f, par = chains["full2"]
     rate = ex.bernoulli_rate(0.2)
     res = ex.deviation_experiment(LetterWeights([0.5, -0.5]), par,
-                                  [40, 60, 80, 100], trials=10 ** 6, delta=0.2, seed=77,
-                                  block=16384)
+                                  [40, 60, 80, 100], trials=10 ** 6, delta=0.2, seed=77)
     rel = abs(-res.slope - rate) / rate
     ok = rel <= 0.15 and res.gauss_slope is not None and res.gauss_slope < 0
     report(10, "deviations", ok,

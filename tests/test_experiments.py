@@ -59,11 +59,12 @@ def test_engine_final_matches_direct_word_evaluation():
         assert res["final"][t] == pytest.approx(L.value(word) - 40 * e, abs=1e-12)
 
 
-def test_workers_do_not_change_results():
+def test_workers_do_not_change_results(monkeypatch):
     par = mk.parry_measure(full_shift(2))
     L = LetterWeights([0.5, -0.5])
-    r1 = ex.clt_experiment(L, par, n=400, trials=600, seed=9, workers=1, block=128)
-    r2 = ex.clt_experiment(L, par, n=400, trials=600, seed=9, workers=4, block=128)
+    monkeypatch.setattr(ex, "_BLOCK", 128)  # 600 trials in 5 blocks; cut before the pool forks
+    r1 = ex.clt_experiment(L, par, n=400, trials=600, seed=9, workers=1)
+    r2 = ex.clt_experiment(L, par, n=400, trials=600, seed=9, workers=4)
     assert (r1.stats == r2.stats).all()
     assert r1.ks == r2.ks
 

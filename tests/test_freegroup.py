@@ -8,6 +8,7 @@ import pytest
 from thermoqm import freegroup as fg
 from thermoqm import markov as mk
 from thermoqm.qm import defect
+from thermoqm.sft import SCOPED_WORD_CAP
 
 
 @pytest.fixture(scope="module")
@@ -104,7 +105,11 @@ def test_brooks_defect_bound_via_junction_analysis(G):
                 worst = max(worst, dev)
         assert worst <= h.defect_bound + 1e-12
         # cross-check the same sup with the generic brute-force scan
-        assert defect(h, sft, 2 * q, cap=10 ** 7).value == pytest.approx(worst)
+        token = SCOPED_WORD_CAP.set(10 ** 7)
+        try:
+            assert defect(h, sft, 2 * q).value == pytest.approx(worst)
+        finally:
+            SCOPED_WORD_CAP.reset(token)
 
 
 def test_brooks_defect_never_violated_up_to_total_twelve(G):
@@ -112,7 +117,11 @@ def test_brooks_defect_never_violated_up_to_total_twelve(G):
     # over (q-1)-blocks is the exact sup over all pairs, total length 12 incl.
     sft = G.sft()
     h = fg.brooks(G, "ab")
-    rep = defect(h, sft, 8, cap=10 ** 7)
+    token = SCOPED_WORD_CAP.set(10 ** 7)
+    try:
+        rep = defect(h, sft, 8)
+    finally:
+        SCOPED_WORD_CAP.reset(token)
     assert rep.value <= h.defect_bound
 
 

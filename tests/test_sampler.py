@@ -341,6 +341,16 @@ def test_block_memory_stays_within_the_float_chunk_engine(n, B, bound_kb):
     assert _peak_bytes(payload) <= bound_kb * 1024
 
 
+@pytest.mark.parametrize("n,B,before_bytes", [(150000, 1, 2949746), (4096, 2048, 4110360)])
+def test_block_peaks_below_the_engine_that_kept_the_last_chunk(n, B, before_bytes):
+    """The same two blocks peak below the bytes they took while the evaluation
+    kept the previous chunk's window codes, increments and running sums alive
+    through the next draw and walk (2,949,746 and 4,110,360, tracemalloc,
+    numpy 2.4)."""
+    payload = _count01_payload(n, B, checkpoints=(n // 4, n // 2, 3 * n // 4, n), want_max=True)
+    assert _peak_bytes(payload) < before_bytes
+
+
 def test_lil_block_peaks_below_the_int64_history_engine():
     """The B = 1, n = 150,000 LIL block on the count01 Parry chain (a checkpoint
     at every n from 1,000) peaks below the 4,370,992 bytes it took while the

@@ -7,6 +7,7 @@ import pytest
 
 from thermoqm.errors import InvalidMatrix, NotPrimitive, ResourceLimit
 from thermoqm.sft import (
+    SCOPED_WORD_CAP,
     Sft,
     build_sft,
     full_shift,
@@ -91,8 +92,12 @@ def test_periodic_words_match_trace():
 
 def test_enumeration_cap(monkeypatch):
     f = full_shift(2)
-    with pytest.raises(ResourceLimit):
-        f.words(10, cap=100)
+    token = SCOPED_WORD_CAP.set(100)
+    try:
+        with pytest.raises(ResourceLimit):
+            f.words(10)
+    finally:
+        SCOPED_WORD_CAP.reset(token)
     monkeypatch.setenv("THERMOQM_MAX_WORDS", "100")
     with pytest.raises(ResourceLimit):
         Sft([[1, 1], [1, 1]]).words(10)
@@ -159,15 +164,13 @@ def test_cylinder_index_and_refinement_maps():
     g = golden_mean()
     assert len(g.cylinders(2)) == 3
     for k in (2, 3, 4):
-        parents = g.parent_map(k)
         child_idx = g.cylinders(k)
+        parents, tails = child_idx.prefix(k - 1), child_idx.suffix(k - 1)
         for i, w in enumerate(child_idx.words):
             assert g.cylinders(k - 1).word(parents[i]) == w[:-1]
-        children = g.child_map(k - 1)
-        for i, w in enumerate(g.cylinders(k - 1).words):
-            for s in range(g.d):
-                if children[i, s] >= 0:
-                    assert child_idx.word(children[i, s]) == w + (s,)
+            assert g.cylinders(k - 1).word(tails[i]) == w[1:]
+        assert np.array_equal(parents, g.block_graph(k - 1).src)
+        assert np.array_equal(tails, g.block_graph(k - 1).dst)
     # stable across calls
     assert f.cylinders(3) is f.cylinders(3)
 

@@ -28,6 +28,7 @@ from thermoqm.qm import (
     zero_qm,
 )
 from thermoqm.sft import (
+    SCOPED_WORD_CAP,
     Sft,
     encode_word,
     full_shift,
@@ -351,8 +352,12 @@ def test_cap_raises_before_allocating(periodic, monkeypatch):
     assert len(sft.word_array(9, periodic=periodic)) == 512
     with pytest.raises(ResourceLimit):
         sft.words(10) if not periodic else sft.periodic_words(10)
-    with pytest.raises(ResourceLimit):
-        sft.word_array(10, cap=1000, periodic=periodic)
+    token = SCOPED_WORD_CAP.set(1000)
+    try:
+        with pytest.raises(ResourceLimit):
+            sft.word_array(10, periodic=periodic)
+    finally:
+        SCOPED_WORD_CAP.reset(token)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
