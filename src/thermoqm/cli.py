@@ -534,10 +534,12 @@ def run_compactify(a):
     }
 
 
-@op("spherical", "rank pattern n count seed", "mode threshold_ks", mean_band_se=3.0)
+@op("spherical", "rank pattern n count seed", "threshold_ks", mean_band_se=3.0, mode="sphere")
 def run_spherical(a):
     G = freegroup.FreeGroup(a["rank"])
-    fn = freegroup.boundary_ray_clt if a.get("mode") == "ray" else freegroup.spherical_clt
+    fn = {"sphere": freegroup.spherical_clt, "ray": freegroup.boundary_ray_clt}.get(a["mode"])
+    if fn is None:
+        raise ValueError(f"mode must be 'sphere' or 'ray', got {a['mode']!r}")
     res = fn(G, a["pattern"], a["n"], a["count"], a["seed"], workers=a["workers"])
     checks = [
         check("ks", res.ks, float(a.get("threshold_ks", 2 * res.dkw))),

@@ -10,7 +10,7 @@ is lane k % 4 of counter k // 4), as one-byte bucket codes #{cuts <= u} where
 the block has _CUT_TRIALS trials per successor cut point: 8x the positions per
 chunk, so 8x fewer re-keys.  A coded block walks all trials k positions per
 table lookup: a trial's state s and its next k codes c_i (r = len(cuts) + 1
-values each; a sphere's non-backtracking choices are codes with r = d - 1)
+values each; the uniform sphere walk is a chain with d - 2 cut points, r = d - 1)
 pack into one index s r^k + sum c_i r^(k-1-i) of two (k, S r^k) tables, the
 symbol of each step and the state after it, with k the largest depth whose
 table fits _WALK_CELLS cells.  A float block takes one flat gather per
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSigma
-from .markov import LocallyConstantFn, MarkovPotential, variance
+from .markov import LocallyConstantFn, MarkovMeasure, MarkovPotential, variance
 from .sft import symbol_dtype
 from .thermo import window_expectation
 
@@ -118,7 +118,6 @@ def markov_sampler_payload(mm):
     init_cum[-1] = 1.0
     cuts, rank = _cut_ranks(succ_cum)
     return {
-        "kind": "markov",
         "d": sft.d,
         "t": mm.t,
         "init_cum": init_cum,
@@ -131,10 +130,21 @@ def markov_sampler_payload(mm):
     }
 
 
-def uniform_sphere_payload(d, inverse):
-    """Walk with uniform first letter and uniform non-backtracking steps."""
-    succ = [[y for y in range(d) if y != inverse[x]] for x in range(d)]
-    return {"kind": "sphere", "d": d, "t": 1, "succ_table": np.array(succ, dtype=symbol_dtype(d))}
+def uniform_sphere_chain(sft):
+    """The uniform walk on symbols of equal in- and out-degree deg, exactly and with
+    no eigensolve: every edge 1/deg, every state 1/d.  On a free group it is the
+    uniform non-backtracking walk: its length-n paths are uniform on the sphere."""
+    g = sft.block_graph(1)
+    deg = np.bincount(g.src, minlength=len(g))
+    if (deg != deg[0]).any() or (np.bincount(g.dst, minlength=len(g)) != deg[0]).any():
+        raise ValueError("the uniform sphere walk needs equal in- and out-degrees at every symbol")
+    pot = MarkovPotential(sft, 1, np.full(len(g.src), -np.log(deg[0])), normalized=True)
+    return MarkovMeasure(sft, pot, np.full(len(g.src), 1.0 / deg[0]), np.full(len(g), 1.0 / len(g)))
+
+
+def uniform_sphere_payload(sft):
+    """The sampler payload of the uniform sphere walk."""
+    return markov_sampler_payload(uniform_sphere_chain(sft))
 
 
 def sample_path(mm, n, seed, trial=0):
@@ -219,65 +229,46 @@ def _pack(C, r, k):
 
 def _simulate_block(payload):
     t0, t1 = payload["trial_range"]
-    B, n, d, seed = t1 - t0, payload["n"], payload["d"], payload["seed"]
+    B, n, seed = t1 - t0, payload["n"], payload["seed"]
     rekey = _rekeyer()
-    if payload["kind"] == "markov":
-        succ_state, succ_sym, cuts = payload["succ_state"], payload["succ_sym"], payload["cuts"]
-        coded = len(cuts) < 255 and len(cuts) * _CUT_TRIALS <= B  # then codes, ranks 1..r
-        rank, r = payload["rank"], len(cuts) + 1
-    elif payload["kind"] == "sphere":
-        succ_state = succ_sym = payload["succ_table"]
-        coded, rank, r = True, np.broadcast_to(np.arange(1, d), succ_state.shape), d - 1
-    else:
-        raise ValueError(f"unknown sampler kind {payload['kind']!r}")
+    succ_state, succ_sym, cuts = payload["succ_state"], payload["succ_sym"], payload["cuts"]
+    coded = len(cuts) < 255 and len(cuts) * _CUT_TRIALS <= B  # then codes, ranks 1..r
+    rank, r = payload["rank"], len(cuts) + 1
     w, rows = succ_state.shape[1], max(1, _EVAL_CELLS // B)
     scan = B == 1 and len(succ_state) <= _SCAN_STATES
     walk = coded and not scan  # by the k-step tables
     k = _walk_depth(len(succ_state), r) if walk else 1
+    cum = (rank.astype(np.uint8) if coded else payload["succ_cum"]).ravel()
+    N = max(n - payload["t"], 0)
+    cols = max(4, _DRAW_CELLS * (8 if coded else 1) // B // 4 * 4)
+    buf = None if coded else np.empty((min(cols, N + 1), B))  # codes: packed per chunk
+    u0 = np.empty(B)  # position 0 stays a float, for the init_cum search
 
-    def ready(C):  # a position-major chunk of codes as its walk reads it
-        return (len(C), _pack(C, r, k)) if walk else C
+    def draws(lo):  # uniforms lo.. of every stream (Philox counter lo // 4), position-major
+        m = min(cols, N + 1 - lo)
+        U = np.empty((m, B), dtype=np.uint8) if coded else buf[:m]
+        p = min(len(U), _PIECE_CELLS)  # a multiple of 4 when a stream takes several pieces
+        T = np.empty((min(B, max(1, _PIECE_CELLS // p)), p))
+        for b, j in itertools.product(range(0, B, len(T)), range(0, len(U), p)):
+            V = T[:B - b, :len(U) - j]  # streams b.., positions lo + j.., one blocked transpose
+            for i, row in enumerate(V):
+                rekey(seed, t0 + b + i, (lo + j) // 4).random(out=row)
+            if lo + j == 0:
+                u0[b:b + len(V)] = V[:, 0]
+            U[j:j + p, b:b + len(V)] = (_codes(V, cuts) if coded else V).T
+        C = U[lo == 0:]  # position 0 picks the initial state
+        return (len(C), _pack(C, r, k)) if walk else C  # the walk reads packed codes
 
-    if payload["kind"] == "markov":
-        cum = (rank.astype(np.uint8) if coded else payload["succ_cum"]).ravel()
-        N = max(n - payload["t"], 0)
-        cols = max(4, _DRAW_CELLS * (8 if coded else 1) // B // 4 * 4)
-        buf = None if coded else np.empty((min(cols, N + 1), B))  # codes: packed per chunk
-        u0 = np.empty(B)  # position 0 stays a float, for the init_cum search
+    def pick(base, u):  # successor column: #{k < w - 1 : u >= cum}; the last cum is 1
+        idx = base + (u >= cum.take(base))
+        for k in range(1, w - 1):
+            idx += u >= cum[k:].take(base)
+        return idx
 
-        def draws(lo):  # uniforms lo.. of every stream (Philox counter lo // 4), position-major
-            m = min(cols, N + 1 - lo)
-            U = np.empty((m, B), dtype=np.uint8) if coded else buf[:m]
-            p = min(len(U), _PIECE_CELLS)  # a multiple of 4 when a stream takes several pieces
-            T = np.empty((min(B, max(1, _PIECE_CELLS // p)), p))
-            for b, j in itertools.product(range(0, B, len(T)), range(0, len(U), p)):
-                V = T[:B - b, :len(U) - j]  # streams b.., positions lo + j.., one blocked transpose
-                for i, row in enumerate(V):
-                    rekey(seed, t0 + b + i, (lo + j) // 4).random(out=row)
-                if lo + j == 0:
-                    u0[b:b + len(V)] = V[:, 0]
-                U[j:j + p, b:b + len(V)] = (_codes(V, cuts) if coded else V).T
-            return ready(U[lo == 0:])  # position 0 picks the initial state
-
-        def pick(base, u):  # successor column: #{k < w - 1 : u >= cum}; the last cum is 1
-            idx = base + (u >= cum.take(base))
-            for k in range(1, w - 1):
-                idx += u >= cum[k:].take(base)
-            return idx
-
-        chunk0 = draws(0)
-        first = np.searchsorted(payload["init_cum"], u0, side="right")
-        head = payload["state_words"][first][:, :n]
-        chunks = itertools.chain([chunk0], map(draws, range(cols, N + 1, cols)))
-    else:
-        pick, first = np.add, np.empty(B, dtype=np.int64)
-        choice = np.empty((n - 1, B), dtype=np.min_scalar_type(d - 2))  # c takes column c
-        for i in range(B):
-            g = rekey(seed, t0 + i)
-            first[i] = g.integers(0, d)
-            choice[:, i] = g.integers(0, d - 1, size=n - 1)
-        head, chunks = first[:, None], [ready(choice)]
-        del choice  # the walk reads the packed copy
+    chunk0 = draws(0)
+    first = np.searchsorted(payload["init_cum"], u0, side="right")
+    head = payload["state_words"][first][:, :n]
+    chunks = itertools.chain([chunk0], map(draws, range(cols, N + 1, cols)))
     nxt, sym = (succ_state.astype(np.int64) * w).ravel(), succ_sym.ravel()
 
     def walk_chunks():  # k codes a table lookup; a chunk is the fewest whole groups >= rows

@@ -9,6 +9,7 @@ names: a, b, c, ... for generators, A, B, C, ... for inverses.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,13 +20,10 @@ from .measures import CylinderMeasure
 from .qm import LetterWeights, SignedPatternCount
 from .sft import Sft, word_cap
 from .experiments import (
-    _run_blocks,
     _simulate_block,
-    dkw_band,
-    ks_distance,
-    path_functional_payload,
+    clt_experiment,
     sigma2_of,
-    standard_normal_cdf,
+    uniform_sphere_chain,
     uniform_sphere_payload,
 )
 
@@ -172,6 +170,8 @@ def compactification_experiment(group, n_list, depth):
     """TV distance between the cyclic-word pushforwards and the Parry chain."""
     if not n_list:
         raise ValueError(f"n_list must be nonempty, got {n_list}")
+    if min(n_list) < 1:
+        raise ValueError(f"n_list entries must be >= 1, got {n_list}")
     sft = group.sft()
     parry = parry_measure(sft).cylinder_masses(depth)
     rows = []
@@ -188,15 +188,15 @@ def compactification_experiment(group, n_list, depth):
 
 def sphere_sample(group, n, count, seed, max_cells=10**8):
     """Uniform samples from the radius-n sphere, as a (count, n) letter array
-    (sample t is the sampler engine's sphere walk keyed by (seed, t))."""
+    (sample t is the uniform sphere chain's path keyed by (seed, t))."""
     if n < 1 or count < 1:
         raise ValueError("need n >= 1 and count >= 1")
     if count * n > max_cells:
         raise ResourceLimit("sample array would be too large; use spherical_clt")
-    payload = uniform_sphere_payload(group.d, [x ^ 1 for x in range(group.d)])
+    payload = uniform_sphere_payload(group.sft())
     payload.update(n=n, seed=seed, kernel_widths=(), kernel_tables=(), e=0.0,
                    checkpoints=(), want_max=False, want_symbols=True)
-    out = np.empty((count, n), dtype=payload["succ_table"].dtype)
+    out = np.empty((count, n), dtype=payload["succ_sym"].dtype)
     step = max(1, 2**20 // n)  # trials per engine block: about a MB of letters
     for lo in range(0, count, step):
         trials = (lo, min(lo + step, count))
@@ -227,8 +227,6 @@ class SphericalCltResult:
     seed: int
 
     def summary(self):
-        import math
-
         return {
             "ks": self.ks,
             "dkw_99": self.dkw,
@@ -242,41 +240,37 @@ class SphericalCltResult:
         }
 
 
-def _spherical_stats(group, pattern, n, count, seed, workers, payload_kind, sigma2):
-    """L(g)/(sigma sqrt n) over count samples of the given kind vs the normal."""
+def _spherical_stats(group, pattern, n, count, seed, workers, mm, sigma2):
+    """L(g)/(sigma sqrt n) over count paths of mm vs the normal; sigma^2 by default from Parry."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    if count == 1:
+        raise ValueError("count must be >= 2 for a standard error, got 1")
     L = brooks(group, pattern) if not hasattr(pattern, "value") else pattern
-    mm = parry_measure(group.sft())
     if sigma2 is None:
-        sigma2 = sigma2_of(L, mm).sigma2_martingale
-    payload, e = path_functional_payload(L, mm)
-    if payload_kind == "sphere":
-        tables = {k: payload[k] for k in ("kernel_widths", "kernel_tables", "e")}
-        payload = dict(uniform_sphere_payload(group.d, [x ^ 1 for x in range(group.d)]), **tables)
-    payload.update(n=n, seed=seed, checkpoints=(), want_max=False)
-    stats = _run_blocks(payload, count, workers)["final"] / np.sqrt(sigma2 * n)
-    se = float(stats.std(ddof=1) / np.sqrt(len(stats)))
-    return SphericalCltResult(stats, ks_distance(stats, standard_normal_cdf), dkw_band(count),
-                              float(stats.mean()), se, float(sigma2), group.sphere_size(n),
-                              n, count, seed)
+        sigma2 = sigma2_of(L, parry_measure(group.sft())).sigma2_martingale
+    res = clt_experiment(L, mm, n, count, seed, workers=workers, sigma2=sigma2)
+    se = float(res.stats.std(ddof=1) / np.sqrt(count))
+    return SphericalCltResult(res.stats, res.ks, res.dkw, float(res.stats.mean()), se,
+                              res.sigma2, group.sphere_size(n), n, count, seed)
 
 
 def spherical_clt(group, pattern, n, count, seed, workers=1, sigma2=None):
     """Law of L(g)/(sigma sqrt n) over uniform sphere samples vs the normal.
 
-    The uniform-sphere prefix process coincides with the Parry chain of the
-    no-cancellation subshift (uniform first letter, uniform non-backtracking
-    steps), which is where sigma^2 comes from.
+    Sphere prefixes are the uniform non-backtracking chain, built exactly; it
+    has the law of the Parry chain, which is where sigma^2 comes from.
     """
-    return _spherical_stats(group, pattern, n, count, seed, workers, "sphere", sigma2)
+    mm = uniform_sphere_chain(group.sft())
+    return _spherical_stats(group, pattern, n, count, seed, workers, mm, sigma2)
 
 
 def boundary_ray_clt(group, pattern, n, count, seed, workers=1, sigma2=None):
     """Same statistic along boundary rays started at the identity.
 
     For a free group with its standard generators the Patterson-Sullivan lift
-    is exactly the Parry chain, so rays are sampled from that chain; the law
-    agrees with spherical sampling up to the sampling bands.
+    is exactly the Parry chain, so rays walk that chain as its eigensolve gives
+    it; the law agrees with spherical sampling up to the sampling bands.
     """
-    return _spherical_stats(group, pattern, n, count, seed, workers, "markov", sigma2)
+    mm = parry_measure(group.sft())
+    return _spherical_stats(group, pattern, n, count, seed, workers, mm, sigma2)

@@ -407,6 +407,14 @@ REFUSED = {  # runs too small or empty to give a result, and the bound each name
                                 "mc.trials must be >= 2 for a sample variance, got 1"),
     "compactify-without-lengths": ("compactify", {"rank": 2, "n_list": [], "depth": 2},
                                    "n_list must be nonempty, got []"),
+    "compactify-at-length-zero": ("compactify", {"rank": 2, "n_list": [0], "depth": 2},
+                                  "n_list entries must be >= 1, got [0]"),
+    "compactify-at-negative-length": ("compactify", {"rank": 2, "n_list": [-2, 4], "depth": 2},
+                                      "n_list entries must be >= 1, got [-2, 4]"),
+    "spherical-from-one-sample": ("spherical", dict(SPHERE, count=1),
+                                  "count must be >= 2 for a standard error, got 1"),
+    "rays-from-one-sample": ("spherical", dict(SPHERE, count=1, mode="ray"),
+                             "count must be >= 2 for a standard error, got 1"),
     "solve-cohomological-without-psis": (
         "solve-cohomological", {"sft": F2, "random": {"memory": 2, "count": 0, "seed": 1}},
         "random.count must be >= 1, got 0"),
@@ -425,6 +433,15 @@ def test_too_small_monte_carlo_runs_exit_two_naming_the_bound(case):
                               side_effect=AssertionError("solved before refusing")):
         code, summary = cli.execute(op, cfg, None)
     assert code == 2 and bound in summary["error"], summary["error"]
+
+
+def test_spherical_mode_is_checked_before_sampling():
+    from thermoqm import cli
+
+    with mock.patch.object(cli.experiments, "_simulate_block",
+                           side_effect=AssertionError("sampled before checking")):
+        code, summary = cli.execute("spherical", dict(SPHERE, count=16, mode="Ray"), None)
+    assert (code, summary["error"]) == (2, "ValueError: mode must be 'sphere' or 'ray', got 'Ray'")
 
 
 TABULATED = {"kind": "tabulated", "tables": {"1": {"1": 1.0, "2": 0.5}}, "defect": 1.0}

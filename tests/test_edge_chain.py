@@ -73,7 +73,7 @@ def old_sampler_payload(sft, t, kernel, stationary):
     init_cum = np.cumsum(stationary)
     init_cum[-1] = 1.0
     cuts, rank = ex._cut_ranks(succ_cum)
-    return {"kind": "markov", "d": sft.d, "t": t, "init_cum": init_cum,
+    return {"d": sft.d, "t": t, "init_cum": init_cum,
             "state_words": g.states.array, "succ_cum": succ_cum, "cuts": cuts, "rank": rank,
             "succ_state": g.dst[edge], "succ_sym": g.sym[edge].astype(symbol_dtype(sft.d))}
 

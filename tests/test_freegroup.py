@@ -5,10 +5,11 @@ import itertools
 import numpy as np
 import pytest
 
+from thermoqm import experiments as ex
 from thermoqm import freegroup as fg
 from thermoqm import markov as mk
 from thermoqm.qm import defect
-from thermoqm.sft import SCOPED_WORD_CAP
+from thermoqm.sft import SCOPED_WORD_CAP, golden_mean
 
 
 @pytest.fixture(scope="module")
@@ -211,3 +212,45 @@ def test_boundary_ray_matches_spherical(G):
     joint = np.sqrt(a.mean_se ** 2 + b.mean_se ** 2)
     assert abs(a.mean_stat - b.mean_stat) <= 4 * joint
     assert abs(a.ks - b.ks) <= 0.03
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4])
+def test_uniform_sphere_chain_is_exact(rank):
+    """Every step 1/(d - 1) and every state 1/d, with no eigensolve: the chain's
+    defects vanish to 1e-15, its cylinder masses are Parry's to 1e-15, and its
+    payload has d - 2 cut points, the partial sums of 1/(d - 1)."""
+    sft = fg.FreeGroup(rank).sft()
+    d = sft.d
+    mm = ex.uniform_sphere_chain(sft)
+    assert (mm.edge_prob == 1.0 / (d - 1)).all() and (mm.stationary == 1.0 / d).all()
+    g = mm.graph
+    fix = np.bincount(g.dst, mm.stationary[g.src] * mm.edge_prob, len(g)) - mm.stationary
+    assert np.abs(fix).max() <= 1e-15
+    assert mm.potential.normalized and mm.potential.normalization_defect() <= 1e-15
+    parry = mk.parry_measure(sft)
+    for k in range(1, 5):
+        assert np.abs(mm.cylinder_masses(k) - parry.cylinder_masses(k)).max() <= 1e-15
+    assert len(ex.markov_sampler_payload(mm)["cuts"]) == d - 2
+
+
+def test_uniform_sphere_chain_needs_constant_degrees():
+    with pytest.raises(ValueError, match="equal in- and out-degrees"):
+        ex.uniform_sphere_chain(golden_mean())
+
+
+@pytest.mark.parametrize("rank,n,count,seed", [(2, 7, 5, 3), (2, 40, 90, 11), (3, 9, 170, 5)])
+def test_sphere_sample_rows_are_uniform_chain_paths(rank, n, count, seed):
+    """Float uniforms (5 samples) and codes (90 samples on 2 cut points, 170 on 4)."""
+    G = fg.FreeGroup(rank)
+    samples = fg.sphere_sample(G, n, count, seed)
+    mm = ex.uniform_sphere_chain(G.sft())
+    for t in range(count):
+        assert np.array_equal(samples[t], ex.sample_path(mm, n, seed, t))
+
+
+def test_spherical_clt_is_clt_experiment_on_the_uniform_chain(G):
+    res = fg.spherical_clt(G, "ab", n=300, count=1000, seed=4)
+    ref = ex.clt_experiment(fg.brooks(G, "ab"), ex.uniform_sphere_chain(G.sft()), 300, 1000, 4,
+                            sigma2=res.sigma2)
+    assert res.stats.tobytes() == ref.stats.tobytes()
+    assert (res.ks, res.dkw, res.sigma2) == (ref.ks, ref.dkw, ref.sigma2)

@@ -60,37 +60,23 @@ def _loop_block(payload):
             if j is not None:
                 checks[:, j] = s_now
 
-    if payload["kind"] == "markov":
-        U = np.empty((B, n))
-        for i, trial in enumerate(range(t0, t1)):
-            U[i] = ex.trial_rng(payload["seed"], trial).random(n)
-        states = np.searchsorted(payload["init_cum"], U[:, 0], side="right")
-        init_words = payload["state_words"][states]
-        for pos in range(min(t, n)):
-            consume(init_words[:, pos].copy(), pos)
-        succ_cum = payload["succ_cum"]
-        succ_state = payload["succ_state"]
-        succ_sym = payload["succ_sym"]
-        for pos in range(t, n):
-            u = U[:, pos - t + 1]
-            rows = succ_cum[states]
-            j = (u[:, None] >= rows).sum(axis=1)
-            sym = succ_sym[states, j]
-            states = succ_state[states, j]
-            consume(sym, pos)
-    else:
-        succ = payload["succ_table"]
-        choice = np.empty((B, n - 1), dtype=np.int64)
-        first = np.empty(B, dtype=np.int64)
-        for i, trial in enumerate(range(t0, t1)):
-            g = ex.trial_rng(payload["seed"], trial)
-            first[i] = g.integers(0, d)
-            choice[i] = g.integers(0, d - 1, size=n - 1)
-        cur = first.astype(sym_dtype)
-        consume(cur.copy(), 0)
-        for pos in range(1, n):
-            cur = succ[cur, choice[:, pos - 1]]
-            consume(cur.copy(), pos)
+    U = np.empty((B, n))
+    for i, trial in enumerate(range(t0, t1)):
+        U[i] = ex.trial_rng(payload["seed"], trial).random(n)
+    states = np.searchsorted(payload["init_cum"], U[:, 0], side="right")
+    init_words = payload["state_words"][states]
+    for pos in range(min(t, n)):
+        consume(init_words[:, pos].copy(), pos)
+    succ_cum = payload["succ_cum"]
+    succ_state = payload["succ_state"]
+    succ_sym = payload["succ_sym"]
+    for pos in range(t, n):
+        u = U[:, pos - t + 1]
+        rows = succ_cum[states]
+        j = (u[:, None] >= rows).sum(axis=1)
+        sym = succ_sym[states, j]
+        states = succ_state[states, j]
+        consume(sym, pos)
 
     out = {"final": acc - n * e, "checks": checks, "runmax": runmax}
     if want_symbols:
@@ -99,23 +85,11 @@ def _loop_block(payload):
 
 
 def _loop_sphere_sample(group, n, count, seed):
-    """sphere_sample as it was: a per-letter Python walk per sample."""
-    d = group.d
-    succ = np.zeros((d, d - 1), dtype=np.int8)
-    for x in range(d):
-        succ[x] = [y for y in range(d) if y != (x ^ 1)]
-    out = np.empty((count, n), dtype=np.int8)
-    for t in range(count):
-        g = ex.trial_rng(seed, t)
-        first = int(g.integers(0, d))
-        out[t, 0] = first
-        if n > 1:
-            choices = g.integers(0, d - 1, size=n - 1)
-            cur = first
-            for k in range(1, n):
-                cur = succ[cur, choices[k - 1]]
-                out[t, k] = cur
-    return out
+    """sphere_sample by the per-step loop on the uniform sphere payload."""
+    payload = ex.uniform_sphere_payload(group.sft())
+    payload.update(n=n, seed=seed, trial_range=(0, count), kernel_widths=(), kernel_tables=(),
+                   e=0.0, checkpoints=(), want_max=False, want_symbols=True)
+    return _loop_block(payload)["symbols"]
 
 
 def _assert_identical(new, old):
@@ -382,8 +356,8 @@ def _peak_bytes(payload):
 
 
 def test_sphere_block_matches_per_step_loop():
-    """Rank 7 (d = 14) has successor offsets up to 13 * 13, beyond int8; every
-    walk case is reached."""
+    """The uniform sphere chain at ranks 2, 3 and 7 (d = 14: 12 cut points, so
+    floats at every block width here); every walk case is reached."""
     seen = set()
 
     @PROPERTY
@@ -393,7 +367,7 @@ def test_sphere_block_matches_per_step_loop():
     def check(rank, n, first, B, widths, chunks):
         d = 2 * rank
         rng = np.random.default_rng(n)
-        payload = ex.uniform_sphere_payload(d, [x ^ 1 for x in range(d)])
+        payload = ex.uniform_sphere_payload(fg.FreeGroup(rank).sft())
         payload.update(n=n, seed=n * 7919 + first, trial_range=(first, first + B),
                        kernel_widths=widths,
                        kernel_tables=tuple(rng.normal(size=d**q) for q in widths),
@@ -407,15 +381,16 @@ def test_sphere_block_matches_per_step_loop():
 
 
 def test_sphere_sample_matches_per_letter_walk():
-    """sphere_sample against the per-letter walk at every table budget and chunk size."""
+    """sphere_sample against the per-step loop at every table budget and chunk
+    size, with uniforms as floats (too few samples per cut point) or codes."""
     seen = set()
 
     @PROPERTY
     @given(st.sampled_from([2, 3, 7]), st.integers(1, 60), st.integers(1, 12),
-           st.integers(0, 2**40), CHUNKS)
-    def check(rank, n, count, seed, chunks):
+           st.integers(0, 2**40), CHUNKS, st.sampled_from([0, ex._CUT_TRIALS]))
+    def check(rank, n, count, seed, chunks, cut_trials):
         G = fg.FreeGroup(rank)
-        with _chunked(chunks), _walk_cases(seen):
+        with _chunked(chunks), _walk_cases(seen), mock.patch.object(ex, "_CUT_TRIALS", cut_trials):
             got = fg.sphere_sample(G, n, count, seed)
         assert np.array_equal(got, _loop_sphere_sample(G, n, count, seed))
 
