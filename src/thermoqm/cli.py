@@ -7,10 +7,12 @@ are byte-identical.  The ops form one table, `OPS`, filled by `@op` with each
 op's required and optional top-level keys and defaults.  `execute` first
 parses: it checks the keys and reads each one by `READERS` (an AttributeError,
 KeyError or TypeError raised there is an InvalidConfig); then the op's handler computes,
-checks and returns its artifacts.  Exit codes: 0 pass, 1 threshold failure,
-2 invalid input (the config could not be parsed, or the library refused it
-with ValueError or a ThermoQmError), 3 resource limit, 4 any other exception,
-a library bug (summary.json still records it).
+checks and returns its artifacts (the words op appends its CSV to the output
+directory slice by slice while it enumerates, through the same `_write`).
+Exit codes: 0 pass, 1 threshold failure, 2 invalid input (the config could not
+be parsed, or the library refused it with ValueError or a ThermoQmError),
+3 resource limit, 4 any other exception, a library bug (summary.json still
+records it).
 """
 
 from __future__ import annotations
@@ -219,9 +221,10 @@ def op(name, required, optional="", **defaults):
     return register
 
 
-def _parse(op, cfg, workers):
+def _parse(op, cfg, workers, out_dir):
     """The handler and its arguments: cfg over the op's defaults, each key
-    read by READERS (after the sft, which the others are read against)."""
+    read by READERS (after the sft, which the others are read against), with
+    the worker count and the output directory (None: write nothing)."""
     try:
         run, required, optional, defaults = OPS[op]
         _require(cfg, {*required.replace("|", " ").split(), *optional.split(), *defaults},
@@ -230,7 +233,7 @@ def _parse(op, cfg, workers):
         args = {k: READERS[k](v, sft) if k in READERS else v for k, v in {**defaults, **cfg}.items()}
     except (AttributeError, KeyError, TypeError) as exc:  # raised reading cfg: it is malformed
         raise InvalidConfig(f"{type(exc).__name__}: {exc}") from exc
-    return run, {**args, "sft": sft, "workers": workers}
+    return run, {**args, "sft": sft, "workers": workers, "out_dir": out_dir}
 
 
 # -- artifacts and checks ----------------------------------------------------------
@@ -263,7 +266,8 @@ CHECKS = {"<=": operator.le, ">=": operator.ge, "==": operator.eq,
 
 
 def check(name, value, threshold, mode="<="):
-    ok = CHECKS[mode](value, threshold)
+    """A threshold check; a value that could not be computed (None) fails it."""
+    ok = value is not None and CHECKS[mode](value, threshold)
     return {"name": name, "value": value, "threshold": threshold, "mode": mode, "pass": bool(ok)}
 
 
@@ -288,15 +292,24 @@ def run_sft_validate(a):
 
 @op("words", "sft n", periodic=False)
 def run_words(a):
+    """Streams words.csv one slice of the enumeration at a time."""
     sft, n, periodic = a["sft"], a["n"], a["periodic"]
-    words = sft.word_array(n, periodic=periodic)
+    slices = sft.word_slices(n, periodic=periodic)
+    path = a["out_dir"] and os.path.join(a["out_dir"], "words.csv")
+    if path:
+        _write(path, "word\n")
+    count = 0
+    for words in slices:
+        count += len(words)
+        if path:
+            _write(path, render_words(words), "a")
     expected = sft.periodic_count(n) if periodic else sft.word_count(n)
     return {
         "n": n,
         "periodic": periodic,
-        "count": len(words),
-        "checks": [check("count_matches_formula", len(words), int(expected), "==")],
-    }, {"words.csv": "word\n" + render_words(words)}
+        "count": count,
+        "checks": [check("count_matches_formula", count, int(expected), "==")],
+    }, {}
 
 
 @op("pressure", "sft qm n_max", method="auto", thresholds={})
@@ -448,6 +461,8 @@ def run_variance(a):
         raise InvalidConfig("variance with mc needs qm; psi alone has no Monte Carlo check")
     if "mc" in a and a["mc"]["trials"] < 2:
         raise InvalidConfig(f"mc.trials must be >= 2 for a sample variance, got {a['mc']['trials']}")
+    if "mc" in a and a["mc"]["n"] < 1:
+        raise InvalidConfig(f"mc.n must be >= 1, got {a['mc']['n']}")
     mm = a["chain"]
     psi = _centred(markov.MarkovPotential.from_qm(a["qm"], a["sft"]) if "qm" in a else a["psi"], mm)
     var = markov.variance(mm.potential, psi, mm)
@@ -508,6 +523,8 @@ def run_lil(a):
 
 @op("deviations", "sft qm n_list trials delta seed", "rate", rate_rel_tol=0.15, chain=None)
 def run_deviations(a):
+    if "rate" in a and not a["rate"] > 0:
+        raise InvalidConfig(f"rate must be > 0, got {a['rate']}")
     res = experiments.deviation_experiment(
         a["qm"], a["chain"], a["n_list"], a["trials"], a["delta"], a["seed"], workers=a["workers"]
     )
@@ -516,7 +533,8 @@ def run_deviations(a):
         checks.append(check("gauss_slope_negative", res.gauss_slope, 0.0))
     if "rate" in a:
         rate = a["rate"]
-        checks.append(check("rate_relative_error", abs(-res.slope - rate) / rate, a["rate_rel_tol"]))
+        err = abs(-res.slope - rate) / rate if res.slope is not None else None
+        checks.append(check("rate_relative_error", err, a["rate_rel_tol"]))
     lines = [f"{r['n']},{r['count']},{r['p_hat']!r}" for r in res.rows]
     return {"deviations": res.summary(), "checks": checks}, {"tails.csv": _csv("n,count,p_hat", lines)}
 
@@ -551,9 +569,10 @@ def run_spherical(a):
 # -- running ops -------------------------------------------------------------------
 
 
-def _write(path, text):
+def _write(path, text, mode="w"):
+    """Write (mode "w") or append (mode "a") text to path, making its directory."""
     os.makedirs(os.path.dirname(path), exist_ok=True)
-    with open(path, "w") as fh:
+    with open(path, mode) as fh:
         fh.write(text)
 
 
@@ -561,7 +580,7 @@ def execute(op, cfg, out_dir, workers=1):
     """Run one operation, parse stage then handler; returns (exit_code, summary)."""
     started = time.time()
     try:
-        run, args = _parse(op, cfg, workers)
+        run, args = _parse(op, cfg, workers, out_dir)
         summary, files = run(args)
         code = 0 if all(c["pass"] for c in summary.get("checks", [])) else 1
     except ResourceLimit as exc:

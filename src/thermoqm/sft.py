@@ -2,7 +2,13 @@
 
 Symbols are 0-based internally; file formats render them 1-based.  Words are
 arrays, with tuple views: the words of one length are one (count, n) array of
-`symbol_dtype(d)` symbols (`Sft.word_array`, about n bytes per word).  All
+`symbol_dtype(d)` symbols (`Sft.word_array`, about n bytes per word).  Up to
+_JOIN_WORDS words it is built one successor column at a time; above, it is a
+lexicographic join of two about half-length arrays, O(|W_n| n) bytes moved,
+built in consecutive slices of about _SLICE_CELLS symbols (`Sft.word_slices`
+hands them out one by one, for consumers that stream).  The peak is at most
+about 2n + 16 bytes a word (3n + 16 for the wrapping words) while W_n fits one
+slice, and n bytes a word plus about 4 MB of slice temporaries beyond.  All
 enumerations are in lexicographic order and all
 tie-breaking (connectors, lifts, star words) is shortest-then-lexicographic,
 so every operation here is a deterministic function of its inputs.
@@ -29,6 +35,8 @@ SCOPED_WORD_CAP = contextvars.ContextVar("thermoqm_word_cap", default=None)
 
 Word = tuple
 _DENSE_TABLE = 8  # code lookups use a d**depth table up to this many entries a word
+_JOIN_WORDS = 1024  # word_array joins two shorter arrays above this many words (CHANGES.md)
+_SLICE_CELLS = 1 << 20  # symbols of W_n a slice of Sft.word_slices is built from
 
 
 def word_cap():
@@ -271,12 +279,32 @@ class Sft:
         """All admissible words of length n as a (count, n) symbol array, in
         lexicographic order; with periodic=True only the wrapping ones.  The
         word cap applies to |W_n| and is checked before anything is allocated."""
+        parts = self.word_slices(n, periodic)
+        if self.word_count(n) * n <= _SLICE_CELLS:
+            return next(parts)  # W_n fits one slice
+        out = np.empty((self.periodic_count(n) if periodic else self.word_count(n), n),
+                       symbol_dtype(self.d))
+        row = 0
+        for part in parts:
+            out[row:row + len(part)] = part
+            row += len(part)
+        return out
+
+    def word_slices(self, n, periodic=False):
+        """word_array(n, periodic) as an iterator of consecutive row slices, each
+        from about _SLICE_CELLS symbols of W_n; the cap is checked on this call."""
         if n < int(periodic):
             raise ValueError("periodic words have length >= 1" if periodic
                              else "word length must be >= 0")
         count = self.word_count(n)
         if count > word_cap():
             raise ResourceLimit(f"|W_{n}| = {count} exceeds the word cap")
+        if n < 3 or count <= _JOIN_WORDS:
+            return iter([self._successor_words(n, periodic)])
+        return self._joined_words(n, periodic)
+
+    def _successor_words(self, n, periodic):
+        """One successor expansion per column: cheapest for short lists of words."""
         dt = symbol_dtype(self.d)
         arr = np.arange(self.d, dtype=dt)[:, None] if n else np.zeros((1, 0), dtype=dt)
         for _ in range(n - 1):
@@ -284,6 +312,34 @@ class Sft:
             rows, syms = np.nonzero(self.R[arr[:, -1]])
             arr = np.concatenate([arr[rows], syms.astype(dt)[:, None]], axis=1)
         return arr[self.R[arr[:, -1], arr[:, 0]] == 1] if periodic else arr
+
+    def _joined_words(self, n, periodic):
+        """W_n, n >= 3, as consecutive lexicographic slices, by a join of two
+        shorter word arrays.  Every n-word is h[:-1] + t for one h in H = W_j,
+        j = ceil(n/2), and one t in T = W_{n-j+1} with t[0] == h[-1]; in order
+        the words come grouped by h, and each group is the contiguous run of
+        T's rows that start with h[-1].  A block of H's rows is one slice."""
+        j = (n + 1) // 2
+        H, T = self.word_array(j), self.word_array(n - j + 1)
+        start = np.searchsorted(T[:, 0], np.arange(self.d))  # T's first row starting with a
+        runs = np.diff(start, append=len(T))[H[:, -1]]  # words from each row of H
+        ends = np.cumsum(runs)
+        # a head h[:-1] and a tail t as one opaque item each: a row copies in one move
+        heads = np.ascontiguousarray(H[:, :-1]).view(f"V{(j - 1) * H.itemsize}")[:, 0]
+        tails = T.view(f"V{T.shape[1] * T.itemsize}")[:, 0]
+        layout = np.dtype([("head", heads.dtype), ("tail", tails.dtype)])
+        step = max(1, _SLICE_CELLS // n)
+        lo = 0
+        while lo < len(H):
+            hi = max(lo + 1, int(np.searchsorted(ends, (ends[lo - 1] if lo else 0) + step, "right")))
+            r = runs[lo:hi]
+            part = np.empty((int(r.sum()), n), H.dtype)
+            fields = part.view(layout)[:, 0]
+            fields["head"] = np.repeat(heads[lo:hi], r)
+            rows = np.repeat(start[H[lo:hi, -1]] - (np.cumsum(r) - r), r) + np.arange(len(part))
+            fields["tail"] = tails.take(rows)
+            yield part[self.R[part[:, -1], part[:, 0]] == 1] if periodic else part
+            lo = hi
 
     def words(self, n):
         """All admissible words of length n as tuples, lexicographic."""
@@ -426,8 +482,8 @@ def render_words(arr):
     if arr.size and arr.max() > 8:
         return "".join(render_word(w) + "\n" for w in arr.tolist())
     out = np.full((arr.shape[0], arr.shape[1] + 1), ord("\n"), dtype=np.uint8)
-    out[:, :-1] = arr + ord("1")
-    return out.tobytes().decode("ascii")
+    np.add(arr, ord("1"), out=out[:, :-1], casting="unsafe")
+    return str(out, "ascii")
 
 
 def parse_word(text, d):

@@ -19,6 +19,8 @@ from .errors import ResourceLimit
 from .measures import CylinderMeasure
 from .sft import kernel_sums, window_codes
 
+_GIBBS_CELLS = 1 << 15  # word positions per chunk of the Gibbs orbit masses
+
 
 # -- partition functions -------------------------------------------------------
 
@@ -244,6 +246,11 @@ def gibbs_measure(L, sft, N, depth, weighting="homogenized"):
     orbit is cut into a word, and it tracks the transfer-operator chain at a
     spectral rate.  weighting="raw" uses the literal e^{L(a)} instead, whose
     wrap-junction tilt decays only like depth/N.
+
+    The word array and its weights are held whole; window codes, lookups and
+    spread weights run over chunks of about _GIBBS_CELLS word positions, and
+    each chunk's bincount starts from the running masses, so every mass is
+    added in the same order, bit for bit, as in one pass over all words.
     """
     if not (1 <= depth <= N):
         raise ValueError("need 1 <= depth <= N")
@@ -257,15 +264,22 @@ def gibbs_measure(L, sft, N, depth, weighting="homogenized"):
     else:
         raise ValueError("weighting must be 'homogenized' or 'raw'")
     logZ = _logsumexp(vals)
-    spread = np.repeat(np.exp(vals - logZ) / N, N)
-    masses = {}
-    codes = np.zeros(arr.shape, dtype=np.int64)
-    for k in range(1, depth + 1):
-        # codes[:, j]: the depth-k window of the periodic point from position j
-        codes = codes * sft.d + np.roll(arr, 1 - k, axis=1)
-        idx = sft.cylinders(k)
-        # bincount adds in input order: word by word, each word position by position
-        masses[k] = np.bincount(idx.index_of_codes(codes.ravel()), spread, len(idx))
+    weight = np.exp(vals - logZ) / N
+    idx = {k: sft.cylinders(k) for k in range(1, depth + 1)}
+    masses = {k: np.zeros(len(idx[k])) for k in idx}
+    step = max(1, _GIBBS_CELLS // N)
+    for lo in range(0, len(arr), step):
+        words = arr[lo:lo + step]
+        spread = np.repeat(weight[lo:lo + step], N)
+        codes = np.zeros(words.shape, dtype=np.int64)
+        for k, cyl in idx.items():
+            # codes[:, j]: the depth-k window of the periodic point from position j
+            codes = codes * sft.d + np.roll(words, 1 - k, axis=1)
+            # bincount adds in input order from 0.0: the running masses first, so
+            # every mass is the sum word by word, each word position by position
+            K = len(cyl)
+            masses[k] = np.bincount(np.concatenate([np.arange(K), cyl.index_of_codes(codes.ravel())]),
+                                    np.concatenate([masses[k], spread]), K)
     return CylinderMeasure(sft, masses)
 
 

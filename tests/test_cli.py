@@ -418,6 +418,18 @@ REFUSED = {  # runs too small or empty to give a result, and the bound each name
     "solve-cohomological-without-psis": (
         "solve-cohomological", {"sft": F2, "random": {"memory": 2, "count": 0, "seed": 1}},
         "random.count must be >= 1, got 0"),
+    "deviations-at-rate-zero": ("deviations",
+                                dict(MC, n_list=[5, 10], trials=10, delta=0.45, rate=0),
+                                "rate must be > 0, got 0.0"),
+    "deviations-at-negative-rate": ("deviations",
+                                    dict(MC, n_list=[5, 10], trials=10, delta=0.45, rate=-0.1),
+                                    "rate must be > 0, got -0.1"),
+    "variance-on-paths-of-length-zero": ("variance", {"sft": F2, "qm": QM01,
+                                                      "mc": {"n": 0, "trials": 16, "seed": 1}},
+                                         "mc.n must be >= 1, got 0"),
+    "variance-on-paths-of-negative-length": ("variance", {"sft": F2, "qm": QM01,
+                                                          "mc": {"n": -3, "trials": 16, "seed": 1}},
+                                             "mc.n must be >= 1, got -3"),
 }
 
 
@@ -433,6 +445,18 @@ def test_too_small_monte_carlo_runs_exit_two_naming_the_bound(case):
                               side_effect=AssertionError("solved before refusing")):
         code, summary = cli.execute(op, cfg, None)
     assert code == 2 and bound in summary["error"], summary["error"]
+
+
+def test_deviations_rate_without_a_fitted_slope_fails_its_check():
+    from thermoqm import cli
+
+    # one nonzero tail row at most: no rate is fitted, so none can match
+    code, summary = cli.execute(
+        "deviations", dict(MC, n_list=[5, 10], trials=10, delta=0.45, rate=0.08), None)
+    checks = {c["name"]: c for c in summary["checks"]}
+    assert summary["deviations"]["slope"] is None
+    assert code == 1 and checks["rate_relative_error"]["value"] is None
+    assert not checks["rate_relative_error"]["pass"] and not checks["slope_negative"]["pass"]
 
 
 def test_spherical_mode_is_checked_before_sampling():

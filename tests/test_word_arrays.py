@@ -4,6 +4,7 @@ code they replaced, compared exactly (the same floats in the same order)."""
 
 import time
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from scipy.special import logsumexp
 
 from thermoqm import bowen, cli, thermo
 from thermoqm import markov as mk
+from thermoqm import sft as sft_module
 from thermoqm.errors import InvalidMatrix, NotPrimitive, ResourceLimit
 from thermoqm.freegroup import FreeGroup
 from thermoqm.measures import CylinderMeasure
@@ -36,6 +38,7 @@ from thermoqm.sft import (
     parse_word,
     render_word,
     render_words,
+    symbol_dtype,
 )
 
 PROPERTY = settings(max_examples=30, deadline=None, derandomize=True, database=None,
@@ -607,3 +610,139 @@ def test_index_of_codes_picks_the_table_on_dense_indexes():
         idx = sft.cylinders(depth)
         assert np.array_equal(idx.index_of_codes(idx.codes[::-1]), np.arange(len(idx))[::-1])
         assert ("_table" in vars(idx)) == dense, (sft.d, depth)
+
+
+# -- the join, chunked Gibbs masses and the streamed words CSV ---------------------
+
+
+def old_word_array(sft, n, periodic=False):
+    """Frozen successor loop: the whole array rebuilt once per column."""
+    dt = symbol_dtype(sft.d)
+    arr = np.arange(sft.d, dtype=dt)[:, None] if n else np.zeros((1, 0), dtype=dt)
+    for _ in range(n - 1):
+        rows, syms = np.nonzero(sft.R[arr[:, -1]])
+        arr = np.concatenate([arr[rows], syms.astype(dt)[:, None]], axis=1)
+    return arr[sft.R[arr[:, -1], arr[:, 0]] == 1] if periodic else arr
+
+
+def old_gibbs_masses_one_pass(L, sft, N, depth, weighting):
+    """Frozen gibbs_measure masses: codes, lookup and spread over every word at once."""
+    arr = sft.word_array(N, periodic=True)
+    vals = L.homogenized_values(arr, sft.d) if weighting == "homogenized" else L.values(arr, sft.d)
+    spread = np.repeat(np.exp(vals - thermo._logsumexp(vals)) / N, N)
+    masses = {}
+    codes = np.zeros(arr.shape, dtype=np.int64)
+    for k in range(1, depth + 1):
+        codes = codes * sft.d + np.roll(arr, 1 - k, axis=1)
+        idx = sft.cylinders(k)
+        masses[k] = np.bincount(idx.index_of_codes(codes.ravel()), spread, len(idx))
+    return masses
+
+
+JOIN_MAX_N = {2: 12, 3: 8, 4: 6}  # up to 4096 words
+
+
+@PROPERTY
+@given(primitive_sfts(), st.sampled_from([1, 7, 64, 1 << 20]))
+def test_join_equals_the_successor_loop(sft, cells):
+    # threshold 0: the join runs from n = 3 on; small slices split W_n many ways
+    with mock.patch.object(sft_module, "_JOIN_WORDS", 0), \
+            mock.patch.object(sft_module, "_SLICE_CELLS", cells):
+        for n in range(JOIN_MAX_N[sft.d] + 1):
+            for periodic in (False, True) if n else (False,):
+                want = old_word_array(sft, n, periodic)
+                got = sft.word_array(n, periodic)
+                assert got.dtype == want.dtype and np.array_equal(got, want), (n, periodic)
+                parts = list(sft.word_slices(n, periodic))
+                assert all(p.dtype == want.dtype for p in parts)
+                assert np.array_equal(np.concatenate(parts), want), (n, periodic)
+
+
+BANDED_130 = Sft([[int((j - i) % 130 < 10) for j in range(130)] for i in range(130)])  # int16
+
+
+@pytest.mark.parametrize("sft,n", [(full_shift(2), 18), (full_shift(3), 9), (golden_mean(), 22),
+                                   (FreeGroup(2).sft(), 9), (BANDED_130, 4)],
+                         ids=["full2-18", "full3-9", "golden-22", "free2-9", "banded130-4"])
+def test_join_above_the_real_threshold(sft, n):
+    assert sft.word_count(n) > sft_module._JOIN_WORDS
+    for periodic in (False, True):
+        want = old_word_array(sft, n, periodic)
+        got = sft.word_array(n, periodic)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert np.array_equal(np.concatenate(list(sft.word_slices(n, periodic))), want)
+
+
+@PROPERTY
+@given(sft_and_qm(), st.sampled_from(["homogenized", "raw"]), st.sampled_from([1, 7, None]))
+def test_chunked_gibbs_masses_equal_one_pass(case, weighting, words):
+    sft, L = case
+    N = max(small_ns(sft))
+    assume(sft.periodic_count(N) > 0)
+    words = words or sft.periodic_count(N) + 1  # None: one chunk holds every word
+    depth = min(N, 4)
+    with mock.patch.object(thermo, "_GIBBS_CELLS", words * N):
+        mu = thermo.gibbs_measure(L, sft, N, depth, weighting=weighting)
+    want = old_gibbs_masses_one_pass(L, sft, N, depth, weighting)
+    for k in range(1, depth + 1):
+        assert np.array_equal(mu.masses_at(k), want[k])  # bit for bit
+
+
+@pytest.mark.parametrize("sft,n,periodic", [
+    (full_shift(2), 10, False), (golden_mean(), 14, True), (FreeGroup(2).sft(), 6, False),
+    (full_shift(12), 3, True)], ids=["full2", "golden-periodic", "free2", "full12-periodic"])
+def test_words_csv_streams_slices_with_the_dfs_bytes(tmp_path, sft, n, periodic):
+    with mock.patch.object(sft_module, "_JOIN_WORDS", 0), \
+            mock.patch.object(sft_module, "_SLICE_CELLS", 40), \
+            mock.patch.object(cli, "_write", wraps=cli._write) as write:
+        code, summary = cli.execute("words", {"sft": sft.to_json(), "n": n, "periodic": periodic},
+                                    str(tmp_path))
+    words = dfs_periodic(sft, n) if periodic else dfs_words(sft, n)
+    assert code == 0 and summary["count"] == len(words)
+    assert sum(c.args[2:] == ("a",) for c in write.call_args_list) > 2  # several slices
+    assert (tmp_path / "words.csv").read_bytes() == old_words_csv(words).encode()
+
+
+@pytest.mark.parametrize("periodic", [False, True])
+def test_cap_raises_before_allocating_on_the_join_path(periodic, monkeypatch, tmp_path):
+    sft = full_shift(2)
+    monkeypatch.setenv("THERMOQM_MAX_WORDS", "1000")
+    monkeypatch.setattr(sft_module, "_JOIN_WORDS", 0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimit, match=r"^\|W_60\| = 1152921504606846976 exceeds"):
+            sft.word_array(60, periodic=periodic)
+        with pytest.raises(ResourceLimit, match=r"^\|W_60\| = 1152921504606846976 exceeds"):
+            sft.word_slices(60, periodic=periodic)  # on the call, not on the first slice
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    assert np.array_equal(sft.word_array(9, periodic=periodic), old_word_array(sft, 9, periodic))
+    code, summary = cli.execute("words", {"sft": sft.to_json(), "n": 10, "periodic": periodic},
+                                str(tmp_path))
+    assert code == 3 and summary["error"].startswith("ResourceLimit: |W_10| = 1024")
+    assert not (tmp_path / "words.csv").exists()
+
+
+F2_SPEC = {"builtin": "full_shift", "d": 2}
+MEMORY_BOUNDS = {  # tracemalloc peak of one call (it was 26.6, 18.8 and 15.1 MB)
+    "gibbs-check-count01": (lambda out: cli.execute("gibbs-check", {
+        "sft": F2_SPEC, "qm": {"kind": "pattern_count", "pattern": "12"}, "N": 16, "depth": 6,
+        "tolerance_tv": 0.01}, out), 5e6),
+    "words-full2": (lambda out: cli.execute("words", {"sft": F2_SPEC, "n": 18}, out), 8e6),
+    "word-array-full2-18": (lambda out: full_shift(2).word_array(18), 10e6),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MEMORY_BOUNDS))
+def test_enumeration_memory_bounds(tmp_path, case):
+    run, bound = MEMORY_BOUNDS[case]
+    tracemalloc.start()
+    try:
+        out = run(str(tmp_path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out[0] == 0 if isinstance(out, tuple) else len(out) == 2**18
+    assert peak <= bound, f"{case}: tracemalloc peak {peak / 1e6:.2f} MB > {bound / 1e6:.0f} MB"
