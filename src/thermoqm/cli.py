@@ -528,7 +528,7 @@ def run_deviations(a):
     res = experiments.deviation_experiment(
         a["qm"], a["chain"], a["n_list"], a["trials"], a["delta"], a["seed"], workers=a["workers"]
     )
-    checks = [check("slope_negative", res.slope if res.slope is not None else 1.0, 0.0)]
+    checks = [check("slope_negative", res.slope, 0.0)]
     if res.gauss_slope is not None:
         checks.append(check("gauss_slope_negative", res.gauss_slope, 0.0))
     if "rate" in a:

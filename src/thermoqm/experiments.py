@@ -13,10 +13,14 @@ table lookup: a trial's state s and its next k codes c_i (r = len(cuts) + 1
 values each; the uniform sphere walk is a chain with d - 2 cut points, r = d - 1)
 pack into one index s r^k + sum c_i r^(k-1-i) of two (k, S r^k) tables, the
 symbol of each step and the state after it, with k the largest depth whose
-table fits _WALK_CELLS cells.  A float block takes one flat gather per
-position, and a single path on at most _SCAN_STATES states composes its
-per-step state maps by a Hillis-Steele scan.  All feed one evaluation step:
-path functionals are sums of the quasimorphism's window kernels over the
+table fits _WALK_CELLS cells; a run builds the tables once and hands them to
+every block in its payload.  A float block takes one flat gather per position.
+A single path on at most _SEGMENT_STATES states is cut into segments, and
+every (segment, entry state) pair walks as one walker of a block of about
+_BLOCK, on the path's shared codes (or floats, past a byte of ranks); the path
+then follows, segment by segment, the walker that enters at its state (the
+all-start-states device of coupling from the past).  All feed one evaluation
+step: path functionals are sums of the quasimorphism's window kernels over the
 symbol chunks, accumulated in order per trial, which makes L(x_0..x_{k-1})
 exact at every step without storing words; the CLT reads the final sums, the
 other experiments the running sums at ascending checkpoints (the LIL orbit:
@@ -49,13 +53,14 @@ def _rekeyer():
     stream at Philox counter `counter` (next uniform: number 4 * counter), by
     replacing the counter and key of one state dict (the setter copies it)."""
     gen = np.random.Generator(np.random.Philox(0))
+    bitgen = gen.bit_generator
     full = {"bit_generator": "Philox", "state": {}, "buffer": (0,) * 4, "buffer_pos": 4,
             "has_uint32": 0, "uinteger": 0}
     state = full["state"]
 
-    def rekey(seed, trial, counter=0):
-        state["counter"], state["key"] = (counter, 0, 0, 0), (int(seed) & _MASK, int(trial) & _MASK)
-        gen.bit_generator.state = full
+    def rekey(seed, trial, counter=0):  # seed and trial: ints in [0, 2^64)
+        state["counter"], state["key"] = (counter, 0, 0, 0), (seed, trial)
+        bitgen.state = full
         return gen
 
     return rekey
@@ -99,7 +104,10 @@ def _cut_ranks(succ_cum):
 
 def _codes(u, cuts):
     """One-byte bucket codes #{c in cuts : c <= u}, one comparison pass a cut."""
-    return sum((u >= c for c in cuts), np.zeros(u.shape, dtype=np.uint8))
+    out = np.zeros(u.shape, dtype=np.uint8)
+    for c in cuts:
+        out += u >= c
+    return out
 
 
 def markov_sampler_payload(mm):
@@ -158,7 +166,8 @@ def sample_path(mm, n, seed, trial=0):
 
 # -- the block engine -------------------------------------------------------------
 
-_BLOCK = 2048  # trials per engine block: blocks are cut in the calling process, one job each
+_BLOCK = 2048  # trials per engine block (blocks are cut in the calling process, one job each),
+#                and the walkers of a single path's segments at a time
 _DRAW_CELLS = 1 << 18  # float64 cells (or 8x as many byte codes) per drawn chunk, 2 MB; each
 #                        chunk re-keys every stream once, so smaller chunks trade time for memory
 _CUT_TRIALS = 40  # trials a block needs per cut point to code: a code costs ~0.5 ns a cut, and
@@ -167,27 +176,12 @@ _CUT_TRIALS = 40  # trials a block needs per cut point to code: a code costs ~0.
 #                   at B = 256 to 8 and at B = 64 to 16: the crossover is 32-43 trials a cut at
 #                   B = 2048, 32-64 at B = 1024 and lower below
 _PIECE_CELLS = 1 << 14  # float scratch a chunk is drawn through, a multiple of 4 (128 KB)
-_EVAL_CELLS = 1 << 15  # cells per evaluated chunk and per state-map segment
+_EVAL_CELLS = 1 << 15  # cells per evaluated chunk and per walk of a single path's segments
 _WALK_CELLS = 1 << 16  # cells of each k-step walk table (k, S r^k): k is the largest that fits
-_SCAN_STATES = 64  # beyond this a single path walks flat: a scan step costs S log(segment)
+_SEGMENT_STATES = 400  # beyond this a single path walks flat, one gather a step (4-8 us), as
+#                        segment walkers take S steps for each of the path's; on float uniforms
+#                        they lose from about 390-500 states (BENCH_15.json, segments)
 _ROW_ADD_TRIALS = 256  # from here a row-by-row add (~1 us a row) beats np.cumsum (~5 ns a cell)
-
-
-def _scan(base, R, pick, nxt, sym, w):
-    """One walker through draws R (positions, 1): per segment, tabulate every
-    step's next-state map, compose the maps by a Hillis-Steele scan and read
-    the path off at the entry state; returns (symbols, final offset)."""
-    X = np.empty(R.shape, dtype=sym.dtype)
-    seg = max(1, _EVAL_CELLS * w // len(nxt))
-    for lo in range(0, len(R), seg):
-        r = R[lo:lo + seg]
-        F = nxt.take(pick(np.arange(0, len(nxt), w), r))  # F[p, s]: offset after step p from s
-        for k in (1 << i for i in range((len(F) - 1).bit_length())):  # k = 1, 2, 4, .. < len(F)
-            F[k:] = np.take_along_axis(F[k:], F[:-k] // w, axis=1)
-        idx = pick(np.append(base, F[:-1, base[0] // w]), r[:, 0])
-        X[lo:lo + seg, 0] = sym.take(idx)
-        base = nxt.take(idx[-1:])
-    return X, base
 
 
 def _walk_depth(S, r):
@@ -198,12 +192,14 @@ def _walk_depth(S, r):
     return k
 
 
-def _walk_tables(succ_state, succ_sym, rank, r, k):
-    """k-step tables of a coded walk: index s r^k + sum_i c_i r^(k-1-i) packs
-    state s and the codes c_0..c_{k-1} (code c picks column #{j < w - 1 :
-    c >= rank[s, j]}); row i of sym holds the symbol of step i, row i of nxt
-    the state after it, times r^k."""
-    S, w = succ_state.shape
+def _walk_tables(payload):
+    """k-step tables of a coded walk, k = _walk_depth(S, r): index s r^k + sum_i
+    c_i r^(k-1-i) packs state s and the codes c_0..c_{k-1} (code c picks column
+    #{j < w - 1 : c >= rank[s, j]}); row i of sym holds the symbol of step i,
+    row i of nxt the state after it, times r^k."""
+    succ_state, succ_sym, rank = payload["succ_state"], payload["succ_sym"], payload["rank"]
+    (S, w), r = succ_state.shape, len(payload["cuts"]) + 1
+    k = _walk_depth(S, r)
     col = (np.arange(r)[:, None] >= rank[:, None, :w - 1]).sum(axis=2)  # (S, r)
     step_state = np.take_along_axis(succ_state, col, axis=1).astype(np.intp)
     step_sym = np.take_along_axis(succ_sym, col, axis=1)
@@ -217,10 +213,31 @@ def _walk_tables(succ_state, succ_sym, rank, r, k):
     return sym, nxt
 
 
+def _segmented(payload, B):
+    """Whether a block of B trials is one path walked as segments."""
+    return B == 1 and len(payload["succ_state"]) <= _SEGMENT_STATES
+
+
+def _coded(payload, B):
+    """Whether a block of B trials draws one-byte codes and walks the k-step
+    tables: ranks fit a byte, and the block has _CUT_TRIALS trials a cut point
+    or is one path walked as segments (every code then serves S walkers)."""
+    cuts = len(payload["cuts"])
+    return cuts < 255 and (cuts * _CUT_TRIALS <= B or _segmented(payload, B))
+
+
+def _with_walk_tables(payload, widths):
+    """The payload with its walk tables, built once for every block of a run,
+    when a block of one of these trial counts walks by codes."""
+    if any(_coded(payload, B) for B in widths):
+        payload = dict(payload, walk_tables=_walk_tables(payload))
+    return payload
+
+
 def _pack(C, r, k):
-    """Position-major codes C (m, B) as one index offset per group of k rows,
+    """Position-major codes C (m, ...) as one index offset per group of k rows,
     sum_i c_i r^(k-1-i); a short last group reads as padded with code 0."""
-    P = np.zeros((-(-len(C) // k), C.shape[1]), dtype=np.min_scalar_type(r**k - 1))
+    P = np.zeros((-(-len(C) // k),) + C.shape[1:], dtype=np.min_scalar_type(r**k - 1))
     for i in range(k):
         P *= r
         P[:len(C[i::k])] += C[i::k]
@@ -229,16 +246,15 @@ def _pack(C, r, k):
 
 def _simulate_block(payload):
     t0, t1 = payload["trial_range"]
-    B, n, seed = t1 - t0, payload["n"], payload["seed"]
+    B, n, seed = t1 - t0, payload["n"], int(payload["seed"]) & _MASK
     rekey = _rekeyer()
     succ_state, succ_sym, cuts = payload["succ_state"], payload["succ_sym"], payload["cuts"]
-    coded = len(cuts) < 255 and len(cuts) * _CUT_TRIALS <= B  # then codes, ranks 1..r
-    rank, r = payload["rank"], len(cuts) + 1
-    w, rows = succ_state.shape[1], max(1, _EVAL_CELLS // B)
-    scan = B == 1 and len(succ_state) <= _SCAN_STATES
-    walk = coded and not scan  # by the k-step tables
-    k = _walk_depth(len(succ_state), r) if walk else 1
-    cum = (rank.astype(np.uint8) if coded else payload["succ_cum"]).ravel()
+    (S, w), r = succ_state.shape, len(cuts) + 1
+    segments, coded = _segmented(payload, B), _coded(payload, B)
+    k = _walk_depth(S, r) if coded else 1
+    unit = r**k if coded else w  # a walker's offset: its state times unit
+    cum = (payload["rank"].astype(np.uint8) if coded else payload["succ_cum"]).ravel()
+    rows = max(1, _EVAL_CELLS // B)
     N = max(n - payload["t"], 0)
     cols = max(4, _DRAW_CELLS * (8 if coded else 1) // B // 4 * 4)
     buf = None if coded else np.empty((min(cols, N + 1), B))  # codes: packed per chunk
@@ -251,13 +267,14 @@ def _simulate_block(payload):
         T = np.empty((min(B, max(1, _PIECE_CELLS // p)), p))
         for b, j in itertools.product(range(0, B, len(T)), range(0, len(U), p)):
             V = T[:B - b, :len(U) - j]  # streams b.., positions lo + j.., one blocked transpose
-            for i, row in enumerate(V):
-                rekey(seed, t0 + b + i, (lo + j) // 4).random(out=row)
+            counter = (lo + j) // 4
+            for trial, row in zip(range(t0 + b, t1), V):
+                rekey(seed, trial, counter).random(out=row)
             if lo + j == 0:
                 u0[b:b + len(V)] = V[:, 0]
             U[j:j + p, b:b + len(V)] = (_codes(V, cuts) if coded else V).T
         C = U[lo == 0:]  # position 0 picks the initial state
-        return (len(C), _pack(C, r, k)) if walk else C  # the walk reads packed codes
+        return len(C), (_pack(C, r, k) if coded and not segments else C)  # segments pack later
 
     def pick(base, u):  # successor column: #{k < w - 1 : u >= cum}; the last cum is 1
         idx = base + (u >= cum.take(base))
@@ -271,34 +288,65 @@ def _simulate_block(payload):
     chunks = itertools.chain([chunk0], map(draws, range(cols, N + 1, cols)))
     nxt, sym = (succ_state.astype(np.int64) * w).ravel(), succ_sym.ravel()
 
-    def walk_chunks():  # k codes a table lookup; a chunk is the fewest whole groups >= rows
-        wsym, wnxt = _walk_tables(succ_state, succ_sym, rank, r, k)  # after the first draw
-        base, groups = (first * r**k).astype(wnxt.dtype), -(-rows // k)
-        for m, P in chunks:
-            for lo in range(0, len(P), groups):
-                X = np.empty((min(groups * k, m - lo * k), B), dtype=sym.dtype)
-                for i, p in enumerate(P[lo:lo + groups]):
-                    j = min(k, len(X) - i * k)  # < k in the last group of a chunk
+    def walked():  # symbol chunks of about _EVAL_CELLS cells
+        if coded:  # after the first draw, unless the run brought them
+            wsym, wnxt = payload.get("walk_tables") or _walk_tables(payload)
+        offset = wnxt.dtype if coded else np.int64
+
+        # m steps of the walkers at offsets base; a row of Q, k packed codes or one
+        # float per walker, broadcasts against base
+        def walk(Q, base, m):
+            X = np.empty((m,) + base.shape, dtype=sym.dtype)
+            if coded:
+                for i, p in enumerate(Q):
+                    j = min(k, m - i * k)  # < k in a last, partial group
                     idx = base + p
                     wsym[:j].take(idx, axis=1, out=X[i * k:i * k + j])
                     base = wnxt[j - 1].take(idx)
-                yield X
-
-    def pick_chunks():  # _EVAL_CELLS cells each; one path on few states scans
-        base = first * w
-        for R in (Y[i:i + rows] for Y in chunks for i in range(0, len(Y), rows)):
-            if scan:
-                X, base = _scan(base, R, pick, nxt, sym, w)
-            else:  # one flat gather step per position for all B walkers
-                X = np.empty(R.shape, dtype=sym.dtype)
-                for r, x in zip(R, X):
-                    idx = pick(base, r)
+            else:  # one flat gather step per position
+                for q, x in zip(Q, X):
+                    idx = pick(base, q)
                     sym.take(idx, out=x)
                     base = nxt.take(idx)
-            yield X
+            return X, base
 
-    symbols = walk_chunks() if walk else pick_chunks()
-    return _evaluate(payload, B, itertools.chain([head.T], symbols), sym.dtype)
+        prep = (lambda C: _pack(C, r, k)) if coded else (lambda C: C)
+        nseg = max(1, _BLOCK // S)  # segments walked at once, S walkers each
+        L = max(1, _EVAL_CELLS // (nseg * S))  # steps a segment
+        entries = np.tile(np.arange(S, dtype=offset) * unit, (nseg, 1))
+
+        # one path (B = 1) through steps C: a walker for every segment and entry
+        # state, then segment by segment the walker that enters at the path's state
+        def path(C, base):
+            X = np.empty(C.shape, dtype=sym.dtype)
+            for lo in range(0, len(C), nseg * L):
+                piece = C[lo:lo + nseg * L]
+                g = len(piece) // L
+                if g:
+                    Q = prep(piece[:g * L, 0].reshape(g, L).T)  # (step, segment)
+                    Y, ends = walk(Q[:, :, None], entries[:g], L)  # (step, segment, entry)
+                    s, at = int(base[0]) // unit, []
+                    for row in (ends // unit).tolist():
+                        at.append(s)
+                        s = row[s]
+                    X[lo:lo + g * L, 0] = Y[:, np.arange(g), at].T.ravel()
+                    base = np.array([s * unit], offset)
+                if len(piece) > g * L:  # a short last segment: the path's own walker
+                    X[lo + g * L:lo + len(piece)], base = walk(prep(piece[g * L:]), base,
+                                                               len(piece) - g * L)
+            return X, base
+
+        base = (first * unit).astype(offset)
+        groups = rows if segments else -(-rows // k)  # whole groups of k codes
+        for m, Q in chunks:
+            for lo in range(0, len(Q), groups):
+                if segments:
+                    X, base = path(Q[lo:lo + groups], base)
+                else:
+                    X, base = walk(Q[lo:lo + groups], base, min(groups * k, m - lo * k))
+                yield X
+
+    return _evaluate(payload, B, itertools.chain([head.T], walked()), sym.dtype)
 
 
 def _evaluate(payload, B, chunks, sym_dtype):
@@ -355,6 +403,7 @@ def _run_blocks(payload, trials, workers):
     if trials < 1:
         raise ValueError(f"need at least 1 trial or sample, got {trials}")
     ranges = [(lo, min(lo + _BLOCK, trials)) for lo in range(0, trials, _BLOCK)]
+    payload = _with_walk_tables(payload, {t1 - t0 for t0, t1 in ranges})
     jobs = [dict(payload, trial_range=r) for r in ranges]
     if workers <= 1:
         parts = [_simulate_block(j) for j in jobs]

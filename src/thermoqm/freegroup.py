@@ -21,6 +21,7 @@ from .qm import LetterWeights, SignedPatternCount
 from .sft import Sft, word_cap
 from .experiments import (
     _simulate_block,
+    _with_walk_tables,
     clt_experiment,
     sigma2_of,
     uniform_sphere_chain,
@@ -198,6 +199,7 @@ def sphere_sample(group, n, count, seed, max_cells=10**8):
                    checkpoints=(), want_max=False, want_symbols=True)
     out = np.empty((count, n), dtype=payload["succ_sym"].dtype)
     step = max(1, 2**20 // n)  # trials per engine block: about a MB of letters
+    payload = _with_walk_tables(payload, {min(step, count - lo) for lo in range(0, count, step)})
     for lo in range(0, count, step):
         trials = (lo, min(lo + step, count))
         out[lo:trials[1]] = _simulate_block(dict(payload, trial_range=trials))["symbols"]

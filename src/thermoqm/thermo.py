@@ -20,6 +20,7 @@ from .measures import CylinderMeasure
 from .sft import kernel_sums, window_codes
 
 _GIBBS_CELLS = 1 << 15  # word positions per chunk of the Gibbs orbit masses
+_SPLIT_CELLS = 1 << 14  # (n, m) pairs per row block of the split constant, 128 KB a temporary
 
 
 # -- partition functions -------------------------------------------------------
@@ -176,17 +177,19 @@ class PressureEstimate:
 
 
 def _split_constant(p, n0, n_max):
-    """sup |P_{n+m} - P_n - P_m| over n,m >= n0, n+m <= n_max (finite entries)."""
+    """sup |P_{n+m} - P_n - P_m| over n,m >= n0, n+m <= n_max (finite entries),
+    over row blocks of the (n, m) triangle of about _SPLIT_CELLS cells."""
     p = np.asarray(p, dtype=float)
     finite = np.isfinite(p)
+    q = np.where(finite, p, 0.0)  # masked below; keeps the arithmetic finite
     best = -np.inf
-    for n in range(n0, n_max // 2 + 1):
-        if not finite[n - 1]:
-            continue
-        m = np.arange(n, n_max - n + 1)
-        m = m[finite[n + m - 1] & finite[m - 1]]
-        if len(m):
-            best = max(best, np.abs(p[n + m - 1] - p[n - 1] - p[m - 1]).max())
+    m = np.arange(n0, n_max - n0 + 1)
+    rows = max(1, _SPLIT_CELLS // max(1, len(m)))
+    for lo in range(n0, n_max // 2 + 1, rows):
+        n = np.arange(lo, min(lo + rows, n_max // 2 + 1))[:, None]
+        nm = np.minimum(n + m, n_max) - 1
+        ok = (m >= n) & (m <= n_max - n) & finite[n - 1] & finite[m - 1] & finite[nm]
+        best = max(best, np.abs(q[nm] - q[n - 1] - q[m - 1]).max(initial=-np.inf, where=ok))
     return max(0.0, float(best)) if best > -np.inf else np.nan
 
 
@@ -206,12 +209,11 @@ def pressure(L, sft, n_max, method="auto"):
     c_used = _split_constant(p, n0, n_max)
     if not np.isfinite(c_used):
         n0, c_used = 1, c_all
-    lo, hi = -np.inf, np.inf
-    for n in range(n0, n_max + 1):
-        if not np.isfinite(p[n - 1]):
-            continue
-        lo = max(lo, (p[n - 1] - c_used) / n)
-        hi = min(hi, (p[n - 1] + c_used) / n)
+    n = np.arange(n0, n_max + 1)
+    pn = p[n - 1]
+    ok = np.isfinite(pn) & np.isfinite(c_used)  # no finite split: both bounds stay infinite
+    lo = ((pn - c_used) / n).max(initial=-np.inf, where=ok)
+    hi = ((pn + c_used) / n).min(initial=np.inf, where=ok)
     return PressureEstimate(
         n_max=n_max, p_n=p, c_all=float(c_all), c_used=float(c_used), n0=n0,
         lower=float(lo), upper=float(hi), point=float(p[n_max - 1] / n_max),
@@ -270,11 +272,12 @@ def gibbs_measure(L, sft, N, depth, weighting="homogenized"):
     step = max(1, _GIBBS_CELLS // N)
     for lo in range(0, len(arr), step):
         words = arr[lo:lo + step]
+        wrapped = np.concatenate([words, words[:, :depth - 1]], axis=1)  # one period and a bit
         spread = np.repeat(weight[lo:lo + step], N)
         codes = np.zeros(words.shape, dtype=np.int64)
         for k, cyl in idx.items():
             # codes[:, j]: the depth-k window of the periodic point from position j
-            codes = codes * sft.d + np.roll(words, 1 - k, axis=1)
+            codes = codes * sft.d + wrapped[:, k - 1:k - 1 + N]
             # bincount adds in input order from 0.0: the running masses first, so
             # every mass is the sum word by word, each word position by position
             K = len(cyl)

@@ -2,6 +2,8 @@
 matrices against enumeration and the word-by-word loops they replaced."""
 
 import itertools
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -106,6 +108,56 @@ def test_split_constant_equals_double_loop(p, n0):
         assert np.isnan(got)
     else:
         assert got == want
+
+
+def _split_constant_rows(p, n0, n_max):
+    """The one-row-at-a-time loop the row-block reduction replaced."""
+    p = np.asarray(p, dtype=float)
+    finite = np.isfinite(p)
+    best = -np.inf
+    for n in range(n0, n_max // 2 + 1):
+        if not finite[n - 1]:
+            continue
+        m = np.arange(n, n_max - n + 1)
+        m = m[finite[n + m - 1] & finite[m - 1]]
+        if len(m):
+            best = max(best, np.abs(p[n + m - 1] - p[n - 1] - p[m - 1]).max())
+    return max(0.0, float(best)) if best > -np.inf else np.nan
+
+
+def _pressure_interval_loop(p, M, n_max):
+    """pressure's constants and bounds as the per-n loop computed them."""
+    c_all = _split_constant_rows(p, 1, n_max)
+    n0 = 3 * M if 6 * M <= n_max else 1
+    c_used = _split_constant_rows(p, n0, n_max)
+    if not np.isfinite(c_used):
+        n0, c_used = 1, c_all
+    lo, hi = -np.inf, np.inf
+    for n in range(n0, n_max + 1):
+        if not np.isfinite(p[n - 1]):
+            continue
+        lo = max(lo, (p[n - 1] - c_used) / n)
+        hi = min(hi, (p[n - 1] + c_used) / n)
+    return c_all, c_used, n0, float(lo), float(hi)
+
+
+@PROPERTY
+@given(st.lists(st.one_of(st.floats(-1e3, 1e3), st.just(-np.inf)), min_size=4, max_size=91),
+       st.integers(1, 4), st.integers(1, 300))
+def test_pressure_interval_equals_the_per_n_loops(p, M, cells):
+    """Row blocks of any size (one row, several, all) against the loops, bit for
+    bit, with -inf entries, n0 = 3M > 1 where n_max allows it and odd n_max."""
+    p = np.array(p)
+    n_max = len(p)
+    with mock.patch.object(thermo, "_SPLIT_CELLS", cells), \
+            mock.patch.object(thermo, "log_partition_sequence", return_value=p):
+        est = thermo.pressure(None, SimpleNamespace(M=M), n_max)
+        for n0 in (1, 2, 3 * M, n_max // 2 + 1):
+            got, want = thermo._split_constant(p, n0, n_max), _split_constant_rows(p, n0, n_max)
+            assert got == want or np.isnan(got) and np.isnan(want)
+    got = (est.c_all, est.c_used, est.n0, est.lower, est.upper)
+    want = _pressure_interval_loop(p, M, n_max)
+    assert np.array_equal(got, want, equal_nan=True)
 
 
 def test_split_constant_all_nonfinite_is_nan():

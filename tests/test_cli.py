@@ -456,6 +456,7 @@ def test_deviations_rate_without_a_fitted_slope_fails_its_check():
     checks = {c["name"]: c for c in summary["checks"]}
     assert summary["deviations"]["slope"] is None
     assert code == 1 and checks["rate_relative_error"]["value"] is None
+    assert checks["slope_negative"]["value"] is None
     assert not checks["rate_relative_error"]["pass"] and not checks["slope_negative"]["pass"]
 
 

@@ -400,8 +400,8 @@ def test_sphere_sample_matches_per_letter_walk():
 
 @pytest.mark.parametrize("pattern,states,n", [("abA", 12, 30011), ("abaBa", 108, 6007)])
 def test_long_single_path_matches_per_step_loop(pattern, states, n):
-    """B = 1 on a memory-2 chain, scanned over several state-map segments, and
-    on a memory-4 chain with more than _SCAN_STATES states, walked flat."""
+    """B = 1 on a memory-2 and a memory-4 chain, both within _SEGMENT_STATES
+    states, walked as segments over several walks of segment walkers."""
     G = fg.FreeGroup(2)
     mm, _, _ = mk.gibbs_chain_from_qm(fg.brooks(G, pattern), G.sft())
     assert len(mm.states) == states

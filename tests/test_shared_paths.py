@@ -4,6 +4,7 @@ project_conditional and one mass interface, each against a frozen copy of
 the code it replaced."""
 
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -177,6 +178,44 @@ def old_lil(L, mm, n_max, seed, n_min=1000, sigma2=None, trial=0):
               for n in grid]
     return ex.LilResult(float(stat[k]), int(ns[start - 1 + k]), start, n_max, float(sigma2),
                         series)
+
+
+def old_scan(base, R, pick, nxt, sym, w):
+    """One walker through draws R (positions, 1): per segment, tabulate every
+    step's next-state map, compose the maps by a Hillis-Steele scan and read
+    the path off at the entry state; returns (symbols, final offset)."""
+    X = np.empty(R.shape, dtype=sym.dtype)
+    seg = max(1, (1 << 15) * w // len(nxt))
+    for lo in range(0, len(R), seg):
+        r = R[lo:lo + seg]
+        F = nxt.take(pick(np.arange(0, len(nxt), w), r))  # F[p, s]: offset after step p from s
+        for k in (1 << i for i in range((len(F) - 1).bit_length())):  # k = 1, 2, 4, .. < len(F)
+            F[k:] = np.take_along_axis(F[k:], F[:-k] // w, axis=1)
+        idx = pick(np.append(base, F[:-1, base[0] // w]), r[:, 0])
+        X[lo:lo + seg, 0] = sym.take(idx)
+        base = nxt.take(idx[-1:])
+    return X, base
+
+
+def old_single_path(payload):
+    """The symbols of a one-trial block as the engine walked a path on few
+    states before segments: the trial's float uniforms, the state maps of
+    every step composed by old_scan."""
+    t0, _ = payload["trial_range"]
+    n, w = payload["n"], payload["succ_state"].shape[1]
+    U = ex.trial_rng(payload["seed"], t0).random(max(n - payload["t"], 0) + 1)
+    first = np.searchsorted(payload["init_cum"], U[:1], side="right")
+    cum = payload["succ_cum"].ravel()
+
+    def pick(base, u):
+        idx = base + (u >= cum.take(base))
+        for k in range(1, w - 1):
+            idx += u >= cum[k:].take(base)
+        return idx
+
+    nxt, sym = (payload["succ_state"].astype(np.int64) * w).ravel(), payload["succ_sym"].ravel()
+    X, _ = old_scan(first * w, U[1:, None], pick, nxt, sym, w)
+    return np.concatenate([payload["state_words"][first[0]][:n], X[:, 0]])
 
 
 def old_variational_check(L, sft, candidates, ptop, integral_depth=None):
@@ -368,20 +407,23 @@ def test_variational_check_equals_the_per_type_branches(additive):
 # -- the LIL on the block engine ------------------------------------------------------
 
 F2 = FreeGroup(2)
-LIL_CASES = {  # name: (quasimorphism, chain, n_max); abaBa's Gibbs chain has 108 states
+LIL_CASES = {  # name: (quasimorphism, chain or its state count, n_max): the Gibbs chain of
+    # abaBa (108 states) walks as segments, that of abaBabA (972 states) flat
     "letter-weights": (LetterWeights([0.5, -0.5]), mk.parry_measure(full_shift(2)), 40000),
     "count01": (PatternCount((0, 1)), mk.parry_measure(full_shift(2)), 40000),
     "brooks-abaB": (brooks(F2, "abaB"), mk.parry_measure(F2.sft()), 20000),
-    "gibbs-abaBa": (brooks(F2, "abaBa"), None, 6000),
+    "gibbs-abaBa": (brooks(F2, "abaBa"), 108, 6000),
+    "gibbs-abaBabA": (brooks(F2, "abaBabA"), 972, 3000),
 }
 
 
 @pytest.mark.parametrize("case", sorted(LIL_CASES))
 def test_lil_on_the_engine_equals_the_old_evaluation(case):
     L, mm, n_max = LIL_CASES[case]
-    if mm is None:
-        mm = mk.gibbs_chain_from_qm(L, F2.sft())[0]
-        assert len(mm.stationary) == 108 > ex._SCAN_STATES  # the flat single-path walk
+    if isinstance(mm, int):
+        states, mm = mm, mk.gibbs_chain_from_qm(L, F2.sft())[0]
+        assert len(mm.stationary) == states
+        assert (states > ex._SEGMENT_STATES) == (states == 972)  # the flat single-path walk
     for seed, trial in ((3, 0), (4, 2)):
         got = ex.lil_experiment(L, mm, n_max, seed, trial=trial)
         want = old_lil(L, mm, n_max, seed, trial=trial)
@@ -410,3 +452,63 @@ def test_lil_samples_one_block_and_no_symbol_array(monkeypatch):
     (p,) = calls
     assert p["trial_range"] == (5, 6) and not p.get("want_symbols", False)
     assert np.array_equal(p["checkpoints"], np.arange(1000, 3001))
+
+
+# -- single paths as segment walkers ---------------------------------------------------
+
+SEGMENT_CHAINS = {  # name: (sft, chain memory, states); random kernels, so that a walker
+    # entering at a wrong state makes its own symbols before the walkers couple
+    "full2-memory1": (full_shift(2), 1, 2),
+    "free2-memory2": (F2.sft(), 2, 12),
+    "free2-memory3": (F2.sft(), 3, 36),
+    "free2-memory4": (F2.sft(), 4, 108),
+    "full2-memory8": (full_shift(2), 8, 256),  # 256 cut points: float uniforms
+}
+
+
+@pytest.mark.parametrize("case", sorted(SEGMENT_CHAINS))
+def test_segment_walkers_give_the_scanned_and_the_flat_path(case):
+    """One path through segment walkers equals old_scan's and the flat walk's
+    symbols, with running sums at every n, on 2-256 states: 20,011 and 40,013
+    steps are no multiple of the 16-step segments, of a segment walk or of an
+    evaluated chunk, from a nonzero trial; drawn chunks of about 800
+    positions end in short segments inside the path."""
+    sft, memory, states = SEGMENT_CHAINS[case]
+    mm = _chain(sft, np.random.default_rng(states), memory)[1]
+    payload = ex.markov_sampler_payload(mm)
+    assert len(payload["succ_state"]) == states <= ex._SEGMENT_STATES
+    assert ex._coded(payload, 1) == (states < 256)
+    d = payload["d"]
+    table = np.linspace(-1.0, 1.0, d * d)
+    for n, trial in ((20011, 3), (40013, 1)):
+        payload.update(n=n, seed=29 + trial, trial_range=(trial, trial + 1), kernel_widths=(2,),
+                       kernel_tables=(table,), e=0.125, checkpoints=np.arange(1, n + 1),
+                       want_max=True, want_symbols=True)
+        got = ex._simulate_block(payload)
+        want = old_single_path(payload)
+        assert np.array_equal(got["symbols"][0], want)
+        with mock.patch.object(ex, "_DRAW_CELLS", 101):
+            assert np.array_equal(ex._simulate_block(payload)["symbols"][0], want)
+        with mock.patch.object(ex, "_SEGMENT_STATES", 0):
+            flat = ex._simulate_block(payload)
+        for key in ("symbols", "checks", "final", "runmax"):
+            assert np.array_equal(got[key], flat[key]), key
+        x = want.astype(np.int64)
+        run = np.cumsum(np.concatenate([[0.0], table[x[:-1] * d + x[1:]]]))
+        assert np.array_equal(got["checks"][0], run - np.arange(1, n + 1) * 0.125)
+
+
+def test_a_run_builds_its_walk_tables_once():
+    """600 trials in 5 blocks of at most 128 take the tables from the payload:
+    one build, and every block as it walks on its own tables."""
+    payload, _ = ex.path_functional_payload(PatternCount((0, 1)), mk.parry_measure(full_shift(2)))
+    payload.update(n=300, seed=4, checkpoints=(100, 300), want_max=True)
+    with mock.patch.object(ex, "_BLOCK", 128), \
+            mock.patch.object(ex, "_walk_tables", wraps=ex._walk_tables) as tables:
+        res = ex._run_blocks(payload, 600, 1)
+        assert tables.call_count == 1
+        parts = [ex._simulate_block(dict(payload, trial_range=(lo, min(lo + 128, 600))))
+                 for lo in range(0, 600, 128)]
+    assert tables.call_count == 6
+    for key in ("final", "checks", "runmax"):
+        assert np.array_equal(res[key], np.concatenate([p[key] for p in parts])), key
