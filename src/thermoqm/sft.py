@@ -478,12 +478,27 @@ def render_word(word):
 
 def render_words(arr):
     """render_word of every row of a symbol array, one per line: one byte
-    per symbol when no symbol passes 9, else row by row."""
-    if arr.size and arr.max() > 8:
-        return "".join(render_word(w) + "\n" for w in arr.tolist())
-    out = np.full((arr.shape[0], arr.shape[1] + 1), ord("\n"), dtype=np.uint8)
-    np.add(arr, ord("1"), out=out[:, :-1], casting="unsafe")
-    return str(out, "ascii")
+    per symbol when no symbol passes 9.  Otherwise each symbol is a fixed-width
+    cell, its digits and then a comma, and a mask drops the unused bytes: the
+    pad of short numbers, the comma of the last symbol (kept on a one-symbol
+    word) and every comma of a row whose symbols all stay within 9."""
+    if not arr.size or arr.max() <= 8:
+        out = np.full((arr.shape[0], arr.shape[1] + 1), ord("\n"), dtype=np.uint8)
+        np.add(arr, ord("1"), out=out[:, :-1], casting="unsafe")
+        return str(out, "ascii")
+    rows, n = arr.shape
+    names = [str(s + 1).encode() for s in range(int(arr.max()) + 1)]
+    width = max(map(len, names)) + 1
+    text = np.array([name.ljust(width, b",") for name in names], dtype=f"V{width}")
+    used = np.array([b"\1" * len(name) + b"\0" * (width - len(name)) for name in names],
+                    dtype=f"V{width}")  # as bools
+    cells = np.empty((rows, n * width + 1), dtype=np.uint8)
+    cells[:, :-1] = text[arr].view(np.uint8).reshape(rows, -1)
+    cells[:, -1] = ord("\n")
+    keep = np.ones(cells.shape, dtype=bool)
+    keep[:, :-1] = used[arr].view(bool).reshape(rows, -1)
+    keep[:, width - 1:-1:width] = (arr > 8).any(axis=1)[:, None] & ((np.arange(n) < n - 1) | (n == 1))
+    return str(cells[keep].tobytes(), "ascii")
 
 
 def parse_word(text, d):

@@ -7,6 +7,12 @@ enumeration: the wrap condition only sees the first symbol of a word, so d
 boundary vectors are pushed through the graph, O(n S d^2) work for S block
 states.  Plain enumeration stays available as the generic path and as a
 cross-check.
+
+Periodic-orbit Gibbs measures of window-additive quasimorphisms come from the
+same graph: the homogenized weight of a periodic word is the product of the
+edge weights along its closed walk, so the orbit masses at any N are entries
+of one matrix power, with no word of length N enumerated.  Only tabulated
+kinds and raw (non-homogenized) weighting enumerate the periodic words.
 """
 
 from __future__ import annotations
@@ -17,9 +23,10 @@ import numpy as np
 
 from .errors import ResourceLimit
 from .measures import CylinderMeasure
-from .sft import kernel_sums, window_codes
+from .sft import kernel_sums, window_codes, word_cap
 
-_GIBBS_CELLS = 1 << 15  # word positions per chunk of the Gibbs orbit masses
+_GIBBS_CELLS = 1 << 15  # word positions per chunk of the enumerated Gibbs orbit masses
+_GIBBS_MATRICES = 3  # dense S x S matrices the orbit transfer holds at its peak
 _SPLIT_CELLS = 1 << 14  # (n, m) pairs per row block of the split constant, 128 KB a temporary
 
 
@@ -45,6 +52,14 @@ def _enumerated_log_partition(L, sft, n):
     return _logsumexp(L.values(sft.word_array(n, periodic=True), sft.d))
 
 
+def _edge_log_weights(kernels, sft):
+    """The depth-t block graph, t = max(Q-1, 1), and on each of its edges the sum
+    of the kernel windows that end at the edge's new symbol."""
+    t = max(max(kernels) - 1, 1)
+    g = sft.block_graph(t)
+    return g, kernel_sums(kernels, g.ext, t + 1, sft.d, lambda q: [t + 1 - q])
+
+
 class _WindowTransfer:
     """Exact evaluator of Z_n = sum over wrapping words of e^{L} for window kernels.
 
@@ -63,10 +78,8 @@ class _WindowTransfer:
         self.kernels = kernels
         self.Q = max(kernels)
         d = sft.d
-        t = max(self.Q - 1, 1)
-        g = sft.block_graph(t)
-        S = len(g)
-        w = kernel_sums(kernels, g.ext, t + 1, d, lambda q: [t + 1 - q])
+        g, w = _edge_log_weights(kernels, sft)
+        t, S = g.t, len(g)
         self.weights, self.sources = g.incoming(np.exp(w))
         if self.Q == 1:
             self.base, self.init, self.close = 0, np.ones(S), np.eye(S)
@@ -249,22 +262,96 @@ def gibbs_measure(L, sft, N, depth, weighting="homogenized"):
     spectral rate.  weighting="raw" uses the literal e^{L(a)} instead, whose
     wrap-junction tilt decays only like depth/N.
 
+    For window-additive L the homogenized masses come from powers of the
+    weighted block graph (`_transfer_gibbs_masses`), for any N, in time and
+    memory set by the block states and the depth-cylinders, not by the
+    ~e^{N h_top} periodic words.  Kinds without window tables, and raw
+    weighting, enumerate the words (`_enumerated_gibbs_masses`).
+    """
+    if not (1 <= depth <= N):
+        raise ValueError("need 1 <= depth <= N")
+    if weighting not in ("homogenized", "raw"):
+        raise ValueError("weighting must be 'homogenized' or 'raw'")
+    kernels = L.window_tables(sft.d) if weighting == "homogenized" else None
+    if kernels:
+        return CylinderMeasure(sft, _transfer_gibbs_masses(kernels, sft, N, depth))
+    return CylinderMeasure(sft, _enumerated_gibbs_masses(L, sft, N, depth, weighting))
+
+
+def _transfer_gibbs_masses(kernels, sft, N, depth):
+    """Homogenized orbit masses at depths 1..depth from T = the block graph's
+    matrix of edge weights e^w (`_edge_log_weights`), t its depth.
+
+    A closed walk of length N in the graph is a point of period N, and the
+    product of T's entries along it is e^{Lbar} of its word, so Z = tr(T^N).
+    Averaged over the orbit, a cylinder's mass is the weight of the closed
+    walks that start with its word: for k <= t the diagonal of T^N added over
+    the states starting with the k-word; for k > t the path weight of the word
+    times (T^(N-k+t))[start, end] for the rest of the walk.  One power comes
+    by squaring, then one product by T per depth; every matrix and path
+    weight is rescaled by powers of two only, so no rescaling rounds.
+    """
+    g, w = _edge_log_weights(kernels, sft)
+    t, S = g.t, len(g)
+    cells, cap = _GIBBS_MATRICES * S * S, word_cap()
+    if cells > cap:
+        raise ResourceLimit(f"the orbit transfer needs {cells} dense cells "
+                            f"({_GIBBS_MATRICES} matrices of {S} x {S}), over the word cap {cap}")
+    E = np.exp(w)
+    E = np.ldexp(E, -np.frexp(E.max())[1])  # a common factor of every walk of length N
+    weights, sources = g.incoming(E)
+
+    def scaled(A, e):  # A 2^e as A' 2^e' with max A' in [1/2, 1), in place
+        shift = int(np.frexp(A.max())[1])
+        return np.ldexp(A, -shift, out=A), e + shift
+
+    def times_T(A, e):  # row i of T A adds the rows of A at the sources of the edges into i
+        out = A[sources[:, 0]]
+        out *= weights[:, :1]
+        for a in range(1, sft.d):
+            row = A[sources[:, a]]
+            row *= weights[:, a:a + 1]
+            out += row
+        return scaled(out, e)
+
+    lo = N - max(depth - t, 0)  # the lowest power needed, >= t >= 1
+    A, e = scaled(g.matrix(E), 0)
+    for bit in bin(lo)[3:]:
+        A, e = scaled(A @ A, 2 * e)
+        if bit == "1":
+            A, e = times_T(A, e)
+    rest = {}  # k > t: (T^(N-k+t))[start, end] of each k-word, and its power of two
+    for k in range(depth, t, -1):
+        idx = sft.cylinders(k)
+        rest[k] = A[idx.prefix(t), idx.suffix(t)], e
+        A, e = times_T(A, e)
+    diag = A.diagonal().copy()
+    Z = diag.sum()
+    if Z == 0:
+        raise ValueError(f"no periodic words of length {N}")
+    masses = {k: np.bincount(g.states.prefix(k), diag, len(sft.cylinders(k))) / Z
+              for k in range(1, min(depth, t) + 1)}
+    path = np.ones(S)
+    for k in range(t + 1, depth + 1):
+        idx = sft.cylinders(k)
+        path = path[idx.prefix(k - 1)] * E[idx.suffix(t + 1)]
+        entry, ek = rest[k]
+        masses[k] = np.ldexp(path * entry / Z, ek - e)
+    return masses
+
+
+def _enumerated_gibbs_masses(L, sft, N, depth, weighting):
+    """gibbs_measure's masses by enumerating the periodic words of length N.
+
     The word array and its weights are held whole; window codes, lookups and
     spread weights run over chunks of about _GIBBS_CELLS word positions, and
     each chunk's bincount starts from the running masses, so every mass is
     added in the same order, bit for bit, as in one pass over all words.
     """
-    if not (1 <= depth <= N):
-        raise ValueError("need 1 <= depth <= N")
     arr = sft.word_array(N, periodic=True)
     if not len(arr):
         raise ValueError(f"no periodic words of length {N}")
-    if weighting == "homogenized":
-        vals = L.homogenized_values(arr, sft.d)
-    elif weighting == "raw":
-        vals = L.values(arr, sft.d)
-    else:
-        raise ValueError("weighting must be 'homogenized' or 'raw'")
+    vals = L.homogenized_values(arr, sft.d) if weighting == "homogenized" else L.values(arr, sft.d)
     logZ = _logsumexp(vals)
     weight = np.exp(vals - logZ) / N
     idx = {k: sft.cylinders(k) for k in range(1, depth + 1)}
@@ -283,7 +370,7 @@ def gibbs_measure(L, sft, N, depth, weighting="homogenized"):
             K = len(cyl)
             masses[k] = np.bincount(np.concatenate([np.arange(K), cyl.index_of_codes(codes.ravel())]),
                                     np.concatenate([masses[k], spread]), K)
-    return CylinderMeasure(sft, masses)
+    return masses
 
 
 @dataclass

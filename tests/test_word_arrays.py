@@ -373,6 +373,17 @@ def test_render_parse_roundtrip_all_alphabets(case):
     assert render_words(np.array([word], dtype=np.int8)) == render_word(word) + "\n"
 
 
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.tuples(st.integers(10, 300), st.integers(1, 5)).flatmap(lambda dn: st.tuples(
+    st.just(dn[0]), st.lists(st.lists(st.integers(0, 8) | st.integers(0, dn[0] - 1),
+                                      min_size=dn[1], max_size=dn[1]), min_size=1, max_size=40))))
+def test_render_words_beyond_nine_equals_the_row_loop(case):
+    # rows within 9 keep no commas, one-symbol rows their trailing comma
+    d, words = case
+    arr = np.array(words, dtype=symbol_dtype(d))
+    assert render_words(arr) == "".join(render_word(w) + "\n" for w in words)
+
+
 def test_one_symbol_words_render_unambiguously():
     assert render_word((9,)) == "10," and parse_word("10,", 12) == (9,)
     assert render_word((11,)) == "12," != render_word((0, 1)) == "12"
@@ -434,7 +445,7 @@ def test_gibbs_measure_equals_word_loop(case, weighting):
     N = max(small_ns(sft))
     assume(sft.periodic_count(N) > 0)
     depth = min(N, 3)
-    mu = thermo.gibbs_measure(L, sft, N, depth, weighting=weighting)
+    mu = CylinderMeasure(sft, thermo._enumerated_gibbs_masses(L, sft, N, depth, weighting))
     want = old_gibbs_masses(L, sft, N, depth, weighting)
     for k in range(1, depth + 1):
         assert np.array_equal(mu.masses_at(k), want[k])
@@ -682,7 +693,7 @@ def test_chunked_gibbs_masses_equal_one_pass(case, weighting, words):
     words = words or sft.periodic_count(N) + 1  # None: one chunk holds every word
     depth = min(N, 4)
     with mock.patch.object(thermo, "_GIBBS_CELLS", words * N):
-        mu = thermo.gibbs_measure(L, sft, N, depth, weighting=weighting)
+        mu = CylinderMeasure(sft, thermo._enumerated_gibbs_masses(L, sft, N, depth, weighting))
     want = old_gibbs_masses_one_pass(L, sft, N, depth, weighting)
     for k in range(1, depth + 1):
         assert np.array_equal(mu.masses_at(k), want[k])  # bit for bit
