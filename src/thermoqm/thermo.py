@@ -288,8 +288,9 @@ def _transfer_gibbs_masses(kernels, sft, N, depth):
     walks that start with its word: for k <= t the diagonal of T^N added over
     the states starting with the k-word; for k > t the path weight of the word
     times (T^(N-k+t))[start, end] for the rest of the walk.  One power comes
-    by squaring, then one product by T per depth; every matrix and path
-    weight is rescaled by powers of two only, so no rescaling rounds.
+    by squaring, then one product by T per depth.  The edge weights are taken
+    relative to the largest, and every matrix is rescaled by a power of two
+    only, so no rescaling rounds.
     """
     g, w = _edge_log_weights(kernels, sft)
     t, S = g.t, len(g)
@@ -297,8 +298,7 @@ def _transfer_gibbs_masses(kernels, sft, N, depth):
     if cells > cap:
         raise ResourceLimit(f"the orbit transfer needs {cells} dense cells "
                             f"({_GIBBS_MATRICES} matrices of {S} x {S}), over the word cap {cap}")
-    E = np.exp(w)
-    E = np.ldexp(E, -np.frexp(E.max())[1])  # a common factor of every walk of length N
+    E = np.exp(w - w.max())  # e^(-N max w) is a common factor of every closed walk
     weights, sources = g.incoming(E)
 
     def scaled(A, e):  # A 2^e as A' 2^e' with max A' in [1/2, 1), in place

@@ -116,8 +116,8 @@ def test_transfer_masses_match_a_decimal_enumeration(make, N, depth):
 
 
 def test_large_edge_weights_give_finite_masses():
-    # an edge weight of e^300: unscaled path weights overflow from the second edge on
-    f, L = full_shift(3), LetterWeights([300.0, -300.0, 0.0])
+    # e^800 overflows a float: edge weights are taken relative to the largest
+    f, L = full_shift(3), LetterWeights([800.0, -800.0, 0.0])
     got = thermo.gibbs_measure(L, f, 10, 5)
     want = thermo._enumerated_gibbs_masses(L, f, 10, 5, "homogenized")
     for k in range(1, 6):
