@@ -27,6 +27,7 @@ from .sft import kernel_sums, window_codes, word_cap
 
 _GIBBS_CELLS = 1 << 15  # word positions per chunk of the enumerated Gibbs orbit masses
 _GIBBS_MATRICES = 3  # dense S x S matrices the orbit transfer holds at its peak
+_GIBBS_FLOOR = 2.0**-1000  # least product of two orbit-transfer entries: below 2^21 states, sums stay normal
 _SPLIT_CELLS = 1 << 14  # (n, m) pairs per row block of the split constant, 128 KB a temporary
 
 
@@ -58,6 +59,18 @@ def _edge_log_weights(kernels, sft):
     t = max(max(kernels) - 1, 1)
     g = sft.block_graph(t)
     return g, kernel_sums(kernels, g.ext, t + 1, sft.d, lambda q: [t + 1 - q])
+
+
+def _push(weights, sources, V):
+    """T V on the block graph from its (S, d) incoming weights and sources: row i
+    adds the rows of V at the sources of the edges into i, symbol by symbol."""
+    out = V[sources[:, 0]]
+    out *= weights[:, :1]
+    for a in range(1, weights.shape[1]):
+        row = V[sources[:, a]]
+        row *= weights[:, a:a + 1]
+        out += row
+    return out
 
 
 class _WindowTransfer:
@@ -104,7 +117,7 @@ class _WindowTransfer:
                 if z > 0:
                     out[n] = np.log(z) + logscale
             if n < n_max:
-                V = (self.weights[:, :, None] * V[self.sources]).sum(axis=1)
+                V = _push(self.weights, self.sources, V)
                 m = V.max()
                 V /= m
                 logscale += np.log(m)
@@ -274,8 +287,50 @@ def gibbs_measure(L, sft, N, depth, weighting="homogenized"):
         raise ValueError("weighting must be 'homogenized' or 'raw'")
     kernels = L.window_tables(sft.d) if weighting == "homogenized" else None
     if kernels:
-        return CylinderMeasure(sft, _transfer_gibbs_masses(kernels, sft, N, depth))
+        try:
+            return CylinderMeasure(sft, _transfer_gibbs_masses(kernels, sft, N, depth))
+        except _FloatRange as exc:
+            try:
+                return CylinderMeasure(sft, _enumerated_gibbs_masses(L, sft, N, depth, weighting))
+            except ResourceLimit as over:
+                raise ResourceLimit(f"{exc}, and enumeration is refused: {over}") from over
     return CylinderMeasure(sft, _enumerated_gibbs_masses(L, sft, N, depth, weighting))
+
+
+class _FloatRange(ArithmeticError):
+    """The orbit transfer's entries spread past what a float's exponent holds."""
+
+
+def _max_plus_gauge(g, w):
+    """Edge log-weights w + h[src] - h[dst] - lam <= 0, up to rounding, for lam
+    the largest mean weight of a cycle of the block graph (Karp 1978) and h the
+    best weight, less lam per edge, of a walk ending at each state.  Edges on a
+    best cycle get 0, and every closed walk of length n loses exactly n lam."""
+    S = len(g)
+    wi, si = g.incoming(w)
+    wi, si = np.where(g.pred >= 0, wi, -np.inf).T.copy(), si.T.copy()
+
+    def walks(D):  # best weight of the walks one edge longer, by end state
+        return (D[si] + wi).max(axis=0)
+
+    start = np.full(S, -np.inf)
+    start[0] = 0.0
+    D = start
+    for _ in range(S):
+        D = walks(D)
+    top, rate, Dk = D, np.full(S, np.inf), start
+    with np.errstate(invalid="ignore"):
+        for k in range(S):  # lam = max over v of min over k of (D_S - D_k) / (S - k)
+            rate = np.fmin(rate, np.where(np.isfinite(Dk), (top - Dk) / (S - k), np.inf))
+            Dk = walks(Dk)
+    lam = float(rate[np.isfinite(top)].max())
+    h = np.zeros(S)
+    for _ in range(S):
+        nxt = np.maximum(h, walks(h) - lam)
+        if np.array_equal(nxt, h):
+            break
+        h = nxt
+    return w - lam + h[g.src] - h[g.dst]
 
 
 def _transfer_gibbs_masses(kernels, sft, N, depth):
@@ -288,9 +343,15 @@ def _transfer_gibbs_masses(kernels, sft, N, depth):
     walks that start with its word: for k <= t the diagonal of T^N added over
     the states starting with the k-word; for k > t the path weight of the word
     times (T^(N-k+t))[start, end] for the rest of the walk.  One power comes
-    by squaring, then one product by T per depth.  The edge weights are taken
-    relative to the largest, and every matrix is rescaled by a power of two
-    only, so no rescaling rounds.
+    by squaring, then one product by T per depth.
+
+    The edge weights are first gauged by a state potential (`_max_plus_gauge`),
+    which leaves every closed walk's weight and every mass as it was, so that
+    no edge weighs more than 1 and a best cycle weighs exactly 1; every matrix
+    is rescaled by a power of two only, so no rescaling rounds.  Where a product
+    of two positive entries could still fall below 2^-1000 the float range no
+    longer holds every walk, and `_FloatRange` is raised: no entry is ever
+    rounded to 0 or to a subnormal.
     """
     g, w = _edge_log_weights(kernels, sft)
     t, S = g.t, len(g)
@@ -298,25 +359,31 @@ def _transfer_gibbs_masses(kernels, sft, N, depth):
     if cells > cap:
         raise ResourceLimit(f"the orbit transfer needs {cells} dense cells "
                             f"({_GIBBS_MATRICES} matrices of {S} x {S}), over the word cap {cap}")
-    E = np.exp(w - w.max())  # e^(-N max w) is a common factor of every closed walk
+    w = _max_plus_gauge(g, w)
+    E = np.exp(w)
     weights, sources = g.incoming(E)
+    least = E.min()  # every edge is there, so a 0 here is an underflow
+
+    def guard(x):  # x: the least product of two entries a step can form
+        if not x >= _GIBBS_FLOOR:
+            raise _FloatRange(f"the orbit transfer leaves the float range (gauged edge weights "
+                              f"down to e^{w.min():.4g}, products of two entries under 2^-1000)")
+
+    def low(A):  # the least positive entry
+        return A.min(initial=np.inf, where=A > 0)
 
     def scaled(A, e):  # A 2^e as A' 2^e' with max A' in [1/2, 1), in place
         shift = int(np.frexp(A.max())[1])
         return np.ldexp(A, -shift, out=A), e + shift
 
-    def times_T(A, e):  # row i of T A adds the rows of A at the sources of the edges into i
-        out = A[sources[:, 0]]
-        out *= weights[:, :1]
-        for a in range(1, sft.d):
-            row = A[sources[:, a]]
-            row *= weights[:, a:a + 1]
-            out += row
-        return scaled(out, e)
+    def times_T(A, e):
+        guard(low(A) * least)
+        return scaled(_push(weights, sources, A), e)
 
     lo = N - max(depth - t, 0)  # the lowest power needed, >= t >= 1
     A, e = scaled(g.matrix(E), 0)
     for bit in bin(lo)[3:]:
+        guard(low(A) ** 2)
         A, e = scaled(A @ A, 2 * e)
         if bit == "1":
             A, e = times_T(A, e)
@@ -334,6 +401,7 @@ def _transfer_gibbs_masses(kernels, sft, N, depth):
     path = np.ones(S)
     for k in range(t + 1, depth + 1):
         idx = sft.cylinders(k)
+        guard(path.min() * least)
         path = path[idx.prefix(k - 1)] * E[idx.suffix(t + 1)]
         entry, ek = rest[k]
         masses[k] = np.ldexp(path * entry / Z, ek - e)

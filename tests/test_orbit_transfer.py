@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from thermoqm import cli, thermo
 from thermoqm import markov as mk
-from thermoqm.errors import InvalidMatrix, NotPrimitive
+from thermoqm.errors import InvalidMatrix, NotPrimitive, ResourceLimit
 from thermoqm.freegroup import FreeGroup, brooks
 from thermoqm.qm import LetterWeights, PatternCount, _WindowAdditive, zero_qm
 from thermoqm.sft import Sft, full_shift, golden_mean, window_codes
@@ -116,12 +116,38 @@ def test_transfer_masses_match_a_decimal_enumeration(make, N, depth):
 
 
 def test_large_edge_weights_give_finite_masses():
-    # e^800 overflows a float: edge weights are taken relative to the largest
+    # e^800 overflows a float, and edges into symbol 1 weigh e^-1600 after the
+    # gauge: past the float range the measure comes from the enumeration
     f, L = full_shift(3), LetterWeights([800.0, -800.0, 0.0])
+    with pytest.raises(thermo._FloatRange):
+        thermo._transfer_gibbs_masses(L.window_tables(3), f, 10, 5)
     got = thermo.gibbs_measure(L, f, 10, 5)
     want = thermo._enumerated_gibbs_masses(L, f, 10, 5, "homogenized")
     for k in range(1, 6):
         assert np.all(np.abs(got.masses_at(k) - want[k]) <= 1e-12 * want[k]), k
+
+
+def test_past_the_float_range_over_the_word_cap_is_refused():
+    f, L = full_shift(2), LetterWeights([800.0, -800.0])
+    with pytest.raises(ResourceLimit, match="float range.*enumeration is refused"):
+        thermo.gibbs_measure(L, f, 40, 4)
+
+
+@pytest.mark.parametrize("c,N,depth", [(400.0, 10, 2), (400.0, 16, 8), (100.0, 16, 8), (400.0, 1000, 8)])
+def test_cancelling_edge_weights_keep_every_walk(tmp_path, c, N, depth):
+    # c (occ(01) - occ(10)) is 0 on every periodic word, so the measure is uniform,
+    # although the edge 1 -> 0 weighs e^(-2c) against 0 -> 1 and paths e^(-c depth);
+    # at N = 1000 the words are over the cap, so the transfer itself must hold them
+    sft = {"builtin": "full_shift", "d": 2}
+    qm = {"kind": "linear_combination",
+          "terms": [{"coef": c, "qm": {"kind": "signed_pattern_count", "pattern": "12", "anti": "21"}}]}
+    cfg = {"sft": sft, "qm": qm, "N": N, "depth": depth}
+    assert cli.main(["gibbs", "--json", json.dumps(cfg), "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "measure.json") as fh:
+        depths = json.load(fh)["depths"]
+    for k in range(1, depth + 1):
+        masses = np.array(list(depths[str(k)].values()))
+        assert len(masses) == 2**k and np.all(np.abs(masses * 2**k - 1) <= 1e-12), k
 
 
 def test_orbit_measures_approach_the_gibbs_chain_at_the_spectral_rate():
