@@ -12,7 +12,8 @@ Periodic-orbit Gibbs measures of window-additive quasimorphisms come from the
 same graph: the homogenized weight of a periodic word is the product of the
 edge weights along its closed walk, so the orbit masses at any N are entries
 of one matrix power, with no word of length N enumerated.  Only tabulated
-kinds and raw (non-homogenized) weighting enumerate the periodic words.
+kinds, raw (non-homogenized) weighting and graphs whose gauged edge weights
+spread past the float range enumerate the periodic words.
 """
 
 from __future__ import annotations
@@ -61,18 +62,6 @@ def _edge_log_weights(kernels, sft):
     return g, kernel_sums(kernels, g.ext, t + 1, sft.d, lambda q: [t + 1 - q])
 
 
-def _push(weights, sources, V):
-    """T V on the block graph from its (S, d) incoming weights and sources: row i
-    adds the rows of V at the sources of the edges into i, symbol by symbol."""
-    out = V[sources[:, 0]]
-    out *= weights[:, :1]
-    for a in range(1, weights.shape[1]):
-        row = V[sources[:, a]]
-        row *= weights[:, a:a + 1]
-        out += row
-    return out
-
-
 class _WindowTransfer:
     """Exact evaluator of Z_n = sum over wrapping words of e^{L} for window kernels.
 
@@ -117,7 +106,7 @@ class _WindowTransfer:
                 if z > 0:
                     out[n] = np.log(z) + logscale
             if n < n_max:
-                V = _push(self.weights, self.sources, V)
+                V = (self.weights[:, :, None] * V[self.sources]).sum(axis=1)
                 m = V.max()
                 V /= m
                 logscale += np.log(m)
@@ -278,8 +267,9 @@ def gibbs_measure(L, sft, N, depth, weighting="homogenized"):
     For window-additive L the homogenized masses come from powers of the
     weighted block graph (`_transfer_gibbs_masses`), for any N, in time and
     memory set by the block states and the depth-cylinders, not by the
-    ~e^{N h_top} periodic words.  Kinds without window tables, and raw
-    weighting, enumerate the words (`_enumerated_gibbs_masses`).
+    ~e^{N h_top} periodic words.  Kinds without window tables, raw weighting,
+    and weights the transfer cannot hold in floats (`_FloatRange`) enumerate
+    the words (`_enumerated_gibbs_masses`), which the word cap may refuse.
     """
     if not (1 <= depth <= N):
         raise ValueError("need 1 <= depth <= N")
@@ -376,9 +366,15 @@ def _transfer_gibbs_masses(kernels, sft, N, depth):
         shift = int(np.frexp(A.max())[1])
         return np.ldexp(A, -shift, out=A), e + shift
 
-    def times_T(A, e):
+    def times_T(A, e):  # row i of T A adds the rows of A at the sources of the edges into i
         guard(low(A) * least)
-        return scaled(_push(weights, sources, A), e)
+        out = A[sources[:, 0]]  # symbol by symbol: three S x S matrices at the peak
+        out *= weights[:, :1]
+        for a in range(1, sft.d):
+            row = A[sources[:, a]]
+            row *= weights[:, a:a + 1]
+            out += row
+        return scaled(out, e)
 
     lo = N - max(depth - t, 0)  # the lowest power needed, >= t >= 1
     A, e = scaled(g.matrix(E), 0)
