@@ -9,6 +9,7 @@ from .qm import (
     Quasicocycle,
     SignedPatternCount,
     TabulatedQm,
+    WindowQm,
     cohomologous,
     cyclic_average,
     defect,

@@ -160,9 +160,8 @@ MEASURE_KINDS = {
         markov.normalize_potential(parse_potential(s, sft))[0])),
     "bernoulli": ("p depth", "", lambda s, sft: bernoulli_measure(
         sft, s["p"], range(1, int(s["depth"]) + 1))),
-    "gibbs_orbit": ("qm N depth", "weighting", lambda s, sft: thermo.gibbs_measure(
-        parse_qm(s["qm"], sft), sft, int(s["N"]), int(s["depth"]),
-        weighting=s.get("weighting", "homogenized"))),
+    "gibbs_orbit": ("qm N depth", "", lambda s, sft: thermo.gibbs_measure(
+        parse_qm(s["qm"], sft), sft, int(s["N"]), int(s["depth"]))),
 }
 
 
@@ -327,9 +326,9 @@ def run_pressure(a):
     }
 
 
-@op("gibbs", "sft qm N depth", weighting="homogenized")
+@op("gibbs", "sft qm N depth")
 def run_gibbs(a):
-    mu = thermo.gibbs_measure(a["qm"], a["sft"], a["N"], a["depth"], weighting=a["weighting"])
+    mu = thermo.gibbs_measure(a["qm"], a["sft"], a["N"], a["depth"])
     defect = mu.invariance_defect()
     return {
         "invariance_defect": defect,

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ResourceLimit
 from .markov import parry_measure
 from .measures import CylinderMeasure
-from .qm import LetterWeights, SignedPatternCount
+from .qm import SignedPatternCount
 from .sft import Sft, word_cap
 from .experiments import (
     _simulate_block,
@@ -102,11 +102,6 @@ def brooks(group, pattern):
         raise ValueError("pattern must be nonempty")
     if not group.is_reduced(pattern):
         raise ValueError("pattern must be a reduced word")
-    if len(pattern) == 1:
-        weights = np.zeros(group.d)
-        weights[pattern[0]] = 1.0
-        weights[pattern[0] ^ 1] = -1.0
-        return LetterWeights(weights)
     return SignedPatternCount(pattern, group.inverse_word(pattern))
 
 

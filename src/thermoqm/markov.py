@@ -27,7 +27,7 @@ from .errors import (
     ZeroMass,
 )
 from .measures import CylinderMeasure
-from .sft import kernel_sums, window_codes
+from .sft import window_codes
 
 
 class LocallyConstantFn:
@@ -113,12 +113,7 @@ class MarkovPotential(LocallyConstantFn):
     @classmethod
     def from_qm(cls, L, sft):
         """The per-step potential whose Birkhoff sums track a window-additive L."""
-        kernels = L.window_tables(sft.d)
-        if kernels is None:
-            raise ValueError("quasimorphism is not window-additive")
-        s = max(kernels) - 1
-        codes = sft.cylinders(s + 1).codes
-        return cls(sft, s, kernel_sums(kernels, codes, s + 1, sft.d, lambda q: [0]))
+        return cls(sft, *L.step_potential(sft))
 
 
 def _transfer_on(pot, t):

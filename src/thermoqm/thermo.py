@@ -2,18 +2,18 @@
 
 Partition sums run over periodic words of length exactly n.  For window-
 additive quasimorphisms of width Q the sums are evaluated exactly on the
-depth-(Q-1) block graph of the subshift, which reaches depths far beyond
-enumeration: the wrap condition only sees the first symbol of a word, so d
-boundary vectors are pushed through the graph, O(n S d^2) work for S block
-states.  Plain enumeration stays available as the generic path and as a
-cross-check.
+depth-(Q-1) block graph of the subshift (the quasimorphism's `edge_form`),
+which reaches depths far beyond enumeration: the wrap condition only sees the
+first symbol of a word, so d boundary vectors are pushed through the graph,
+O(n S d^2) work for S block states.  Plain enumeration stays available as the
+generic path and as a cross-check.
 
 Periodic-orbit Gibbs measures of window-additive quasimorphisms come from the
 same graph: the homogenized weight of a periodic word is the product of the
 edge weights along its closed walk, so the orbit masses at any N are entries
 of one matrix power, with no word of length N enumerated.  Only tabulated
-kinds, raw (non-homogenized) weighting and graphs whose gauged edge weights
-spread past the float range enumerate the periodic words.
+kinds and graphs whose gauged edge weights spread past the float range
+enumerate the periodic words.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ResourceLimit
 from .measures import CylinderMeasure
-from .sft import kernel_sums, window_codes, word_cap
+from .sft import window_codes, word_cap
 
 _GIBBS_CELLS = 1 << 15  # word positions per chunk of the enumerated Gibbs orbit masses
 _GIBBS_MATRICES = 3  # dense S x S matrices the orbit transfer holds at its peak
@@ -54,42 +54,32 @@ def _enumerated_log_partition(L, sft, n):
     return _logsumexp(L.values(sft.word_array(n, periodic=True), sft.d))
 
 
-def _edge_log_weights(kernels, sft):
-    """The depth-t block graph, t = max(Q-1, 1), and on each of its edges the sum
-    of the kernel windows that end at the edge's new symbol."""
-    t = max(max(kernels) - 1, 1)
-    g = sft.block_graph(t)
-    return g, kernel_sums(kernels, g.ext, t + 1, sft.d, lambda q: [t + 1 - q])
-
-
 class _WindowTransfer:
-    """Exact evaluator of Z_n = sum over wrapping words of e^{L} for window kernels.
+    """Exact evaluator of Z_n = sum over wrapping words of e^{L} for window-additive L.
 
-    A word of length n >= t is a start state f (its first t symbols) followed
+    A word of length n >= t is a start state s (its first t symbols) followed
     by n - t edges of the depth-t block graph, t = max(Q-1, 1).  Each edge
-    carries the windows that end at its new symbol; ``init`` carries the
-    windows inside f.  The word wraps when R[last(c), first(f)] = 1 for its
-    end state c, so only first(f) is needed from the start: V[:, b] holds the
+    weighs e^f and ``init`` is e^start, f and start from L's `edge_form`.
+    The word wraps when R[last(c), first(s)] = 1 for its end state c, so
+    only first(s) is needed from the start: V[:, b] holds the
     weight of all paths from start states beginning with b, and Z_n is the
     sum over c, b of R[last(c), b] V[c, b].  Width-1 windows never straddle
     the wrap, so for Q = 1 the wrap is one more edge and Z_n = trace(T^n).
     """
 
-    def __init__(self, kernels, sft):
+    def __init__(self, L, sft):
         self.sft = sft
-        self.kernels = kernels
-        self.Q = max(kernels)
-        d = sft.d
-        g, w = _edge_log_weights(kernels, sft)
-        t, S = g.t, len(g)
-        self.weights, self.sources = g.incoming(np.exp(w))
+        self.kernels = L.window_tables(sft.d)
+        self.Q = max(self.kernels)
+        g, f, start = L.edge_form(sft)
+        S = len(g)
+        self.weights, self.sources = g.incoming(np.exp(f))
         if self.Q == 1:
             self.base, self.init, self.close = 0, np.ones(S), np.eye(S)
         else:
-            w = kernel_sums(kernels, g.codes, t, d, lambda q: range(t - q + 1))
-            self.base, self.init = t, np.exp(w)
+            self.base, self.init = g.t, np.exp(start)
             self.close = sft.R[g.states.suffix(1)].astype(float)
-        self.V0 = np.zeros((S, d))
+        self.V0 = np.zeros((S, sft.d))
         self.V0[np.arange(S), g.states.prefix(1)] = self.init
 
     def log_partitions(self, n_max):
@@ -136,18 +126,14 @@ def log_partition(L, sft, n, method="auto"):
     """log Z_n(L), the log-sum-exp of L over wrapping words of length n."""
     if n < 1:
         raise ValueError("partition function needs n >= 1")
-    kernels = _method_kernels(L, sft, method)
-    if kernels is None:
+    if _method_kernels(L, sft, method) is None:
         return _enumerated_log_partition(L, sft, n)
-    if n < max(kernels):
-        return _short_word_log_partition(kernels, sft, n)
-    return float(_WindowTransfer(kernels, sft).log_partitions(n)[n - 1])
+    return float(_WindowTransfer(L, sft).log_partitions(n)[n - 1])
 
 
 def log_partition_sequence(L, sft, n_max, method="auto"):
-    kernels = _method_kernels(L, sft, method)
-    if kernels is not None:
-        return _WindowTransfer(kernels, sft).log_partitions(n_max)
+    if _method_kernels(L, sft, method) is not None:
+        return _WindowTransfer(L, sft).log_partitions(n_max)
     return np.array([_enumerated_log_partition(L, sft, n) for n in range(1, n_max + 1)])
 
 
@@ -252,39 +238,34 @@ def pressure_oracle_memory1(L, sft):
 # -- the periodic-orbit Gibbs measure -------------------------------------------
 
 
-def gibbs_measure(L, sft, N, depth, weighting="homogenized"):
+def gibbs_measure(L, sft, N, depth):
     """Orbit-averaged Gibbs approximant at cylinder depths 1..depth.
 
-    Every periodic word a of length N carries a normalized weight, spread
-    equally over the N cyclic windows of its periodic point, which makes the
-    result exactly shift-invariant at each stored depth.  The default weight
-    is e^{Lbar(a)} with Lbar the homogenized (rotation-invariant)
-    representative of [L]: the ensemble then does not depend on how each
-    orbit is cut into a word, and it tracks the transfer-operator chain at a
-    spectral rate.  weighting="raw" uses the literal e^{L(a)} instead, whose
-    wrap-junction tilt decays only like depth/N.
+    Every periodic word a of length N carries the normalized weight
+    e^{Lbar(a)}, spread equally over the N cyclic windows of its periodic
+    point, which makes the result exactly shift-invariant at each stored
+    depth.  Lbar is the homogenized (rotation-invariant) representative of
+    [L]: the ensemble does not depend on how each orbit is cut into a word,
+    and it tracks the transfer-operator chain at a spectral rate.
 
-    For window-additive L the homogenized masses come from powers of the
-    weighted block graph (`_transfer_gibbs_masses`), for any N, in time and
-    memory set by the block states and the depth-cylinders, not by the
-    ~e^{N h_top} periodic words.  Kinds without window tables, raw weighting,
-    and weights the transfer cannot hold in floats (`_FloatRange`) enumerate
-    the words (`_enumerated_gibbs_masses`), which the word cap may refuse.
+    For window-additive L the masses come from powers of the weighted block
+    graph (`_transfer_gibbs_masses`), for any N, in time and memory set by
+    the block states and the depth-cylinders, not by the ~e^{N h_top}
+    periodic words.  Kinds without window tables, and weights the transfer
+    cannot hold in floats (`_FloatRange`), enumerate the words
+    (`_enumerated_gibbs_masses`), which the word cap may refuse.
     """
     if not (1 <= depth <= N):
         raise ValueError("need 1 <= depth <= N")
-    if weighting not in ("homogenized", "raw"):
-        raise ValueError("weighting must be 'homogenized' or 'raw'")
-    kernels = L.window_tables(sft.d) if weighting == "homogenized" else None
-    if kernels:
+    if L.edge_form(sft) is not None:
         try:
-            return CylinderMeasure(sft, _transfer_gibbs_masses(kernels, sft, N, depth))
+            return CylinderMeasure(sft, _transfer_gibbs_masses(L, sft, N, depth))
         except _FloatRange as exc:
             try:
-                return CylinderMeasure(sft, _enumerated_gibbs_masses(L, sft, N, depth, weighting))
+                return CylinderMeasure(sft, _enumerated_gibbs_masses(L, sft, N, depth))
             except ResourceLimit as over:
                 raise ResourceLimit(f"{exc}, and enumeration is refused: {over}") from over
-    return CylinderMeasure(sft, _enumerated_gibbs_masses(L, sft, N, depth, weighting))
+    return CylinderMeasure(sft, _enumerated_gibbs_masses(L, sft, N, depth))
 
 
 class _FloatRange(ArithmeticError):
@@ -323,9 +304,9 @@ def _max_plus_gauge(g, w):
     return w - lam + h[g.src] - h[g.dst]
 
 
-def _transfer_gibbs_masses(kernels, sft, N, depth):
+def _transfer_gibbs_masses(L, sft, N, depth):
     """Homogenized orbit masses at depths 1..depth from T = the block graph's
-    matrix of edge weights e^w (`_edge_log_weights`), t its depth.
+    matrix of edge weights e^w (w the f of `edge_form`), t its depth.
 
     A closed walk of length N in the graph is a point of period N, and the
     product of T's entries along it is e^{Lbar} of its word, so Z = tr(T^N).
@@ -343,7 +324,7 @@ def _transfer_gibbs_masses(kernels, sft, N, depth):
     longer holds every walk, and `_FloatRange` is raised: no entry is ever
     rounded to 0 or to a subnormal.
     """
-    g, w = _edge_log_weights(kernels, sft)
+    g, w, _ = L.edge_form(sft)
     t, S = g.t, len(g)
     cells, cap = _GIBBS_MATRICES * S * S, word_cap()
     if cells > cap:
@@ -404,7 +385,7 @@ def _transfer_gibbs_masses(kernels, sft, N, depth):
     return masses
 
 
-def _enumerated_gibbs_masses(L, sft, N, depth, weighting):
+def _enumerated_gibbs_masses(L, sft, N, depth):
     """gibbs_measure's masses by enumerating the periodic words of length N.
 
     The word array and its weights are held whole; window codes, lookups and
@@ -415,7 +396,7 @@ def _enumerated_gibbs_masses(L, sft, N, depth, weighting):
     arr = sft.word_array(N, periodic=True)
     if not len(arr):
         raise ValueError(f"no periodic words of length {N}")
-    vals = L.homogenized_values(arr, sft.d) if weighting == "homogenized" else L.values(arr, sft.d)
+    vals = L.homogenized_values(arr, sft.d)
     logZ = _logsumexp(vals)
     weight = np.exp(vals - logZ) / N
     idx = {k: sft.cylinders(k) for k in range(1, depth + 1)}

@@ -14,22 +14,11 @@ from thermoqm import freegroup as fg
 from thermoqm import markov as mk
 from thermoqm import thermo
 from thermoqm.errors import InvalidMatrix, NotPrimitive, NumericalFailure
-from thermoqm.qm import _WindowAdditive
+from thermoqm.qm import WindowQm
 from thermoqm.sft import Sft
 
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None,
                     suppress_health_check=[HealthCheck.too_slow])
-
-
-class _Kernels(_WindowAdditive):
-    """Window-additive L from explicit kernels {width: {window: coef}}."""
-
-    def __init__(self, kernels):
-        self.kernels = kernels
-        self.defect_bound = 0.0
-
-    def _kernels(self):
-        return list(self.kernels.items())
 
 
 @st.composite
@@ -54,7 +43,7 @@ def window_kernels(draw, d):
 @st.composite
 def sft_and_kernels(draw):
     sft = draw(primitive_sfts())
-    return sft, _Kernels(draw(window_kernels(sft.d)))
+    return sft, WindowQm(draw(window_kernels(sft.d)), 0.0)
 
 
 @st.composite

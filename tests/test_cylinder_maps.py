@@ -17,7 +17,7 @@ from thermoqm import markov as mk
 from thermoqm.errors import InvalidMatrix, NotPrimitive
 from thermoqm.freegroup import FreeGroup
 from thermoqm.measures import CylinderMeasure
-from thermoqm.qm import Quasicocycle, Quasimorphism
+from thermoqm.qm import Quasicocycle, WindowQm
 from thermoqm.sft import Sft
 
 PROPERTY = settings(max_examples=30, deadline=None, derandomize=True, database=None,
@@ -152,14 +152,10 @@ def primitive_sfts(draw):
         assume(False)
 
 
-class RandomKernels(Quasimorphism):
-    """A window-additive stand-in: random kernels of the given widths."""
-
-    def __init__(self, widths, d, rng):
-        self.tables = {q: rng.standard_normal(d**q) for q in widths}
-
-    def window_tables(self, d):
-        return self.tables
+def random_kernels(widths, d, rng):
+    """A window-additive L with random kernels of the given widths."""
+    return WindowQm({q: dict(zip(np.ndindex(*(d,) * q), rng.standard_normal(d**q)))
+                     for q in widths}, 0.0)
 
 
 def _chain(sft, rng, memory):
@@ -229,8 +225,7 @@ def test_lifts_shifts_and_masses_equal_the_code_arithmetic(sft, seed, memory):
 def test_window_transfer_ends_equal_the_code_arithmetic(sft, seed):
     rng = np.random.default_rng(seed)
     widths = [int(q) for q in rng.permutation(np.arange(1, 5))[:rng.integers(1, 5)]]
-    kernels = RandomKernels(widths, sft.d, rng).window_tables(sft.d)
-    wt = thermo._WindowTransfer(kernels, sft)
+    wt = thermo._WindowTransfer(random_kernels(widths, sft.d, rng), sft)
     if wt.Q > 1:
         close, V0 = old_window_ends(sft, wt.Q - 1, wt.init)
         assert np.array_equal(wt.close, close)
@@ -289,3 +284,17 @@ def test_only_sft_reads_the_base_d_word_codes():
     assert len(found) >= 9
     assert not {name: lines for name, lines in found.items() if lines}
     assert _code_arithmetic(pkg / "sft.py")  # the guard does see the format where it lives
+
+
+def _names(path, name):
+    """Lines where a function, import, name or attribute called `name` appears."""
+    return [node.lineno for node in ast.walk(ast.parse(path.read_text()))
+            if name in (getattr(node, "id", None), getattr(node, "attr", None),
+                        node.name if isinstance(node, (ast.FunctionDef, ast.alias)) else None)]
+
+
+def test_only_sft_and_qm_turn_kernels_into_window_sums():
+    pkg = pathlib.Path(thermoqm.__file__).parent
+    found = {p.name: _names(p, "kernel_sums") for p in sorted(pkg.glob("*.py"))}
+    assert len(found) >= 11
+    assert {name for name, lines in found.items() if lines} == {"qm.py", "sft.py"}

@@ -16,7 +16,7 @@ from thermoqm.qm import (
     LetterWeights,
     LinearCombinationQm,
     PatternCount,
-    Quasimorphism,
+    WindowQm,
 )
 from thermoqm.sft import Sft, symbol_dtype
 
@@ -127,14 +127,10 @@ def primitive_sfts(draw):
         assume(False)
 
 
-class RandomKernels(Quasimorphism):
-    """A window-additive stand-in: random kernels of the given widths, in that order."""
-
-    def __init__(self, widths, d, rng):
-        self.tables = {q: rng.standard_normal(d**q) for q in widths}
-
-    def window_tables(self, d):
-        return self.tables
+def random_kernels(widths, d, rng):
+    """A window-additive L with random kernels of the given widths, in that order."""
+    return WindowQm({q: dict(zip(np.ndindex(*(d,) * q), rng.standard_normal(d**q)))
+                     for q in widths}, 0.0)
 
 
 def _widths(seed):
@@ -197,12 +193,12 @@ def test_sampler_payload_equals_dense_gather(sft, seed, memory):
 @given(primitive_sfts(), st.integers(0, 2**32 - 1))
 def test_window_sums_equal_the_three_loops(sft, seed):
     rng = np.random.default_rng(seed)
-    L = RandomKernels(_widths(seed), sft.d, rng)
+    L = random_kernels(_widths(seed), sft.d, rng)
     kernels = L.window_tables(sft.d)
     s, table = old_from_qm_table(kernels, sft)
     pot = mk.MarkovPotential.from_qm(L, sft)
     assert pot.s == s and pot.m == s + 1 and np.array_equal(pot.values, table)
-    wt = thermo._WindowTransfer(kernels, sft)
+    wt = thermo._WindowTransfer(L, sft)
     weights, sources, init = old_window_transfer(kernels, sft)
     assert np.array_equal(wt.weights, weights) and np.array_equal(wt.sources, sources)
     assert np.array_equal(wt.init, init)
@@ -218,7 +214,7 @@ def test_window_sums_of_library_kinds_equal_the_loops():
         assert np.array_equal(mk.MarkovPotential.from_qm(L, sft).values,
                               old_from_qm_table(kernels, sft)[1])
         weights, sources, init = old_window_transfer(kernels, sft)
-        wt = thermo._WindowTransfer(kernels, sft)
+        wt = thermo._WindowTransfer(L, sft)
         assert np.array_equal(wt.weights, weights) and np.array_equal(wt.init, init)
 
 

@@ -15,21 +15,10 @@ from thermoqm import cli, thermo
 from thermoqm import markov as mk
 from thermoqm.errors import InvalidMatrix, NotPrimitive, ResourceLimit
 from thermoqm.freegroup import FreeGroup, brooks
-from thermoqm.qm import LetterWeights, PatternCount, _WindowAdditive, zero_qm
+from thermoqm.qm import LetterWeights, PatternCount, WindowQm, zero_qm
 from thermoqm.sft import Sft, full_shift, golden_mean, window_codes
 
 MAX_N = {2: 12, 3: 8, 4: 6}  # at most 4096 periodic words
-
-
-class _Kernels(_WindowAdditive):
-    """A window-additive quasimorphism from {width: {window: coef}}."""
-
-    def __init__(self, tables):
-        self.tables = tables
-        self.defect_bound = 0.0
-
-    def _kernels(self):
-        return list(self.tables.items())
 
 
 @st.composite
@@ -47,7 +36,7 @@ def primitive_sfts(draw):
 def kernels(draw, d):
     widths = draw(st.sets(st.integers(1, 3), min_size=1))
     coef = st.floats(-2.0, 2.0, allow_nan=False)
-    return _Kernels({q: {w: draw(coef) for w in np.ndindex(*(d,) * q)} for q in sorted(widths)})
+    return WindowQm({q: {w: draw(coef) for w in np.ndindex(*(d,) * q)} for q in sorted(widths)}, 0.0)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None,
@@ -59,7 +48,7 @@ def test_transfer_masses_match_the_enumeration(case):
     depth = min(depth, N)
     assume(sft.periodic_count(N) > 0)
     got = thermo.gibbs_measure(L, sft, N, depth)
-    want = thermo._enumerated_gibbs_masses(L, sft, N, depth, "homogenized")
+    want = thermo._enumerated_gibbs_masses(L, sft, N, depth)
     for k in range(1, depth + 1):
         assert np.all(np.abs(got.masses_at(k) - want[k]) <= 1e-12 * want[k]), k
 
@@ -98,7 +87,7 @@ def _width3():
     rng = np.random.default_rng(7)
     tables = {3: {w: float(rng.normal()) for w in np.ndindex(3, 3, 3)},
               1: {(s,): float(rng.normal()) for s in range(3)}}
-    return Sft([[1, 1, 0], [0, 1, 1], [1, 1, 1]]), _Kernels(tables)
+    return Sft([[1, 1, 0], [0, 1, 1], [1, 1, 1]]), WindowQm(tables, 0.0)
 
 
 @pytest.mark.parametrize("make,N,depth", [
@@ -120,9 +109,9 @@ def test_large_edge_weights_give_finite_masses():
     # gauge: past the float range the measure comes from the enumeration
     f, L = full_shift(3), LetterWeights([800.0, -800.0, 0.0])
     with pytest.raises(thermo._FloatRange):
-        thermo._transfer_gibbs_masses(L.window_tables(3), f, 10, 5)
+        thermo._transfer_gibbs_masses(L, f, 10, 5)
     got = thermo.gibbs_measure(L, f, 10, 5)
-    want = thermo._enumerated_gibbs_masses(L, f, 10, 5, "homogenized")
+    want = thermo._enumerated_gibbs_masses(L, f, 10, 5)
     for k in range(1, 6):
         assert np.all(np.abs(got.masses_at(k) - want[k]) <= 1e-12 * want[k]), k
 

@@ -86,7 +86,7 @@ def old_value(L, word):
         return float(sum(L.weights[s] for s in word))
     if isinstance(L, _WindowAdditive):
         total = 0.0
-        for q, table in L._kernels():
+        for q, table in L.kernels.items():
             if q <= len(word):
                 for i in range(len(word) - q + 1):
                     total += table.get(word[i:i + q], 0.0)
@@ -105,7 +105,7 @@ def old_power_value(L, word, m):
         if n == 0 or m == 0:
             return 0.0
         total = 0.0
-        for q, table in L._kernels():
+        for q, table in L.kernels.items():
             if q > m * n:
                 continue
             for i0 in range(n):
@@ -125,7 +125,7 @@ def old_homogenized_value(L, word, m=64):
     if isinstance(L, _WindowAdditive):
         n = len(word)
         total = 0.0
-        for q, table in L._kernels():
+        for q, table in L.kernels.items():
             for i0 in range(n):
                 win = tuple(word[(i0 + k) % n] for k in range(q))
                 total += table.get(win, 0.0)
@@ -149,10 +149,9 @@ def old_short_word_log_partition(kernels, sft, n):
     return float(logsumexp(vals)) if vals else -np.inf
 
 
-def old_gibbs_masses(L, sft, N, depth, weighting):
+def old_gibbs_masses(L, sft, N, depth):
     words = dfs_periodic(sft, N)
-    value = old_homogenized_value if weighting == "homogenized" else old_value
-    vals = np.array([value(L, a) for a in words])
+    vals = np.array([old_homogenized_value(L, a) for a in words])
     weights = np.exp(vals - logsumexp(vals))
     arr = np.array(words, dtype=np.int64)
     masses = {}
@@ -439,14 +438,14 @@ def test_partition_sums_equal_word_loops(case):
 
 
 @PROPERTY
-@given(sft_and_qm(), st.sampled_from(["homogenized", "raw"]))
-def test_gibbs_measure_equals_word_loop(case, weighting):
+@given(sft_and_qm())
+def test_gibbs_measure_equals_word_loop(case):
     sft, L = case
     N = max(small_ns(sft))
     assume(sft.periodic_count(N) > 0)
     depth = min(N, 3)
-    mu = CylinderMeasure(sft, thermo._enumerated_gibbs_masses(L, sft, N, depth, weighting))
-    want = old_gibbs_masses(L, sft, N, depth, weighting)
+    mu = CylinderMeasure(sft, thermo._enumerated_gibbs_masses(L, sft, N, depth))
+    want = old_gibbs_masses(L, sft, N, depth)
     for k in range(1, depth + 1):
         assert np.array_equal(mu.masses_at(k), want[k])
     assert mu.invariance_defect() == old_invariance_defect(mu)
@@ -636,10 +635,10 @@ def old_word_array(sft, n, periodic=False):
     return arr[sft.R[arr[:, -1], arr[:, 0]] == 1] if periodic else arr
 
 
-def old_gibbs_masses_one_pass(L, sft, N, depth, weighting):
+def old_gibbs_masses_one_pass(L, sft, N, depth):
     """Frozen gibbs_measure masses: codes, lookup and spread over every word at once."""
     arr = sft.word_array(N, periodic=True)
-    vals = L.homogenized_values(arr, sft.d) if weighting == "homogenized" else L.values(arr, sft.d)
+    vals = L.homogenized_values(arr, sft.d)
     spread = np.repeat(np.exp(vals - thermo._logsumexp(vals)) / N, N)
     masses = {}
     codes = np.zeros(arr.shape, dtype=np.int64)
@@ -685,16 +684,16 @@ def test_join_above_the_real_threshold(sft, n):
 
 
 @PROPERTY
-@given(sft_and_qm(), st.sampled_from(["homogenized", "raw"]), st.sampled_from([1, 7, None]))
-def test_chunked_gibbs_masses_equal_one_pass(case, weighting, words):
+@given(sft_and_qm(), st.sampled_from([1, 7, None]))
+def test_chunked_gibbs_masses_equal_one_pass(case, words):
     sft, L = case
     N = max(small_ns(sft))
     assume(sft.periodic_count(N) > 0)
     words = words or sft.periodic_count(N) + 1  # None: one chunk holds every word
     depth = min(N, 4)
     with mock.patch.object(thermo, "_GIBBS_CELLS", words * N):
-        mu = CylinderMeasure(sft, thermo._enumerated_gibbs_masses(L, sft, N, depth, weighting))
-    want = old_gibbs_masses_one_pass(L, sft, N, depth, weighting)
+        mu = CylinderMeasure(sft, thermo._enumerated_gibbs_masses(L, sft, N, depth))
+    want = old_gibbs_masses_one_pass(L, sft, N, depth)
     for k in range(1, depth + 1):
         assert np.array_equal(mu.masses_at(k), want[k])  # bit for bit
 
