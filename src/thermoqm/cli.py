@@ -128,8 +128,7 @@ def _word_table(values, sft, k):
     """A depth-k cylinder table from {rendered word: value}; words left out are 0."""
     idx = sft.cylinders(k)
     vals = np.zeros(len(idx))
-    for text, v in values.items():
-        vals[idx.index(parse_word(text, sft.d))] = float(v)
+    vals[idx.index_of_words(values)] = [float(v) for v in values.values()]
     return vals
 
 
@@ -271,6 +270,8 @@ def check(name, value, threshold, mode="<="):
 
 
 # -- handlers ------------------------------------------------------------------------
+
+_SOLVE_CELLS = 1 << 16  # cells of LC_N in one stack of random psi (512 KB)
 
 
 @op("sft-validate", "sft")
@@ -432,24 +433,28 @@ def run_normalize(a):
 
 @op("solve-cohomological", "sft psi|random", threshold_residual=1e-10, chain=None)
 def run_solve_cohomological(a):
+    """Random psi are drawn and solved in stacks of about _SOLVE_CELLS cells of
+    LC_N, in the order one draw per psi would take them."""
     sft, mm = a["sft"], a["chain"]
     if "random" in a:
         r = a["random"]
-        if r["count"] < 1:
-            raise InvalidConfig(f"random.count must be >= 1, got {r['count']}")
+        count, memory = r["count"], r["memory"]
+        if count < 1:
+            raise InvalidConfig(f"random.count must be >= 1, got {count}")
         rng = experiments.trial_rng(r["seed"], 0)
-        size = len(sft.cylinders(r["memory"]))
-        psis = (markov.LocallyConstantFn(sft, r["memory"], rng.standard_normal(size))
-                for _ in range(r["count"]))
+        size = len(sft.cylinders(memory))
+        width = max(1, _SOLVE_CELLS // len(sft.cylinders(max(memory, mm.t))))
+        stacks = (markov.LocallyConstantFn(
+            sft, memory, rng.standard_normal((min(width, count - lo), size)).T)
+            for lo in range(0, count, width))
     else:
-        psis = [a["psi"]]
-    residuals = [markov.solve_cohomological(mm.potential, _centred(psi, mm), mm).residual
-                 for psi in psis]
-    worst = max(residuals)
+        count, stacks = 1, [a["psi"]]
+    worst = max(np.max(markov.solve_cohomological(mm.potential, _centred(psi, mm), mm).residual)
+                for psi in stacks)
     return {
-        "max_residual": worst,
-        "count": len(residuals),
-        "checks": [check("max_residual", worst, a["threshold_residual"])],
+        "max_residual": float(worst),
+        "count": count,
+        "checks": [check("max_residual", float(worst), a["threshold_residual"])],
     }, {}
 
 

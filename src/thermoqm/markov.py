@@ -10,7 +10,9 @@ edges of the depth-(m-1) block graph, and maps LC_m into LC_max(t, m-1).  The
 cohomological equation (Id - R) h = psi for psi in LC_N is therefore solved by
 memory reduction: R^K psi lies in LC_t for K = N - t, and h = sum_{k<K} R^k psi
 + (Id - R)|_{LC_t}^{-1} R^K psi.  The only dense solve is the bordered one on
-LC_t, the chain's own state space.
+LC_t, the chain's own state space.  A LocallyConstantFn may hold a stack of
+functions, one per column of its table; R, the reduction and the bordered
+solve then run on all columns at once.
 """
 
 from __future__ import annotations
@@ -31,20 +33,22 @@ from .sft import window_codes
 
 
 class LocallyConstantFn:
-    """A function of the first `memory` symbols, stored on that word index."""
+    """A function of the first `memory` symbols, stored on that word index; a
+    2-D table is a stack of such functions, one per column."""
 
     def __init__(self, sft, memory, values):
         self.sft = sft
         self.m = int(memory)
         vals = np.asarray(values, dtype=float)
         expected = 1 if self.m == 0 else len(sft.cylinders(self.m))
-        if vals.shape != (expected,):
+        if vals.shape[:1] != (expected,) or vals.ndim > 2:
             raise ValueError(f"memory-{self.m} table needs {expected} values")
         self.values = vals
 
     @classmethod
     def constant(cls, sft, c):
-        return cls(sft, 0, np.array([float(c)]))
+        """The constant c, or a stack of constants for an array c."""
+        return cls(sft, 0, np.asarray(c, dtype=float)[None])
 
     def value(self, word):
         if self.m == 0:
@@ -257,10 +261,9 @@ class MarkovMeasure:
         return float(-(self.stationary[self.graph.src] * p * logp).sum())
 
     def integral(self, f):
-        """Exact integral of a LocallyConstantFn."""
-        if f.m == 0:
-            return float(f.values[0])
-        return float(np.dot(self.cylinder_masses(f.m), f.values))
+        """Exact integral of a LocallyConstantFn (of each column of a stack)."""
+        out = f.values[0] if f.m == 0 else np.dot(self.cylinder_masses(f.m), f.values)
+        return out if np.ndim(out) else float(out)
 
     def l2_norm_sq(self, f):
         if f.m == 0:
@@ -316,14 +319,20 @@ def gibbs_chain_from_qm(L, sft):
 
 
 def transfer_apply(pot, f):
-    """(R f)(x) = sum over preimages a.x of e^{phi(a.x)} f(a.x...), in LC_max(t, m-1):
-    one gather over the depth-r block graph, whose edges are the (r+1)-words in order."""
+    """(R f)(x) = sum over preimages a.x of e^{phi(a.x)} f(a.x...), in LC_max(t, m-1),
+    for one function or each column of a stack: one bincount over the edges of the
+    depth-r block graph, whose edges are the (r+1)-words in order, with a bin per
+    (column, state), so that each column adds in edge order as it would alone."""
     if not pot.normalized:
         raise ValueError("transfer_apply expects a normalized potential")
     r = max(pot.s, f.m - 1, 1)
     g = pot.sft.block_graph(r)
-    w = np.exp(pot.as_memory(r + 1).values) * f.as_memory(r + 1).values
-    return LocallyConstantFn(pot.sft, r, np.bincount(g.dst, weights=w, minlength=len(g)))
+    vals = f.as_memory(r + 1).values
+    k = vals.size // len(vals)
+    w = vals.T * np.exp(pot.as_memory(r + 1).values)  # one row per column
+    bins = g.dst if k == 1 else (np.arange(k)[:, None] * len(g) + g.dst).ravel()
+    out = np.bincount(bins, weights=w.ravel(), minlength=k * len(g)).reshape(k, len(g)).T
+    return LocallyConstantFn(pot.sft, r, out.reshape((len(g),) + vals.shape[1:]))
 
 
 def transfer_matrix(pot, N):
@@ -357,6 +366,7 @@ def project_conditional(f, mm, s):
 
 @dataclass
 class CohomologySolve:
+    """One solve; for a stack of psi, h is a stack and the numbers are arrays, one per column."""
     h: LocallyConstantFn
     residual: float
     h_sup: float
@@ -367,15 +377,20 @@ class CohomologySolve:
 def solve_cohomological(pot, psi, mm):
     """Solve (Id - R) h = psi exactly on the zero-mean part of LC_N, as
     h = sum_{k<K} R^k psi + g, K = N - t, with g from the bordered system
-    (Id - R + 1 masses^T) g = R^K psi on LC_t (R preserves every mean)."""
+    (Id - R + 1 masses^T) g = R^K psi on LC_t (R preserves every mean).
+
+    psi may be a stack: the K pushes and the bordered solve then take every
+    column in one pass, and the mean check and the residual gate hold per
+    column, an error naming the first column that fails."""
     t = max(pot.s, 1)
     N = max(psi.m, t)
     psi = psi.as_memory(N)
-    scale = max(1.0, psi.sup_norm())
-    mean = mm.integral(psi)
-    if abs(mean) > 1e-10 * scale:
-        raise MeanNotZero(f"integral of psi is {mean}")
-    h_vals = np.zeros(len(pot.sft.cylinders(N)))
+    P = psi.values.reshape(len(psi.values), -1)  # one column per right-hand side
+    sup = np.abs(P).max(axis=0)
+    scale = np.maximum(1.0, sup)
+    mean = np.reshape(mm.integral(psi), -1)
+    _per_column(np.abs(mean) <= 1e-10 * scale, MeanNotZero, "integral of psi is {}", mean)
+    h_vals = np.zeros_like(psi.values)
     f = psi
     for _ in range(N - t):
         h_vals += f.as_memory(N).values
@@ -387,14 +402,23 @@ def solve_cohomological(pot, psi, mm):
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(f"cohomological solve failed: {exc}") from exc
     h = LocallyConstantFn(pot.sft, N, h_vals) + LocallyConstantFn(pot.sft, t, g)
-    residual = float(np.abs((h - transfer_apply(pot, h) - psi).values).max())
+    residual = np.abs((h - transfer_apply(pot, h) - psi).values).reshape(len(P), -1).max(axis=0)
+    h_sup = np.abs(h.values).reshape(len(P), -1).max(axis=0)
     # relative to h too: on nearly reducible chains |h| is huge and rounding scales with it
-    if not np.isfinite(residual) or residual > 1e-8 * max(scale, h.sup_norm()):
-        raise SingularSystem(f"cohomological residual {residual} too large")
+    _per_column(residual <= 1e-8 * np.maximum(scale, h_sup), SingularSystem,
+                "cohomological residual {} too large", residual)
     lam2 = mm.lam2()
-    bowen_est = (N - 1) * psi.osc()
-    bound = np.sqrt(pot.sft.d) / (1.0 - lam2) * np.sqrt(pot.s + 1) * (psi.sup_norm() + bowen_est)
-    return CohomologySolve(h, residual, h.sup_norm(), float(bound), lam2)
+    bowen_est = (N - 1) * (P.max(axis=0) - P.min(axis=0))
+    bound = np.sqrt(pot.sft.d) / (1.0 - lam2) * np.sqrt(pot.s + 1) * (sup + bowen_est)
+    if psi.values.ndim == 1:  # one psi: plain numbers
+        return CohomologySolve(h, float(residual[0]), float(h_sup[0]), float(bound[0]), lam2)
+    return CohomologySolve(h, residual, h_sup, bound, lam2)
+
+
+def _per_column(ok, error, message, values):
+    """Raise error(message) for the first column where ok fails (a NaN fails)."""
+    for j in np.flatnonzero(~ok)[:1]:
+        raise error(f"{message.format(values[j])} (column {j})")
 
 
 def martingale_part(pot, psi, h):

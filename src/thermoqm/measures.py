@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ZeroMass
-from .sft import WordIndex, parse_word, render_word
+from .sft import WordIndex, render_word
 
 
 class CylinderMeasure:
@@ -92,8 +92,7 @@ class CylinderMeasure:
             k = int(k_str)
             idx = sft.cylinders(k)
             arr = np.zeros(len(idx))
-            for text, m in table.items():
-                arr[idx.index(parse_word(text, sft.d))] = m
+            arr[idx.index_of_words(table)] = list(table.values())
             masses[k] = arr
         return cls(sft, masses)
 
@@ -105,11 +104,7 @@ def bernoulli_measure(sft, p, depths):
         raise ValueError("bernoulli_measure needs a full shift")
     if abs(p.sum() - 1.0) > 1e-12 or (p < 0).any():
         raise ValueError("probabilities must be nonnegative and sum to 1")
-    masses = {}
-    for k in depths:
-        idx = sft.cylinders(k)
-        masses[k] = np.array([np.prod([p[s] for s in w]) for w in idx.words])
-    return CylinderMeasure(sft, masses)
+    return CylinderMeasure(sft, {k: p[sft.cylinders(k).array].prod(axis=1) for k in depths})
 
 
 def periodic_orbit_measure(sft, word, depths):

@@ -90,6 +90,21 @@ class WordIndex:
     def word(self, i):
         return self.words[i]
 
+    def index_of_words(self, texts):
+        """Positions of rendered words (`render_word`) of this depth, parsed and
+        looked up together; comma-separated ones one at a time.  A symbol out
+        of range raises ValueError, a word of another length or one that is
+        not admissible KeyError, as `index(parse_word(text, d))` would."""
+        texts, d, k = list(texts), self.sft.d, self.depth
+        if any(len(text) != k or "," in text for text in texts):
+            return np.array([self.index(parse_word(text, d)) for text in texts], dtype=np.int64)
+        syms = np.frombuffer("".join(texts).encode("ascii"), np.uint8).reshape(len(texts), k)
+        syms = syms.astype(np.int64) - ord("1")
+        bad = ((syms < 0) | (syms >= d)).any(axis=1)
+        if bad.any():
+            raise ValueError(f"symbol out of range in {texts[int(bad.argmax())]!r}")
+        return self.index_of_codes(window_codes(syms, 0, k, d))
+
     @functools.cached_property
     def _table(self):
         table = np.full(self.sft.d**self.depth, -1, dtype=np.int64)

@@ -28,8 +28,12 @@ from .sft import window_codes, word_cap
 
 _GIBBS_CELLS = 1 << 15  # word positions per chunk of the enumerated Gibbs orbit masses
 _GIBBS_MATRICES = 3  # dense S x S matrices the orbit transfer holds at its peak
-_GIBBS_FLOOR = 2.0**-1000  # least product of two orbit-transfer entries: below 2^21 states, sums stay normal
+_PRODUCT_FLOOR = 2.0**-1000  # least product of two transfer entries: sums stay normal below 2^21 states
 _SPLIT_CELLS = 1 << 14  # (n, m) pairs per row block of the split constant, 128 KB a temporary
+_PARTITION_CELLS = 1 << 16  # cells of the powers T, ..., T^k a blocked partition sequence holds
+_BLOCKED_STATES = 48  # block graphs up to this many states run blocked partitions (BENCH_18.json)
+_U = 2.0**-53  # unit roundoff of float64
+_LOG_RANGE = 745.0  # |log z| < 745 for every positive float z
 
 
 # -- partition functions -------------------------------------------------------
@@ -65,6 +69,10 @@ class _WindowTransfer:
     weight of all paths from start states beginning with b, and Z_n is the
     sum over c, b of R[last(c), b] V[c, b].  Width-1 windows never straddle
     the wrap, so for Q = 1 the wrap is one more edge and Z_n = trace(T^n).
+
+    On graphs of at most _BLOCKED_STATES states V advances k steps a product
+    by the dense powers T, ..., T^k (``T``, kept only there); larger graphs
+    advance it one gather over the edges into each state a step.
     """
 
     def __init__(self, L, sft):
@@ -73,7 +81,9 @@ class _WindowTransfer:
         self.Q = max(self.kernels)
         g, f, start = L.edge_form(sft)
         S = len(g)
-        self.weights, self.sources = g.incoming(np.exp(f))
+        E = np.exp(f)
+        self.weights, self.sources = g.incoming(E)
+        self.T = g.matrix(E) if S <= _BLOCKED_STATES else None
         if self.Q == 1:
             self.base, self.init, self.close = 0, np.ones(S), np.eye(S)
         else:
@@ -83,24 +93,86 @@ class _WindowTransfer:
         self.V0[np.arange(S), g.states.prefix(1)] = self.init
 
     def log_partitions(self, n_max):
-        """P_n = log Z_n for n = 1..n_max, with running rescaling."""
+        """P_n = log Z_n for n = 1..n_max.  Z_n is carried as z 2^e, rescaled by
+        powers of two only, so only log z + e log 2 rounds."""
         out = np.full(n_max + 1, -np.inf)
         for n in range(1, min(self.Q, n_max + 1)):
             # shorter than the widest window: tiny enumerations
             out[n] = _short_word_log_partition(self.kernels, self.sft, n)
-        V = self.V0
-        logscale = 0.0
-        for n in range(self.base, n_max + 1):
-            if n >= self.Q:
-                z = float((self.close * V).sum())
-                if z > 0:
-                    out[n] = np.log(z) + logscale
-            if n < n_max:
-                V = (self.weights[:, :, None] * V[self.sources]).sum(axis=1)
-                m = V.max()
-                V /= m
-                logscale += np.log(m)
+        steps = n_max - self.base  # Z_n for n = base + 1 .. n_max: after 1 .. steps steps
+        if steps > 0:
+            try:
+                z, e = self._stepped(steps) if self.T is None else self._blocked(steps)
+            except _FloatRange:  # the powers of T spread past what a float holds
+                z, e = self._stepped(steps)
+            with np.errstate(divide="ignore"):
+                out[self.base + 1:] = np.log(z) + e * np.log(2.0)
         return out[1:]
+
+    def _stepped(self, steps):
+        """(z, e): the wrap sums z_j 2^e_j after j = 1..steps gathers of V."""
+        z, e = np.empty(steps), np.empty(steps, dtype=np.int64)
+        V, ev = self.V0, 0
+        for j in range(steps):
+            V = (self.weights[:, :, None] * V[self.sources]).sum(axis=1)
+            ev += _rescale(V)
+            z[j], e[j] = (self.close * V).sum(), ev
+        return z, e
+
+    def _blocked(self, steps):
+        """_stepped's (z, e) by batches of k steps: the wrap sums after 1..k more
+        steps are one product of V with C, C[j-1, s, b] = sum_c close[c, b] T^j[c, s],
+        and V advances by T^k."""
+        S = len(self.T)
+        k = min(steps, max(1, _PARTITION_CELLS // (S * S)))
+        P, ep = _powers(self.T, k)
+        C = np.matmul(P.transpose(0, 2, 1), self.close).reshape(k, -1)
+        z, e = np.empty(steps), np.empty(steps, dtype=np.int64)
+        V, ev = self.V0, 0
+        for lo in range(0, steps, k):
+            j = min(k, steps - lo)
+            z[lo:lo + j] = C[:j] @ V.ravel()
+            e[lo:lo + j] = ep[:j] + ev
+            if lo + k < steps:
+                V = P[k - 1] @ V
+                ev += ep[k - 1] + _rescale(V)
+        return z, e
+
+
+def _rescale(A):
+    """Scale each matrix of a stack (or one matrix) in place by the power of two
+    that puts its largest entry in [1/2, 1); no entry rounds.  Returns the
+    exponents taken out."""
+    shift = np.frexp(A.max(axis=(-2, -1)))[1]
+    np.ldexp(A, -shift[..., None, None], out=A)
+    return shift
+
+
+def _low(A):
+    """The least positive entry (inf if there is none)."""
+    return A.min(initial=np.inf, where=A > 0)
+
+
+def _powers(T, k):
+    """(P, e) with T^j = P[j-1] 2^e[j-1] for j = 1..k, each P[j-1] rescaled:
+    by doubling, T^(j+i) = T^j T^i for i = 1..min(j, k - j) in one batched
+    product.  `_FloatRange` if a product of two entries could fall under
+    2^-1000, so that no entry is ever rounded to 0 or to a subnormal."""
+    if not _low(T) >= _PRODUCT_FLOOR * T.max():
+        raise _FloatRange("the entries of T spread past 2^1000")
+    P = np.empty((k,) + T.shape)
+    e = np.empty(k, dtype=np.int64)
+    P[0] = T
+    e[0] = _rescale(P[0])
+    least, j = _low(P[0]), 1  # the least positive entry of the powers so far
+    while j < k:
+        if not least * least >= _PRODUCT_FLOOR:
+            raise _FloatRange("a product of two entries of the powers of T falls under 2^-1000")
+        m = min(j, k - j)
+        np.matmul(P[j - 1], P[:m], out=P[j:j + m])
+        e[j:j + m] = e[j - 1] + e[:m] + _rescale(P[j:j + m])
+        least, j = min(least, _low(P[j:j + m])), j + m
+    return P, e
 
 
 def _short_word_log_partition(kernels, sft, n):
@@ -200,7 +272,9 @@ def pressure(L, sft, n_max, method="auto"):
     The sub-multiplicativity constant is only in force once both block
     lengths clear 3M, so the certificate constant and the interval endpoints
     are restricted to that regime whenever n_max allows it; the all-pairs
-    constant is reported alongside.
+    constant is reported alongside.  Each endpoint is widened outward by
+    `_rounding`'s bound on the float error of p_n, and the constant by three
+    times its largest value, since it is computed from the same p_n.
     """
     if n_max < 4:
         raise ValueError("pressure needs n_max >= 4")
@@ -211,14 +285,40 @@ def pressure(L, sft, n_max, method="auto"):
     if not np.isfinite(c_used):
         n0, c_used = 1, c_all
     n = np.arange(n0, n_max + 1)
-    pn = p[n - 1]
+    pn, err = p[n - 1], _rounding(L, sft, method, p)[n - 1]
     ok = np.isfinite(pn) & np.isfinite(c_used)  # no finite split: both bounds stay infinite
-    lo = ((pn - c_used) / n).max(initial=-np.inf, where=ok)
-    hi = ((pn + c_used) / n).min(initial=np.inf, where=ok)
+    c = c_used + 3 * err.max(initial=0.0, where=ok)
+    lo = ((pn - c - err) / n).max(initial=-np.inf, where=ok)
+    hi = ((pn + c + err) / n).min(initial=np.inf, where=ok)
     return PressureEstimate(
         n_max=n_max, p_n=p, c_all=float(c_all), c_used=float(c_used), n0=n0,
         lower=float(lo), upper=float(hi), point=float(p[n_max - 1] / n_max),
     )
+
+
+def _rounding(L, sft, method, p):
+    """A bound on |p_n - log Z_n| from float rounding, for Z_n of the edge
+    weights or word values as computed (exact for integer kernels): twice the
+    first-order bound, u = 2^-53, over these sources.
+
+    - Transfer: every carried entry is a sum of products of nonnegative
+      numbers, so it keeps its relative error.  A step adds at most (d + 4) u
+      (a d-term gather, and exp of the edge weight within 2 ulp), a blocked
+      step at most (S + 2) u (its share of the products of S-term sums that
+      build T^k and advance V), and the wrap sum S d u.  Words shorter than
+      the widest window are enumerated.
+    - Enumeration: each term e^(L - max) is within (|L - max| + 2) u, and
+      |L - max| < 745 unless it underflows; summing d^n terms adds n log2(d) u,
+      and log1p, log m and the last add at most 2n ln(d) u + 3 u |p_n|.
+    - Rescaling is by powers of two, so the transfer rounds only in
+      p_n = log z + e log 2: at most u (2 |log z| + 2 |e log 2| + |p_n|) <=
+      u (3 |p_n| + 4 * 745), as |log z| < 745 for every positive float z.
+    The per-step terms are at most (4d + S + 4) u, with S = 0 for enumeration;
+    the 4 * 745 u also covers the three roundings of each interval endpoint.
+    """
+    S = 0 if _method_kernels(L, sft, method) is None else len(L.edge_form(sft)[0])
+    n = np.arange(1, len(p) + 1)
+    return 2 * _U * ((4 * sft.d + S + 4) * n + S * sft.d + 3 * np.abs(p) + 4 * _LOG_RANGE)
 
 
 def pressure_oracle_memory1(L, sft):
@@ -336,19 +436,15 @@ def _transfer_gibbs_masses(L, sft, N, depth):
     least = E.min()  # every edge is there, so a 0 here is an underflow
 
     def guard(x):  # x: the least product of two entries a step can form
-        if not x >= _GIBBS_FLOOR:
+        if not x >= _PRODUCT_FLOOR:
             raise _FloatRange(f"the orbit transfer leaves the float range (gauged edge weights "
                               f"down to e^{w.min():.4g}, products of two entries under 2^-1000)")
 
-    def low(A):  # the least positive entry
-        return A.min(initial=np.inf, where=A > 0)
-
     def scaled(A, e):  # A 2^e as A' 2^e' with max A' in [1/2, 1), in place
-        shift = int(np.frexp(A.max())[1])
-        return np.ldexp(A, -shift, out=A), e + shift
+        return A, e + int(_rescale(A))
 
     def times_T(A, e):  # row i of T A adds the rows of A at the sources of the edges into i
-        guard(low(A) * least)
+        guard(_low(A) * least)
         out = A[sources[:, 0]]  # symbol by symbol: three S x S matrices at the peak
         out *= weights[:, :1]
         for a in range(1, sft.d):
@@ -360,7 +456,7 @@ def _transfer_gibbs_masses(L, sft, N, depth):
     lo = N - max(depth - t, 0)  # the lowest power needed, >= t >= 1
     A, e = scaled(g.matrix(E), 0)
     for bit in bin(lo)[3:]:
-        guard(low(A) ** 2)
+        guard(_low(A) ** 2)
         A, e = scaled(A @ A, 2 * e)
         if bit == "1":
             A, e = times_T(A, e)
