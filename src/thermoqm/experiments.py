@@ -8,23 +8,31 @@ Philox and re-keys it per trial, which gives exactly trial_rng's streams, and
 draws uniforms a chunk of positions at a time by counter addressing (uniform k
 is lane k % 4 of counter k // 4), as one-byte bucket codes #{cuts <= u} where
 the block has _CUT_TRIALS trials per successor cut point: 8x the positions per
-chunk, so 8x fewer re-keys.  A coded block walks all trials k positions per
-table lookup: a trial's state s and its next k codes c_i (r = len(cuts) + 1
-values each; the uniform sphere walk is a chain with d - 2 cut points, r = d - 1)
-pack into one index s r^k + sum c_i r^(k-1-i) of two (k, S r^k) tables, the
-symbol of each step and the state after it, with k the largest depth whose
-table fits _WALK_CELLS cells; a run builds the tables once and hands them to
-every block in its payload.  A float block takes one flat gather per position.
-A single path on at most _SEGMENT_STATES states is cut into segments, and
-every (segment, entry state) pair walks as one walker of a block of about
-_BLOCK, on the path's shared codes (or floats, past a byte of ranks); the path
-then follows, segment by segment, the walker that enters at its state (the
-all-start-states device of coupling from the past).  All feed one evaluation
-step: path functionals are sums of the quasimorphism's window kernels over the
-symbol chunks, accumulated in order per trial, which makes L(x_0..x_{k-1})
-exact at every step without storing words; the CLT reads the final sums, the
-other experiments the running sums at ascending checkpoints (the LIL orbit:
-every n of one single-trial block).
+chunk, so 8x fewer re-keys.  Cut points are the chain's cumulative kernel
+entries below 1, with entries within _SNAP_ULPS ulps above a smaller one
+snapped onto it first (the payload's succ_cum is the snapped chain, which every
+walk samples): the Parry chain of F2, 1/3 per edge only to rounding, has 2.
+A coded block walks all trials k positions per table lookup: a trial's state s
+and its next k codes c_i (r = len(cuts) + 1 values each; the uniform sphere
+walk is a chain with d - 2 cut points, r = d - 1) pack into one index
+s r^k + sum c_i r^(k-1-i) of two (k, S r^k) tables, the edge of each step and
+the state after it, with k the largest depth whose table fits _WALK_CELLS cells;
+a run builds the tables once and hands them to every block in its payload.  A
+float block takes one flat gather per position.  A single path on at most
+_SEGMENT_STATES states is cut into segments, and every (segment, entry state)
+pair walks as one walker of a block of about _BLOCK, on the path's shared codes
+(or floats, past a byte of ranks); the path then follows, segment by segment,
+the walker that enters at its state (the all-start-states device of coupling
+from the past).  Every walk emits edge ids s w + c (state s, successor column
+c; uint8 while S w <= 256), and all feed one evaluation step: path functionals
+are sums of the quasimorphism's window kernels, accumulated in order per trial,
+which makes L(x_0..x_{k-1}) exact at every step without storing words.  When
+every kernel width q <= t + 1, each window ending at a step lies in the step's
+state and new symbol, so one take a width from per-edge tables gives the
+increments; symbols are looked up from the same ids only for wider kernels or
+when the caller wants them.  The CLT reads the final sums, the other
+experiments the running sums at ascending checkpoints (the LIL orbit: every n
+of one single-trial block).
 """
 
 from __future__ import annotations
@@ -37,7 +45,7 @@ import numpy as np
 
 from .errors import DegenerateSigma
 from .markov import LocallyConstantFn, MarkovMeasure, MarkovPotential, variance
-from .sft import symbol_dtype
+from .sft import symbol_dtype, window_codes
 from .thermo import window_expectation
 
 _MASK = (1 << 64) - 1
@@ -95,6 +103,27 @@ def reflection_sup_cdf(x):
 # -- sampling specifications -----------------------------------------------------
 
 
+_SNAP_ULPS = 4  # cumulative-kernel entries this close above a smaller one share its cut point:
+#                 a uniform lands in such a gap with probability below 1e-15 a draw
+
+
+def _snap(succ_cum):
+    """succ_cum with each entry below 1 that lies within _SNAP_ULPS ulps above a
+    smaller entry set to the cut of that entry, in ascending order: a cluster of
+    rounding twins becomes one cut point, no entry moves by more than _SNAP_ULPS
+    ulps and distinct cuts stay more than _SNAP_ULPS ulps apart."""
+    below = succ_cum < 1.0
+    v = np.unique(succ_cum[below])
+    bits = v.view(np.int64)  # ascending with v, as v >= 0; ulps apart = difference
+    cut = bits.copy()
+    for i in np.flatnonzero(np.diff(bits) <= _SNAP_ULPS) + 1:  # only entries near the one below
+        if bits[i] - cut[i - 1] <= _SNAP_ULPS:
+            cut[i] = cut[i - 1]
+    out = succ_cum.copy()
+    out[below] = cut.view(np.float64)[np.searchsorted(v, succ_cum[below])]
+    return out
+
+
 def _cut_ranks(succ_cum):
     """The distinct cut points below 1, and rank = 1 + the index in cuts of each
     entry (len(cuts) + 1 for entries >= 1): u >= succ_cum iff _codes(u) >= rank."""
@@ -113,8 +142,8 @@ def _codes(u, cuts):
 def markov_sampler_payload(mm):
     """Picklable arrays describing how to walk the chain symbol by symbol: the
     successors of each state in symbol order (the edges of its block graph),
-    padded with the last one, their cumulative kernel probabilities, and
-    those probabilities as cut points and ranks."""
+    padded with the last one, their cumulative kernel probabilities with
+    rounding twins snapped together (_snap), and those as cut points and ranks."""
     sft = mm.sft
     g = sft.block_graph(mm.t)
     deg = np.bincount(g.src, minlength=len(g))
@@ -122,6 +151,7 @@ def markov_sampler_payload(mm):
     edge = (np.cumsum(deg) - deg)[:, None] + np.minimum(np.arange(deg.max()), last)
     succ_cum = np.cumsum(mm.edge_prob[edge], axis=1)
     succ_cum[np.arange(deg.max()) >= last] = 1.0
+    succ_cum = _snap(succ_cum)
     init_cum = np.cumsum(mm.stationary)
     init_cum[-1] = 1.0
     cuts, rank = _cut_ranks(succ_cum)
@@ -192,25 +222,31 @@ def _walk_depth(S, r):
     return k
 
 
+def _edge_ids(S, w):
+    """The (S, w) edge ids s w + c of each state's successor columns: uint8 while
+    S w <= 256, wider beyond."""
+    return np.arange(S * w, dtype=np.min_scalar_type(S * w - 1)).reshape(S, w)
+
+
 def _walk_tables(payload):
     """k-step tables of a coded walk, k = _walk_depth(S, r): index s r^k + sum_i
     c_i r^(k-1-i) packs state s and the codes c_0..c_{k-1} (code c picks column
-    #{j < w - 1 : c >= rank[s, j]}); row i of sym holds the symbol of step i,
+    #{j < w - 1 : c >= rank[s, j]}); row i of edge holds the edge id of step i,
     row i of nxt the state after it, times r^k."""
-    succ_state, succ_sym, rank = payload["succ_state"], payload["succ_sym"], payload["rank"]
+    succ_state, rank = payload["succ_state"], payload["rank"]
     (S, w), r = succ_state.shape, len(payload["cuts"]) + 1
     k = _walk_depth(S, r)
     col = (np.arange(r)[:, None] >= rank[:, None, :w - 1]).sum(axis=2)  # (S, r)
     step_state = np.take_along_axis(succ_state, col, axis=1).astype(np.intp)
-    step_sym = np.take_along_axis(succ_sym, col, axis=1)
-    sym = np.empty((k, S * r**k), dtype=succ_sym.dtype)
+    step_edge = np.take_along_axis(_edge_ids(S, w), col, axis=1)
+    edge = np.empty((k, S * r**k), dtype=step_edge.dtype)
     nxt = np.empty((k, S * r**k), dtype=np.min_scalar_type(S * r**k - 1))
     state = np.arange(S)  # the state after i steps, by packed prefix s, c_0..c_{i-1}
     for i in range(k):
-        sym[i] = np.repeat(step_sym[state].ravel(), r ** (k - 1 - i))
+        edge[i] = np.repeat(step_edge[state].ravel(), r ** (k - 1 - i))
         state = step_state[state].ravel()
         nxt[i] = np.repeat(state * r**k, r ** (k - 1 - i))
-    return sym, nxt
+    return edge, nxt
 
 
 def _segmented(payload, B):
@@ -248,14 +284,14 @@ def _simulate_block(payload):
     t0, t1 = payload["trial_range"]
     B, n, seed = t1 - t0, payload["n"], int(payload["seed"]) & _MASK
     rekey = _rekeyer()
-    succ_state, succ_sym, cuts = payload["succ_state"], payload["succ_sym"], payload["cuts"]
+    succ_state, cuts, t = payload["succ_state"], payload["cuts"], payload["t"]
     (S, w), r = succ_state.shape, len(cuts) + 1
     segments, coded = _segmented(payload, B), _coded(payload, B)
     k = _walk_depth(S, r) if coded else 1
     unit = r**k if coded else w  # a walker's offset: its state times unit
     cum = (payload["rank"].astype(np.uint8) if coded else payload["succ_cum"]).ravel()
     rows = max(1, _EVAL_CELLS // B)
-    N = max(n - payload["t"], 0)
+    N = max(n - t, 0)
     cols = max(4, _DRAW_CELLS * (8 if coded else 1) // B // 4 * 4)
     buf = None if coded else np.empty((min(cols, N + 1), B))  # codes: packed per chunk
     u0 = np.empty(B)  # position 0 stays a float, for the init_cum search
@@ -284,29 +320,28 @@ def _simulate_block(payload):
 
     chunk0 = draws(0)
     first = np.searchsorted(payload["init_cum"], u0, side="right")
-    head = payload["state_words"][first][:, :n]
     chunks = itertools.chain([chunk0], map(draws, range(cols, N + 1, cols)))
-    nxt, sym = (succ_state.astype(np.int64) * w).ravel(), succ_sym.ravel()
+    nxt, edge_dtype = (succ_state.astype(np.int64) * w).ravel(), _edge_ids(S, w).dtype
 
-    def walked():  # symbol chunks of about _EVAL_CELLS cells
+    def walked():  # edge-id chunks of about _EVAL_CELLS cells
         if coded:  # after the first draw, unless the run brought them
-            wsym, wnxt = payload.get("walk_tables") or _walk_tables(payload)
+            wedge, wnxt = payload.get("walk_tables") or _walk_tables(payload)
         offset = wnxt.dtype if coded else np.int64
 
         # m steps of the walkers at offsets base; a row of Q, k packed codes or one
         # float per walker, broadcasts against base
         def walk(Q, base, m):
-            X = np.empty((m,) + base.shape, dtype=sym.dtype)
+            X = np.empty((m,) + base.shape, dtype=edge_dtype)
             if coded:
                 for i, p in enumerate(Q):
                     j = min(k, m - i * k)  # < k in a last, partial group
                     idx = base + p
-                    wsym[:j].take(idx, axis=1, out=X[i * k:i * k + j])
+                    wedge[:j].take(idx, axis=1, out=X[i * k:i * k + j])
                     base = wnxt[j - 1].take(idx)
-            else:  # one flat gather step per position
+            else:  # one flat gather step per position: the picked index is the edge id
                 for q, x in zip(Q, X):
                     idx = pick(base, q)
-                    sym.take(idx, out=x)
+                    x[...] = idx
                     base = nxt.take(idx)
             return X, base
 
@@ -318,7 +353,7 @@ def _simulate_block(payload):
         # one path (B = 1) through steps C: a walker for every segment and entry
         # state, then segment by segment the walker that enters at the path's state
         def path(C, base):
-            X = np.empty(C.shape, dtype=sym.dtype)
+            X = np.empty(C.shape, dtype=edge_dtype)
             for lo in range(0, len(C), nseg * L):
                 piece = C[lo:lo + nseg * L]
                 g = len(piece) // L
@@ -326,9 +361,10 @@ def _simulate_block(payload):
                     Q = prep(piece[:g * L, 0].reshape(g, L).T)  # (step, segment)
                     Y, ends = walk(Q[:, :, None], entries[:g], L)  # (step, segment, entry)
                     s, at = int(base[0]) // unit, []
-                    for row in (ends // unit).tolist():
+                    ends = (ends // unit).ravel().tolist()  # one flat list: segment i at i S
+                    for i in range(g):
                         at.append(s)
-                        s = row[s]
+                        s = ends[i * S + s]
                     X[lo:lo + g * L, 0] = Y[:, np.arange(g), at].T.ravel()
                     base = np.array([s * unit], offset)
                 if len(piece) > g * L:  # a short last segment: the path's own walker
@@ -346,37 +382,68 @@ def _simulate_block(payload):
                     X, base = walk(Q[lo:lo + groups], base, min(groups * k, m - lo * k))
                 yield X
 
-    return _evaluate(payload, B, itertools.chain([head.T], walked()), sym.dtype)
+    return _evaluate(payload, B, first, walked())
 
 
-def _evaluate(payload, B, chunks, sym_dtype):
-    """Window-kernel sums along position-major symbol chunks (of about
-    _EVAL_CELLS cells, or the head's t rows): at each position
-    every full width-q window adds its table value, widths in payload order,
-    summed in that order per trial (a running sum down the positions)."""
-    n, d, e = payload["n"], payload["d"], payload["e"]
+def _id_tables(payload, kernels):
+    """What an id of a walked chunk stands for.  Ids below E = S w are edges, s w + c
+    for column c of state s; E + p S + s is position p < t of state s's word (the
+    head).  Returns the symbol of each id, and, when every width q <= t + 1, one
+    table a kernel (in payload order) of the width-q window ending at each id, 0
+    where it is not full yet: every window that ends at a step then lies inside the
+    step's state and new symbol.  A wider kernel gets None, for window coding."""
+    words, succ_sym, t, d = payload["state_words"], payload["succ_sym"], payload["t"], payload["d"]
+    S, w = succ_sym.shape
+    symbols = np.concatenate([succ_sym.ravel(), words.T.ravel()]).astype(succ_sym.dtype)
+    if max(q for q, _ in kernels) > t + 1:
+        return symbols, None
+    ext = np.concatenate([np.repeat(words, w, axis=0), succ_sym.reshape(-1, 1)], axis=1)
+    tables = [np.concatenate([table.take(window_codes(ext, t + 1 - q, q, d))]
+                             + [table.take(window_codes(words, p + 1 - q, q, d)) if p + 1 >= q
+                                else np.zeros(S) for p in range(t)])
+              for q, table in kernels]
+    return symbols, tables
+
+
+def _evaluate(payload, B, first, chunks):
+    """Window-kernel sums along paths of ids (see _id_tables): the head's t rows
+    of the start states `first`, then position-major chunks of edge ids (of about
+    _EVAL_CELLS cells).  At each position every full width-q window adds its
+    table value, widths in payload order, summed in that order per trial (a
+    running sum down the positions).  With every width q <= t + 1 that is one
+    take a width from the ids; a wider kernel codes windows from their symbols."""
+    n, d, e, t = payload["n"], payload["d"], payload["e"], payload["t"]
+    S, w = payload["succ_sym"].shape
+    head = S * w + np.arange(min(t, n))[:, None] * S + first
+    head = head.astype(np.min_scalar_type(S * (w + t) - 1))  # as small as the walk's ids
     # with no kernel, add zeros: acc + 0.0 == acc, as acc is never -0.0
     kernels = [(q, np.asarray(k)) for q, k in zip(payload["kernel_widths"],
                                                   payload["kernel_tables"])] or [(1, np.zeros(d))]
     checkpoints = np.asarray(payload["checkpoints"], dtype=np.int64)  # ascending
     want_max, want_symbols = payload["want_max"], payload.get("want_symbols", False)
     acc, runmax, checks = np.zeros(B), np.zeros(B), np.zeros((B, len(checkpoints)))
-    symbols = np.zeros((B, n), dtype=sym_dtype) if want_symbols else None
-    keep = max(q for q, _ in kernels) - 1
-    hist, p0 = np.zeros((keep, B), dtype=sym_dtype), 0
-    for X in chunks:
+    sym_of, inc_of = _id_tables(payload, kernels)
+    symbols = np.zeros((B, n), dtype=sym_of.dtype) if want_symbols else None
+    keep = 0 if inc_of else max(q for q, _ in kernels) - 1
+    hist, p0 = np.zeros((keep, B), dtype=sym_of.dtype), 0
+    for X in itertools.chain([head], chunks):
         C = len(X)
         if want_symbols:
-            symbols[:, p0:p0 + C] = X.T
-        H = np.concatenate([hist, X], dtype=sym_dtype)
-        code, incs = np.empty((C, B), dtype=np.intp), []
-        for q, table in kernels:  # code = base-d window value, built in place
-            code[:] = H[keep - q + 1:keep - q + 1 + C]
-            for k in range(keep - q + 2, keep + 1):
-                code *= d
-                code += H[k:k + C]
-            incs.append(table.take(code))
-            incs[-1][:max(0, q - 1 - p0)] = 0.0  # the window is not full yet
+            symbols[:, p0:p0 + C] = sym_of.take(X).T
+        if inc_of:
+            incs = [table.take(X) for table in inc_of]
+        else:
+            H = np.concatenate([hist, sym_of.take(X)], dtype=sym_of.dtype)
+            code, incs = np.empty((C, B), dtype=np.intp), []
+            for q, table in kernels:  # code = base-d window value, built in place
+                code[:] = H[keep - q + 1:keep - q + 1 + C]
+                for k in range(keep - q + 2, keep + 1):
+                    code *= d
+                    code += H[k:k + C]
+                incs.append(table.take(code))
+                incs[-1][:max(0, q - 1 - p0)] = 0.0  # the window is not full yet
+            hist = H[len(H) - keep:].copy()
+            del H, code
         seq = np.stack(incs, axis=1).reshape(-1, B) if len(incs) > 1 else incs[0]
         seq[0] += acc  # then running sums down the rows (position, width in payload order)
         if B < _ROW_ADD_TRIALS:
@@ -391,8 +458,8 @@ def _evaluate(payload, B, chunks, sym_dtype):
         lo, hi = np.searchsorted(checkpoints, (p0 + 1, p0 + C + 1))  # p0 < c <= p0 + C
         c = checkpoints[lo:hi]
         checks[:, lo:hi] = (run[c - p0 - 1] - (c * e)[:, None]).T
-        acc, hist, p0 = run[-1].copy(), H[len(H) - keep:].copy(), p0 + C
-        del H, code, incs, seq, run  # freed before the next chunk is drawn and walked
+        acc, p0 = run[-1].copy(), p0 + C
+        del X, incs, seq, run  # freed before the next chunk is drawn and walked
     out = {"final": acc - n * e, "checks": checks, "runmax": runmax}
     if want_symbols:
         out["symbols"] = symbols

@@ -126,6 +126,10 @@ class WindowQm(Quasimorphism):
 
     def window_tables(self, d):
         if d not in self._tables:  # built once per d, shared by every caller
+            cells = sum(d ** q for q in self.kernels)
+            if cells > word_cap():
+                raise ResourceLimit(f"window tables of widths {sorted(self.kernels)} on {d} "
+                                    f"symbols need {cells} cells, over the word cap")
             self._tables[d] = {q: np.zeros(d ** q) for q in self.kernels}
             for q, table in self.kernels.items():
                 for win, coef in table.items():

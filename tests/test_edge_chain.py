@@ -70,6 +70,7 @@ def old_sampler_payload(sft, t, kernel, stationary):
     edge = (np.cumsum(deg) - deg)[:, None] + np.minimum(np.arange(deg.max()), last)
     succ_cum = np.cumsum(kernel[g.src[edge], g.dst[edge]], axis=1)
     succ_cum[np.arange(deg.max()) >= last] = 1.0
+    succ_cum = ex._snap(succ_cum)  # rounding twins share one cut point
     init_cum = np.cumsum(stationary)
     init_cum[-1] = 1.0
     cuts, rank = ex._cut_ranks(succ_cum)

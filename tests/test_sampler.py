@@ -442,3 +442,118 @@ def test_sphere_sample_unchanged(rank, n, count, seed):
 def test_sphere_sample_keeps_cell_cap():
     with pytest.raises(ResourceLimit):
         fg.sphere_sample(fg.FreeGroup(2), 1000, 11, seed=1, max_cells=10000)
+
+
+# -- edge ids: increments by one take a width, symbols only where needed ------------
+
+
+def _emit_cases(seen):
+    """Record what each block's ids are looked up as: increments (every width
+    q <= t + 1) or symbols for window coding (a wider kernel), and whether the
+    block also emits its symbols."""
+    tables = ex._id_tables
+
+    def recording(payload, kernels):
+        sym_of, inc_of = tables(payload, kernels)
+        case = "increments" if inc_of is not None else "windows"
+        seen.add(case + (" and symbols" if payload.get("want_symbols") else ""))
+        return sym_of, inc_of
+
+    return mock.patch.object(ex, "_id_tables", recording)
+
+
+EMIT_CASES = {"increments", "increments and symbols", "windows", "windows and symbols"}
+
+
+def test_blocks_emit_increments_and_symbols():
+    """The block property against the per-step loop, float and coded, records
+    that increments, symbols and window coding are each reached."""
+    seen = set()
+
+    @settings(PROPERTY, max_examples=40)
+    @given(markov_payloads(), CHUNKS, st.sampled_from([0, ex._CUT_TRIALS]))
+    def check(payload, chunks, cut_trials):
+        with _chunked(chunks), _emit_cases(seen), mock.patch.object(ex, "_CUT_TRIALS", cut_trials):
+            new = ex._simulate_block(payload)
+        _assert_identical(new, _loop_block(payload))
+
+    check()
+    assert seen == EMIT_CASES, seen
+
+
+def test_edge_ids_widen_past_a_byte():
+    """S w = 729 > 256 (an iid chain on the full 3-shift, presented with memory
+    5): the walk emits uint16 edge ids, float and coded (fewer than 255 cut
+    points, so ranks fit a byte), with kernels within t + 1 = 6 and wider, and
+    matches the loop."""
+    sft = full_shift(3)
+    table = np.log([0.2, 0.3, 0.5])[sft.cylinders(6).array[:, -1]]
+    mm = mk.markov_measure(mk.normalize_potential(mk.MarkovPotential(sft, 5, table))[0])
+    payload = ex.markov_sampler_payload(mm)
+    assert payload["succ_state"].shape == (243, 3) and ex._edge_ids(243, 3).dtype == np.uint16
+    assert len(payload["cuts"]) < 255
+    rng = np.random.default_rng(5)
+    for widths in ((1, 6), (2, 7)):
+        payload.update(n=41, seed=2, trial_range=(1, 6), kernel_widths=widths,
+                       kernel_tables=tuple(rng.normal(size=3**q) for q in widths), e=0.5,
+                       checkpoints=(1, 5, 41), want_max=True, want_symbols=True)
+        for cut_trials in (0, ex._CUT_TRIALS):
+            with mock.patch.object(ex, "_CUT_TRIALS", cut_trials):
+                _assert_identical(ex._simulate_block(payload), _loop_block(payload))
+
+
+# -- rounding twins of the cumulative kernel share one cut point ---------------------
+
+
+def _ulps(a, b):
+    return np.abs(np.asarray(a, dtype=np.float64).view(np.int64)
+                  - np.asarray(b, dtype=np.float64).view(np.int64))
+
+
+@PROPERTY
+@given(st.lists(st.floats(1e-6, 0.999), min_size=1, max_size=6, unique=True),
+       st.lists(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 4)), min_size=1, max_size=4),
+                min_size=1, max_size=8))
+def test_snap_merges_each_cluster_of_ulp_twins_into_one_cut(bases, rows):
+    """Random cumulative kernels whose entries below 1 are planted within 4 ulps
+    above well-separated bases: each cluster gives exactly one cut point (its
+    smallest entry), no entry moves by more than 4 ulps, distinct cuts are more
+    than 4 ulps apart and entries of 1 and above stay."""
+    bases = np.sort(bases)
+    assume((_ulps(bases[1:], bases[:-1]) > 16).all())
+    w = 1 + max(len(r) for r in rows)
+    up = np.nextafter(1.0, 2.0)
+    succ_cum = np.ones((len(rows), w))
+    for i, row in enumerate(rows):
+        vals = sorted(np.float64(bases[b % len(bases)]).view(np.int64) + o for b, o in row)
+        succ_cum[i, :len(row)] = np.array(vals, dtype=np.int64).view(np.float64)
+        succ_cum[i, -1] = up if i % 2 else 1.0  # sums rounded past 1 stay as they are
+    snapped = ex._snap(succ_cum)
+    assert (_ulps(snapped, succ_cum) <= ex._SNAP_ULPS).all()
+    assert np.array_equal(snapped >= 1.0, succ_cum >= 1.0)
+    assert np.array_equal(snapped[succ_cum >= 1.0], succ_cum[succ_cum >= 1.0])
+    assert (np.diff(snapped, axis=1) >= 0).all()
+    cuts, _ = ex._cut_ranks(snapped)
+    below = succ_cum[succ_cum < 1.0]
+    cluster = np.searchsorted(bases, below, side="right") - 1  # the base each entry sits on
+    assert cuts.tolist() == [below[cluster == c].min() for c in np.unique(cluster)]
+    assert (_ulps(cuts[1:], cuts[:-1]) > ex._SNAP_ULPS).all()
+
+
+def test_snap_keeps_a_run_of_twins_within_4_ulps_of_its_cut():
+    """Entries 3 ulps apart in a run: each snaps to the cut below it while that
+    cut is at most 4 ulps away, and the next starts a cut of its own."""
+    a = np.float64(0.25).view(np.int64)
+    run = np.array([a, a + 3, a + 6, a + 9, a + 12], dtype=np.int64).view(np.float64)
+    snapped = ex._snap(np.append(run, 1.0)[None, :])[0]
+    assert _ulps(snapped[:5], run[0]).tolist() == [0, 0, 6, 6, 12]
+    assert len(ex._cut_ranks(snapped[None, :])[0]) == 3
+
+
+def test_parry_chain_of_f2_has_two_cut_points():
+    """Its edge probabilities are 1/3 only to rounding: snapped, 2 cut points,
+    so r = 3 and a coded walk takes k = 7 steps a lookup (6 cuts gave k = 4)."""
+    payload = ex.markov_sampler_payload(mk.parry_measure(fg.FreeGroup(2).sft()))
+    assert len(payload["cuts"]) == 2
+    assert ex._walk_depth(len(payload["succ_state"]), len(payload["cuts"]) + 1) == 7
+    assert ex._coded(payload, 2 * ex._CUT_TRIALS) and not ex._coded(payload, 2 * ex._CUT_TRIALS - 1)

@@ -208,3 +208,36 @@ def test_empty_linear_combination_is_the_zero_quasimorphism(tmp_path):
         got = _summary(op, cfg, empty, tmp_path / "empty")
         want = _summary(op, cfg, {"kind": "zero"}, tmp_path / "zero")
         assert got == want, op
+
+
+# -- the tables' budget ----------------------------------------------------------------
+
+
+def test_window_tables_are_refused_past_the_word_cap():
+    """The tables count their Σ d^q cells against the word cap before
+    allocating: at the default cap a 14-letter Brooks pattern on F2 (4^14
+    floats, 2.1 GB) is refused.  Checked here under a cap of 4^6 with patterns
+    of 7 and 8 letters, so that not even a broken check builds a large table."""
+    from thermoqm.errors import ResourceLimit
+    from thermoqm.freegroup import FreeGroup, brooks
+    from thermoqm.sft import SCOPED_WORD_CAP
+
+    G = FreeGroup(2)
+    token = SCOPED_WORD_CAP.set(4**6)
+    try:
+        for pattern in ("abaBabbA", "abaBabb"):
+            with pytest.raises(ResourceLimit, match="window tables"):
+                brooks(G, pattern).window_tables(4)
+        assert brooks(G, "abaBab").window_tables(4)[6].shape == (4**6,)  # at the cap
+    finally:
+        SCOPED_WORD_CAP.reset(token)
+
+
+def test_an_op_on_tables_past_the_cap_exits_3_with_a_summary(tmp_path):
+    out = tmp_path / "variance"
+    cfg = {"sft": {"builtin": "free_group", "rank": 2},
+           "qm": {"kind": "brooks", "pattern": "abaBabbA"}}  # 4^8 cells
+    assert cli.main(["variance", "--json", json.dumps(cfg), "--out", str(out),
+                     "--cap", "10000"]) == 3
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["exit_code"] == 3 and "window tables" in summary["error"]
