@@ -55,7 +55,6 @@ from .bowen import (
     komlos_potential,
     komlos_zeta,
     livsic_quasicocycle_test,
-    periodic_average,
     potential_from_measure,
     quasicocycle_from_potential,
 )

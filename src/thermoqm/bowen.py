@@ -4,7 +4,9 @@ Almost-everywhere objects are represented by finite-depth cylinder tables
 plus a fully supported reference measure; every "a.e." statement becomes an
 exact statement at the stored depth.  The Cesàro coboundary solver evaluates
 the averages u_N = (1/N) sum_k S_k(phi) in closed form through the depth-D
-conditional transition operator, so N can be astronomically large.
+conditional transition operator, so N can be astronomically large.  Birkhoff
+sums along periodic points come from `markov.cyclic_birkhoff_sums` on arrays
+of periodic words; a periodic average is such a sum over one period, / |a|.
 """
 
 from __future__ import annotations
@@ -15,9 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DepthExceeded, MeanNotZero, NonConvergence, ZeroMass
-from .markov import (LocallyConstantFn, cyclic_birkhoff_average, cyclic_birkhoff_sums,
-                     project_conditional)
-from .qm import Quasicocycle, homogenize
+from .markov import LocallyConstantFn, cyclic_birkhoff_sums, project_conditional
+from .qm import Quasicocycle
 from .sft import window_codes
 
 
@@ -31,12 +32,9 @@ class WeakBowenFn:
         self.k_max = max(self.tables)
 
     def value(self, word):
-        word = tuple(word)
-        k = min(self.k_max, len(word))
-        while k not in self.tables:
-            k -= 1
-            if k == 0:
-                raise DepthExceeded("word shorter than every stored depth")
+        k = max((j for j in self.tables if 0 < j <= len(word)), default=0)
+        if not k:
+            raise DepthExceeded("word shorter than every stored depth")
         return self.as_lc(k).value(word)
 
     def as_lc(self, k=None):
@@ -44,10 +42,6 @@ class WeakBowenFn:
         if k not in self.tables:
             raise DepthExceeded(f"no table at depth {k}")
         return LocallyConstantFn(self.sft, k, self.tables[k])
-
-    def birkhoff_periodic(self, word, n, depth=None):
-        """Exact S_n(phi) along the periodic point of `word`."""
-        return float(cyclic_birkhoff_sums(self.as_lc(depth), np.array([word]), n)[0])
 
     def normalization_defect(self, k=None):
         """max over (k-1)-words w of |sum_s e^{phi^k(s.w)} - 1|."""
@@ -90,9 +84,9 @@ class BirkhoffReport:
 
 def birkhoff_check(phi, L, sft, ptop, n, sample, bound=None):
     """Compare S_n(phi) + n ptop against L on lifted n-windows of periodic points."""
-    worst, arg = -np.inf, ()
-    for a in sample:
-        sn = phi.birkhoff_periodic(a, n)
+    f, worst, arg = phi.as_lc(), -np.inf, ()
+    for a in sample:  # one word at a time: lifts are per word
+        sn = float(cyclic_birkhoff_sums(f, np.array([a]), n)[0])
         window = tuple(sft.cyclic_window(a, 0, n))
         res = abs(sn + n * ptop - L.value(sft.lift(window)))
         if res > worst:
@@ -216,17 +210,6 @@ class CoboundarySolve:
         }
 
 
-def _matrix_power(K, n):
-    out = np.eye(K.shape[0])
-    base = K.copy()
-    while n:
-        if n & 1:
-            out = out @ base
-        base = base @ base
-        n >>= 1
-    return out
-
-
 def _cesaro_average(A, Kpow_n, phi0, N):
     """u_N = (1/N) sum_{k=1..N} E[S_k phi | depth], in closed form by A = Id - K + 1 w^T."""
     s1 = np.linalg.solve(A, phi0 - Kpow_n @ phi0)  # sum_{l<N} K^l phi0
@@ -268,8 +251,8 @@ def coboundary_solve(phi, mu, N, depth, strict=False):
         r = u_vals[g.src] - u_vals[g.dst] - phi_vec[g.src]  # u(w[:depth]) - u(w[1:]) - phi(w)
         return LocallyConstantFn(sft, depth, u_vals), float(np.abs(r).max())
 
-    u_vals = _cesaro_average(A, _matrix_power(K, N), phi0, N)
-    u2_vals = _cesaro_average(A, _matrix_power(K, 2 * N), phi0, 2 * N)
+    u_vals = _cesaro_average(A, np.linalg.matrix_power(K, N), phi0, N)
+    u2_vals = _cesaro_average(A, np.linalg.matrix_power(K, 2 * N), phi0, 2 * N)
     u, res = residual_of(u_vals)
     _, res2 = residual_of(u2_vals)
     drift = float(np.abs(u2_vals - u_vals).max())
@@ -281,28 +264,7 @@ def coboundary_solve(phi, mu, N, depth, strict=False):
     )
 
 
-# -- periodic averages and the quasicocycle Livšic test --------------------------
-
-
-def periodic_average(obj, sft, word, n_ref=None):
-    """Asymptotic orbit average of a quasicocycle, table, or weak Bowen fn.
-
-    Quasicocycles average per period (the homogenization-midpoint convention:
-    B_n(p(a))/n rescaled by |a|); locally constant tables and weak Bowen
-    functions average per symbol (the exact cyclic Birkhoff average).
-    """
-    word = tuple(word)
-    if isinstance(obj, Quasicocycle):
-        n = n_ref or (obj.n_max // len(word)) * len(word) or obj.n_max
-        seq = sft.cyclic_window(word, 0, n)
-        return obj.value(n, seq) / n * len(word)
-    if isinstance(obj, WeakBowenFn):
-        return obj.birkhoff_periodic(word, len(word)) / len(word)
-    if isinstance(obj, LocallyConstantFn):
-        return cyclic_birkhoff_average(obj, sft, word)
-    if hasattr(obj, "homogenized_value"):
-        return homogenize(obj, word, 64).mid
-    raise TypeError(f"cannot average {type(obj)!r}")
+# -- the quasicocycle Livšic test --------------------------------------------------
 
 
 @dataclass

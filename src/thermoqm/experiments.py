@@ -601,6 +601,8 @@ def invariance_experiment(L, mm, n, trials, seed, workers=1, sigma2=None):
     increments, and the reflection-principle law of the running maximum."""
     if n < 4 or n % 4:
         raise ValueError(f"n must be a multiple of 4 and >= 4, got {n}")
+    if trials == 1:
+        raise ValueError("trials must be >= 2 for a correlation, got 1")
     if sigma2 is None:
         sigma2 = sigma2_of(L, mm).sigma2_martingale
     payload, _ = path_functional_payload(L, mm)

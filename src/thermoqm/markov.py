@@ -12,7 +12,8 @@ memory reduction: R^K psi lies in LC_t for K = N - t, and h = sum_{k<K} R^k psi
 + (Id - R)|_{LC_t}^{-1} R^K psi.  The only dense solve is the bordered one on
 LC_t, the chain's own state space.  A LocallyConstantFn may hold a stack of
 functions, one per column of its table; R, the reduction and the bordered
-solve then run on all columns at once.
+solve then run on all columns at once.  `cyclic_birkhoff_sums` adds a table
+over the cyclic windows of every row of an array of periodic words.
 """
 
 from __future__ import annotations
@@ -489,11 +490,6 @@ def cyclic_birkhoff_sums(f, arr, n):
     for l in range(n):
         total += table[idx.index_of_codes(window_codes(arr, l, k, f.sft.d))]
     return total
-
-
-def cyclic_birkhoff_average(f, sft, word):
-    """Exact Birkhoff average of a locally constant f along a periodic orbit."""
-    return float(cyclic_birkhoff_sums(f, np.array([word]), len(word))[0]) / len(word)
 
 
 def degeneracy_test(psi, pot, mm, n_max=8, tol=1e-10):

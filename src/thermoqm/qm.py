@@ -1,7 +1,8 @@
 """Quasimorphisms on finite words and their quasicocycles.
 
 A quasimorphism here is an evaluation rule L on admissible words with a
-declared bound for the concatenation defect |L(ab) - L(a) - L(b)|.  The
+declared bound for the concatenation defect |L(ab) - L(a) - L(b)|, evaluated
+on the rows of (count, n) symbol arrays; one word is a one-row array.  The
 letter-weight and pattern-count kinds are *window additive* (`WindowQm`): L(a)
 is a sum of fixed kernels over the windows inside a, a locally constant
 function on the edges of a higher-block presentation (`edge_form`).  That
@@ -28,12 +29,38 @@ def count_occurrences(pattern, word):
     return sum(1 for i in range(n - q + 1) if w[i:i + q] == p)
 
 
+def _row(word):
+    """word as a one-row symbol array, on the alphabet its symbols need."""
+    arr = np.array(word, dtype=np.int64).reshape(1, -1)
+    return arr, int(arr.max(initial=0)) + 1
+
+
 class Quasimorphism:
+    """A kind defines `value` on one word or `values` on a (count, n) array of words
+    on d symbols, with closed forms for L(a^m) and the homogenization where it has
+    them; the word forms are row 0 of the array forms, which loop `value` over rows."""
+
     kind = "base"
     defect_bound = 0.0
 
     def value(self, word):
-        raise NotImplementedError
+        return float(self.values(*_row(word))[0])
+
+    def power_value(self, word, m):  # L(word^m)
+        return float(self.power_values(*_row(word), m)[0])
+
+    def homogenized_value(self, word):
+        """The homogenization lim L(word^k)/k, or its midpoint estimate at k = 64."""
+        return float(self.homogenized_values(*_row(word))[0])
+
+    def values(self, arr, d):
+        return np.array([self.value(w) for w in map(tuple, arr.tolist())], dtype=float)
+
+    def power_values(self, arr, d, m):
+        return self.values(np.tile(arr, m), d)
+
+    def homogenized_values(self, arr, d):
+        return self.power_values(arr, d, 64) / 64
 
     def window_tables(self, d):
         """dict width -> dense kernel array over d**width codes, or None."""
@@ -61,24 +88,6 @@ class Quasimorphism:
         s = max(kernels) - 1
         return s, kernel_sums(kernels, sft.cylinders(s + 1).codes, s + 1, sft.d, lambda q: [0])
 
-    def power_value(self, word, m):
-        """L(word^m); overridden with an O(|word|) formula for window kinds."""
-        return self.value(tuple(word) * m)
-
-    def homogenized_value(self, word, m=64):
-        """Midpoint estimate of the homogenization lim L(word^k)/k."""
-        return self.power_value(word, m) / m
-
-    # The same, per row of a (count, n) array of words on d symbols.
-    def values(self, arr, d):
-        return np.array([self.value(w) for w in map(tuple, arr.tolist())], dtype=float)
-
-    def power_values(self, arr, d, m):
-        return np.array([self.power_value(w, m) for w in map(tuple, arr.tolist())], dtype=float)
-
-    def homogenized_values(self, arr, d):
-        return np.array([self.homogenized_value(w) for w in map(tuple, arr.tolist())], dtype=float)
-
     def letter_sup(self, sft):
         """sup |L| over words of length <= M (the norm's local part)."""
         return max(float(np.abs(self.values(sft.word_array(n), sft.d)).max())
@@ -96,7 +105,7 @@ class Quasimorphism:
 
 # Window counts count(q, i0) of L(a) (windows inside a, |a| = n), of L(a^m)
 # (starts i0 + jn inside a^m) and of lim L(a^m)/m (every cyclic window once).
-def _inside(n):
+def inside(n):
     return lambda q, i0: int(i0 <= n - q)
 
 
@@ -108,13 +117,23 @@ def _once(q, i0):
     return 1
 
 
+def window_sums(tables, arr, d, count):
+    """Per row of a (count, n) symbol array: the sum over the widths q of the dense
+    `tables`, in their order, then over the starts i0 < n, of count(q, i0) times the
+    entry of the window at i0 (windows wrap cyclically, count-0 starts are skipped)."""
+    total = np.zeros(len(arr))
+    for q, table in tables.items():
+        for i0 in range(arr.shape[1]):
+            c = count(q, i0)
+            if c:
+                total += c * table[window_codes(arr, i0, q, d)]
+    return total
+
+
 class WindowQm(Quasimorphism):
-    """L(a) = the sum over the widths q of `kernels` {q: {window tuple: coef}}, in
-    their order, then over the window starts i0 < |a|, of count(q, i0) times the
-    coef of the window at i0 (windows wrap cyclically, count-0 starts are skipped),
-    with a declared bound on the concatenation defect.  A word is evaluated as a
-    one-row array, so words and arrays of words give the same floats.  No kernel
-    at all is the zero quasimorphism."""
+    """L(a) = `window_sums` of the kernels {q: {window tuple: coef}} over the windows
+    of a, with a declared bound on the concatenation defect.  No kernel at all is
+    the zero quasimorphism."""
 
     def __init__(self, kernels, defect_bound):
         self.kernels = {q: {tuple(w): float(c) for w, c in table.items()}
@@ -137,39 +156,16 @@ class WindowQm(Quasimorphism):
                         self._tables[d][q][encode_word(win, d)] += coef
         return self._tables[d]
 
-    def _sums(self, arr, d, count):
-        total = np.zeros(len(arr))
-        for q, table in self.window_tables(d).items():
-            for i0 in range(arr.shape[1]):
-                c = count(q, i0)
-                if c:
-                    total += c * table[window_codes(arr, i0, q, d)]
-        return total
-
-    def _row(self, word):
-        """word as a one-row array, on the alphabet its symbols need."""
-        arr = np.array(word, dtype=np.int64).reshape(1, -1)
-        return arr, int(arr.max(initial=0)) + 1
-
-    def value(self, word):
-        return float(self.values(*self._row(word))[0])
-
     def values(self, arr, d):
-        return self._sums(arr, d, _inside(arr.shape[1]))
-
-    def power_value(self, word, m):
-        return float(self.power_values(*self._row(word), m)[0])
+        return window_sums(self.window_tables(d), arr, d, inside(arr.shape[1]))
 
     def power_values(self, arr, d, m):
         if set(self.kernels) == {1}:  # no window crosses a junction of a^m
             return m * self.values(arr, d)
-        return self._sums(arr, d, _repeats(arr.shape[1], m))
+        return window_sums(self.window_tables(d), arr, d, _repeats(arr.shape[1], m))
 
-    def homogenized_value(self, word, m=None):  # exact: every cyclic window once
-        return float(self.homogenized_values(*self._row(word))[0])
-
-    def homogenized_values(self, arr, d):
-        return self._sums(arr, d, _once)
+    def homogenized_values(self, arr, d):  # exact: every cyclic window once
+        return window_sums(self.window_tables(d), arr, d, _once)
 
 
 _WindowAdditive = WindowQm  # the name the benchmark's layer trace wraps
@@ -223,15 +219,6 @@ class LinearCombinationQm(Quasimorphism):
     def __init__(self, terms):
         self.terms = [(float(c), L) for c, L in terms]
         self.defect_bound = sum((abs(c) * L.defect_bound for c, L in self.terms), 0.0)
-
-    def value(self, word):
-        return sum(c * L.value(word) for c, L in self.terms)
-
-    def power_value(self, word, m):
-        return sum(c * L.power_value(word, m) for c, L in self.terms)
-
-    def homogenized_value(self, word, m=64):
-        return sum(c * L.homogenized_value(word, m) for c, L in self.terms)
 
     def values(self, arr, d):
         return sum((c * L.values(arr, d) for c, L in self.terms), np.zeros(len(arr)))
@@ -294,11 +281,11 @@ class PerturbedQm(Quasimorphism):
         self.bump_sup = float(sup)
         self.defect_bound = base.defect_bound + 3.0 * self.bump_sup
 
-    def value(self, word):
-        return self.base.value(word) + self.bump.value(word)
+    def values(self, arr, d):
+        return self.base.values(arr, d) + self.bump.values(arr, d)
 
-    def power_value(self, word, m):
-        return self.base.power_value(word, m) + self.bump.value(tuple(word) * m)
+    def power_values(self, arr, d, m):
+        return self.base.power_values(arr, d, m) + self.bump.power_values(arr, d, m)
 
 
 # -- defect ------------------------------------------------------------------
@@ -317,25 +304,25 @@ def defect(L, sft, n_max):
     """Empirical sup of |L(ab) - L(a) - L(b)| over pairs with |a|+|b| <= n_max."""
     if n_max < 2:
         raise ValueError("defect needs n_max >= 2")
-    total_pairs = sum(
-        sft.word_count(n) * sft.word_count(m)
-        for n in range(1, n_max)
-        for m in range(1, n_max - n + 1)
-    )
+    total_pairs = sum(sft.word_count(n) * sft.word_count(m)
+                      for n in range(1, n_max) for m in range(1, n_max - n + 1))
     if total_pairs > word_cap():
         raise ResourceLimit(f"{total_pairs} concatenable pairs exceed the word cap")
+    words = {n: sft.word_array(n) for n in range(1, n_max)}
+    vals = {n: L.values(arr, sft.d) for n, arr in words.items()}
     best, arg, pairs = 0.0, ((), ()), 0
     for n in range(1, n_max):
-        lefts = [(a, L.value(a)) for a in sft.words(n)]
+        A = words[n]
         for m in range(1, n_max - n + 1):
-            for b in sft.words(m):
-                vb = L.value(b)
-                for a, va in lefts:
-                    if sft.R[a[-1], b[0]]:
-                        pairs += 1
-                        dev = abs(L.value(a + b) - va - vb)
-                        if dev > best:
-                            best, arg = dev, (a, b)
+            B = words[m]  # the pairs (a, b) with a.b admissible, b-major, then a
+            bi, ai = np.nonzero(sft.R[A[:, -1][None, :], B[:, 0][:, None]])
+            pairs += len(ai)
+            dev = np.abs(L.values(np.concatenate([A[ai], B[bi]], axis=1), sft.d)
+                         - vals[n][ai] - vals[m][bi])
+            hits = np.flatnonzero(dev > best)
+            if len(hits):  # the first strict maximum, as a pair-by-pair loop finds it
+                i = hits[np.argmax(dev[hits])]
+                best, arg = float(dev[i]), (tuple(A[ai[i]].tolist()), tuple(B[bi[i]].tolist()))
     return DefectReport(best, n_max, pairs, arg)
 
 
@@ -368,9 +355,10 @@ def homogenize(L, word, m):
 
 def cyclic_average(L, word):
     """Average of L over the cyclic rotations of a periodic word."""
-    word = tuple(word)
-    n = len(word)
-    return sum(L.value(word[j:] + word[:j]) for j in range(n)) / n
+    arr, d = _row(word)
+    n = arr.shape[1]
+    rotations = arr[0, (np.arange(n)[:, None] + np.arange(n)) % n]  # row j: word[j:] + word[:j]
+    return float(np.cumsum(np.r_[0.0, L.values(rotations, d)])[-1]) / n  # added in j order
 
 
 # -- quasicocycles -------------------------------------------------------------

@@ -24,7 +24,8 @@ import numpy as np
 
 from .errors import ResourceLimit
 from .measures import CylinderMeasure
-from .sft import window_codes, word_cap
+from .qm import inside, window_sums
+from .sft import word_cap
 
 _GIBBS_CELLS = 1 << 15  # word positions per chunk of the enumerated Gibbs orbit masses
 _GIBBS_MATRICES = 3  # dense S x S matrices the orbit transfer holds at its peak
@@ -176,12 +177,7 @@ def _powers(T, k):
 
 
 def _short_word_log_partition(kernels, sft, n):
-    arr = sft.word_array(n, periodic=True)
-    vals = np.zeros(len(arr))
-    for q, table in kernels.items():
-        for i in range(n - q + 1):
-            vals += table[window_codes(arr, i, q, sft.d)]
-    return _logsumexp(vals)
+    return _logsumexp(window_sums(kernels, sft.word_array(n, periodic=True), sft.d, inside(n)))
 
 
 def _method_kernels(L, sft, method):
@@ -638,9 +634,8 @@ def entropy_report(mu, n_max=None):
 
 def qm_integral(mu, L, n):
     """(1/n) sum_a mu([a]) L(a) over depth-n cylinders."""
-    idx = mu.sft.cylinders(n)
-    arr = mu.masses_at(n)
-    return float(sum(m * L.value(w) for m, w in zip(arr, idx.words)) / n)
+    terms = mu.masses_at(n) * L.values(mu.sft.cylinders(n).array, mu.sft.d)
+    return float(np.cumsum(np.r_[0.0, terms])[-1] / n)  # added cylinder by cylinder
 
 
 def window_expectation(mu, L, sft):

@@ -6,7 +6,7 @@ import pytest
 from thermoqm import bowen
 from thermoqm import markov as mk
 from thermoqm import thermo
-from thermoqm.errors import MeanNotZero, NonConvergence, ZeroMass
+from thermoqm.errors import DepthExceeded, MeanNotZero, NonConvergence, ZeroMass
 from thermoqm.measures import periodic_orbit_measure
 from thermoqm.qm import (
     LetterWeights,
@@ -137,6 +137,18 @@ def test_bowen_norm_estimates():
     assert e4 <= e6 <= e4 + 1e-9  # monotone and already saturated
 
 
+def test_weak_bowen_value_reads_the_deepest_table_the_word_reaches():
+    f = full_shift(2)
+    phi = bowen.WeakBowenFn(f, {1: [0.1, 0.2], 3: np.arange(8.0)})
+    assert phi.value((1,)) == phi.value((1, 0)) == 0.2  # shorter than 3: depth 1
+    assert phi.value((1, 0, 1, 1)) == 5.0  # 101 is the sixth 3-word
+    for word in ((), [0]):  # shorter than every stored depth, the empty word too
+        with pytest.raises(DepthExceeded, match="shorter than every stored depth"):
+            bowen.WeakBowenFn(f, {2: np.zeros(4)}).value(word)
+    with pytest.raises(DepthExceeded, match="shorter than every stored depth"):
+        phi.value(())
+
+
 def test_komlos_zeta_identities():
     f = full_shift(2)
     lw = LetterWeights([0.5, -0.5])
@@ -207,10 +219,10 @@ def test_komlos_potential_roundtrip_recovers_class():
     # a cleaner tabulation: sums of phi over the n-1 interior windows
     L = TabulatedQm(tables, defect_bound=2 * phi.osc(), extend=False)
     res = bowen.komlos_potential(L, par, [3, 5, 7, 9], depth=2, tol=1.0)
-    for a in f.periodic_words(3):
-        got = mk.cyclic_birkhoff_average(res.table, f, a)
-        want = mk.cyclic_birkhoff_average(phi, f, a)
-        assert got == pytest.approx(want, abs=2 * phi.osc() / 3 + 0.5)
+    arr = f.word_array(3, periodic=True)
+    got = mk.cyclic_birkhoff_sums(res.table, arr, 3) / 3
+    want = mk.cyclic_birkhoff_sums(phi, arr, 3) / 3
+    assert np.all(np.abs(got - want) <= 2 * phi.osc() / 3 + 0.5)
 
 
 def test_komlos_nonconvergence_surfaced():
@@ -264,15 +276,16 @@ def test_coboundary_solve_mean_check():
 
 def test_periodic_average_dispatch():
     f = full_shift(2)
+    word = np.array([[0, 1]])
     const = mk.LocallyConstantFn(f, 1, np.array([2.5, 2.5]))
-    assert bowen.periodic_average(const, f, (0, 1)) == pytest.approx(2.5)
+    assert mk.cyclic_birkhoff_sums(const, word, 2)[0] / 2 == pytest.approx(2.5)
     L = PatternCount((0, 1))
-    assert bowen.periodic_average(L, f, (0, 1)) == pytest.approx(homogenize(L, (0, 1), 64).mid)
+    assert homogenize(L, (0, 1), 64).mid == pytest.approx(L.homogenized_value((0, 1)), abs=1 / 64)
     mem1 = mk.LocallyConstantFn(f, 2, np.array([0.0, 1.0, 2.0, 3.0]))
     # cyclic windows of (0,1): (0,1) and (1,0)
-    assert bowen.periodic_average(mem1, f, (0, 1)) == pytest.approx((1.0 + 2.0) / 2)
-    B = quasicocycle_of(L, f, 8)
-    assert bowen.periodic_average(B, f, (0, 1)) == pytest.approx(1.0, abs=0.2)
+    assert mk.cyclic_birkhoff_sums(mem1, word, 2)[0] / 2 == pytest.approx((1.0 + 2.0) / 2)
+    B = quasicocycle_of(L, f, 8)  # per period: B_8 on the 8-window of p(a), / 8, times |a|
+    assert B.value(8, f.cyclic_window((0, 1), 0, 8)) / 8 * 2 == pytest.approx(1.0, abs=0.2)
 
 
 def test_livsic_quasicocycle_verdicts():
@@ -311,9 +324,9 @@ def test_zero_periodic_averages_bound_sums():
     cob = gfn - gfn.shift()
     phi = bowen.WeakBowenFn(f, {3: cob.as_memory(3).values})
     for n in (1, 2, 3, 4):
-        for a in f.periodic_words(n):
-            assert bowen.periodic_average(phi, f, a) == pytest.approx(0.0, abs=1e-12)
+        averages = mk.cyclic_birkhoff_sums(phi.as_lc(), f.word_array(n, periodic=True), n) / n
+        assert np.all(np.abs(averages) <= 1e-12)
     est = bowen.bowen_norm_estimate(phi, 6)
-    for a in f.periodic_words(4):
-        for n in range(1, 13):
-            assert abs(phi.birkhoff_periodic(a, n)) <= 6 * est + 1e-9
+    for n in range(1, 13):
+        sums = mk.cyclic_birkhoff_sums(phi.as_lc(), f.word_array(4, periodic=True), n)
+        assert np.all(np.abs(sums) <= 6 * est + 1e-9)

@@ -371,6 +371,8 @@ REFUSED = {  # runs too small or empty to give a result, and the bound each name
                                   NO_TRIALS),
     "spherical-without-samples": ("spherical", SPHERE, NO_TRIALS),
     "rays-without-samples": ("spherical", dict(SPHERE, mode="ray"), NO_TRIALS),
+    "invariance-from-one-trial": ("invariance", dict(MC, n=16, trials=1),
+                                  "trials must be >= 2 for a correlation, got 1"),
     "invariance-path-of-length-zero": ("invariance", dict(MC, n=0, trials=32),
                                        "n must be a multiple of 4 and >= 4, got 0"),
     "lil-path-ending-before-its-start": ("lil", dict(MC, n_max=256),
@@ -438,10 +440,10 @@ def test_too_small_monte_carlo_runs_exit_two_naming_the_bound(case):
     from thermoqm import cli
 
     op, cfg, bound = REFUSED[case]
-    # a negative N never returns from _matrix_power (-1 >> 1 == -1): refuse before either
+    # a negative N would make np.linalg.matrix_power invert K: refuse before either
     with mock.patch.object(cli.experiments, "_simulate_block",
                            side_effect=AssertionError("sampled before refusing")), \
-            mock.patch.object(cli.bowen, "_matrix_power",
+            mock.patch.object(cli.bowen, "_cesaro_average",
                               side_effect=AssertionError("solved before refusing")):
         code, summary = cli.execute(op, cfg, None)
     assert code == 2 and bound in summary["error"], summary["error"]

@@ -298,3 +298,22 @@ def test_only_sft_and_qm_turn_kernels_into_window_sums():
     found = {p.name: _names(p, "kernel_sums") for p in sorted(pkg.glob("*.py"))}
     assert len(found) >= 11
     assert {name for name, lines in found.items() if lines} == {"qm.py", "sft.py"}
+
+
+EVALUATORS = {"value", "power_value", "homogenized_value"}
+
+
+def test_only_quasimorphism_and_tabulated_define_word_evaluators():
+    pkg = pathlib.Path(thermoqm.__file__).parent
+    classes = {node.name: node for p in sorted(pkg.glob("*.py"))
+               for node in ast.walk(ast.parse(p.read_text())) if isinstance(node, ast.ClassDef)}
+    kinds, grew = {"Quasimorphism"}, True
+    while grew:  # every class whose bases lead to Quasimorphism, by name
+        more = {name for name, node in classes.items()
+                if any(getattr(b, "id", None) in kinds for b in node.bases)}
+        grew, kinds = not more <= kinds, kinds | more
+    assert len(kinds) >= 8
+    found = {name: EVALUATORS & {f.name for f in classes[name].body
+                                 if isinstance(f, ast.FunctionDef)} for name in kinds}
+    assert {name: defs for name, defs in found.items() if defs} == {
+        "Quasimorphism": EVALUATORS, "TabulatedQm": {"value"}}

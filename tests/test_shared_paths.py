@@ -285,11 +285,11 @@ def test_periodic_orbit_sums_equal_word_loops(sft, seed, k):
         for a in sft.periodic_words(n)[:12]:
             for m in (1, n, 2 * n + 1):
                 for depth in range(1, k + 1):
-                    assert phi.birkhoff_periodic(a, m, depth) == old_birkhoff_periodic(
-                        phi, a, m, depth)
+                    sums = mk.cyclic_birkhoff_sums(phi.as_lc(depth), np.array([a]), m)
+                    assert float(sums[0]) == old_birkhoff_periodic(phi, a, m, depth)
             for f in (phi.as_lc(), mk.LocallyConstantFn.constant(sft, rng.standard_normal())):
-                assert mk.cyclic_birkhoff_average(f, sft, a) == old_cyclic_birkhoff_average(
-                    f, sft, a)
+                sums = mk.cyclic_birkhoff_sums(f, np.array([a]), n)
+                assert float(sums[0]) / n == old_cyclic_birkhoff_average(f, sft, a)
     n_max = 4 if sft.d < 4 else 3
     assert bowen.bowen_norm_estimate(phi, n_max) == old_bowen_norm_estimate(phi, n_max)
 

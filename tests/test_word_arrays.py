@@ -22,10 +22,15 @@ from thermoqm.qm import (
     LetterWeights,
     LinearCombinationQm,
     PatternCount,
+    PerturbedQm,
+    Quasimorphism,
     SignedPatternCount,
     TabulatedQm,
+    WindowQm,
     _WindowAdditive,
     cohomologous,
+    cyclic_average,
+    defect,
     homogenize,
     zero_qm,
 )
@@ -131,6 +136,34 @@ def old_homogenized_value(L, word, m=64):
                 total += table.get(win, 0.0)
         return total
     return old_power_value(L, word, m) / m
+
+
+def old_defect(L, sft, n_max):
+    """The pair-by-pair defect loop: b-major, then a, first strict maximum."""
+    best, arg, pairs = 0.0, ((), ()), 0
+    for n in range(1, n_max):
+        lefts = [(a, old_value(L, a)) for a in dfs_words(sft, n)]
+        for m in range(1, n_max - n + 1):
+            for b in dfs_words(sft, m):
+                vb = old_value(L, b)
+                for a, va in lefts:
+                    if sft.R[a[-1], b[0]]:
+                        pairs += 1
+                        dev = abs(old_value(L, a + b) - va - vb)
+                        if dev > best:
+                            best, arg = dev, (a, b)
+    return best, arg, pairs
+
+
+def old_cyclic_average(L, word):
+    word = tuple(word)
+    n = len(word)
+    return sum(old_value(L, word[j:] + word[:j]) for j in range(n)) / n
+
+
+def old_qm_integral(mu, L, n):
+    masses, words = mu.masses_at(n), mu.sft.cylinders(n).words
+    return float(sum(m * old_value(L, w) for m, w in zip(masses, words)) / n)
 
 
 def old_enumerated_log_partition(L, sft, n):
@@ -287,6 +320,43 @@ def small_ns(sft):
     return range(1, MAX_N.get(sft.d, 5) + 1)
 
 
+# 0 -> 0, 1; 1 -> 2; 2 -> 0, 1, 2: R[a[-1], b[0]] and R[b[0], a[-1]] differ
+NONSYMMETRIC = Sft([[1, 1, 0], [0, 0, 1], [1, 1, 1]])
+
+
+class FirstMinusLast(Quasimorphism):
+    """A kind that defines only `value`: u(x_0) - u(x_last)."""
+
+    def __init__(self, u):
+        self.u = u
+        self.defect_bound = 2 * max(abs(x) for x in u)
+
+    def value(self, word):
+        return float(self.u[word[0]] - self.u[word[-1]]) if len(word) else 0.0
+
+
+def every_kind(sft):
+    """One quasimorphism of each kind on sft, real coefficients where a kind has any."""
+    d = sft.d
+    bump = TabulatedQm({1: {w: 0.1 * (1 + w[0]) for w in sft.words(1)},
+                        2: {w: -0.07 * (w[0] - w[1]) for w in sft.words(2)}}, 0.0, extend=True)
+    tabulated = TabulatedQm({n: {w: 0.3 * sum(w) - 0.11 * n for w in sft.words(n)}
+                             for n in (1, 2, 3)}, 1.0, extend=True)
+    return {
+        "zero": zero_qm(d),
+        "letter_weights": LetterWeights(np.linspace(-0.7, 1.3, d)),
+        "pattern_count": PatternCount((d - 1, 0)),
+        "signed": SignedPatternCount((0, 1), (1, d - 1, 0)),
+        "window": WindowQm({3: {(0, 0, 1): 0.3, (2, 0, 1): -1.7}, 1: {(1,): 0.1}}, 2.0),
+        "linear_combination": LinearCombinationQm([(0.3, PatternCount((0, 1))),
+                                                   (-1.7, LetterWeights([0.1] * d)),
+                                                   (2.9, tabulated)]),
+        "tabulated": tabulated,
+        "perturbed": PerturbedQm(SignedPatternCount((0, 1), (1, 0)), bump),
+        "value_only": FirstMinusLast(np.linspace(1.0, -0.5, d)),
+    }
+
+
 # -- enumeration and rendering ------------------------------------------------------
 
 
@@ -421,6 +491,57 @@ def test_array_evaluators_equal_word_loops(case):
     if sft.word_count(sft.M) <= 5000:
         words = [w for n in range(1, sft.M + 1) for w in dfs_words(sft, n)]
         assert L.letter_sup(sft) == max([0.0] + [abs(old_value(L, w)) for w in words])
+
+
+@pytest.mark.parametrize("kind", sorted(every_kind(NONSYMMETRIC)))
+@pytest.mark.parametrize("sft", [NONSYMMETRIC, golden_mean()], ids=["nonsymmetric", "golden"])
+def test_word_evaluators_are_row_zero_of_the_array_forms(sft, kind):
+    L = every_kind(sft)[kind]
+    for n in range(1, 6):
+        arr = sft.word_array(n, periodic=True)
+        for i, w in enumerate(arr.tolist()):
+            row = np.array([w])
+            for got, want in (
+                    (L.value(w), L.values(row, sft.d)[0]),
+                    (L.homogenized_value(w), L.homogenized_values(row, sft.d)[0]),
+                    *((L.power_value(w, m), L.power_values(row, sft.d, m)[0]) for m in (1, 2, 5))):
+                assert type(got) is float and got == want
+            assert L.values(row, sft.d)[0] == L.values(arr, sft.d)[i]
+            assert L.homogenized_values(row, sft.d)[0] == L.homogenized_values(arr, sft.d)[i]
+            assert L.power_values(row, sft.d, 5)[0] == L.power_values(arr, sft.d, 5)[i]
+            if kind in ("tabulated", "value_only"):  # forms derived from `value` alone
+                assert L.power_value(w, 5) == L.value(w * 5)
+                assert L.homogenized_value(w) == L.value(w * 64) / 64
+            if kind == "perturbed":  # the bump is tabulated: its power is L(w^5)
+                assert L.power_value(w, 5) == L.base.power_value(w, 5) + L.bump.value(w * 5)
+
+
+@pytest.mark.parametrize("kind", sorted(every_kind(NONSYMMETRIC)))
+def test_defect_cyclic_average_and_qm_integral_on_a_nonsymmetric_shift(kind):
+    L = every_kind(NONSYMMETRIC)[kind]
+    for n_max in (2, 5, 7):
+        rep = defect(L, NONSYMMETRIC, n_max)
+        assert (rep.value, rep.argmax, rep.pairs) == old_defect(L, NONSYMMETRIC, n_max)
+        assert type(rep.value) is float
+    for a in NONSYMMETRIC.periodic_words(4) + NONSYMMETRIC.periodic_words(11)[::40]:
+        assert cyclic_average(L, a) == old_cyclic_average(L, a)  # 11 rotations: added in order
+    mu = mk.parry_measure(NONSYMMETRIC)
+    for n in (1, 4, 7):
+        assert thermo.qm_integral(mu, L, n) == old_qm_integral(mu, L, n)
+
+
+@PROPERTY
+@given(sft_and_qm())
+def test_defect_cyclic_average_and_qm_integral_equal_word_loops(case):
+    sft, L = case
+    n_max = {2: 6, 3: 5, 4: 4}.get(sft.d, 3)
+    rep = defect(L, sft, n_max)
+    assert (rep.value, rep.argmax, rep.pairs) == old_defect(L, sft, n_max)
+    for a in sft.periodic_words(3):
+        assert cyclic_average(L, a) == old_cyclic_average(L, a)
+    mu = mk.parry_measure(sft)
+    for n in small_ns(sft):
+        assert thermo.qm_integral(mu, L, n) == old_qm_integral(mu, L, n)
 
 
 @PROPERTY
