@@ -3,7 +3,9 @@
 Reproducibility contract: trial t draws from the counter-based Philox stream
 keyed by (seed, t) (``trial_rng``), trials are processed in fixed-size blocks
 in trial order, and all reductions run over the assembled per-trial arrays, so
-results are bit-identical across runs and worker counts.  A block keeps one
+results are bit-identical across runs and worker counts.  ``_run_blocks`` is the
+run entry of every experiment and sampler: it cuts the blocks, builds the walk
+tables once and gathers the outputs.  A block keeps one
 Philox and re-keys it per trial, which gives exactly trial_rng's streams, and
 draws uniforms a chunk of positions at a time by counter addressing (uniform k
 is lane k % 4 of counter k // 4), as one-byte bucket codes #{cuts <= u} where
@@ -32,7 +34,7 @@ state and new symbol, so one take a width from per-edge tables gives the
 increments; symbols are looked up from the same ids only for wider kernels or
 when the caller wants them.  The CLT reads the final sums, the other
 experiments the running sums at ascending checkpoints (the LIL orbit: every n
-of one single-trial block).
+of one single-trial run).
 """
 
 from __future__ import annotations
@@ -187,17 +189,17 @@ def uniform_sphere_payload(sft):
 
 def sample_path(mm, n, seed, trial=0):
     """One stationary path of n symbols, stream keyed by (seed, trial)."""
-    payload = markov_sampler_payload(mm)
-    payload.update(n=n, seed=seed, trial_range=(trial, trial + 1),
-                   kernel_widths=(), kernel_tables=(), e=0.0,
-                   checkpoints=(), want_max=False, want_symbols=True)
-    return _simulate_block(payload)["symbols"][0]
+    payload = dict(markov_sampler_payload(mm), n=n, seed=seed, **_SYMBOLS_ONLY)
+    return _run_blocks(payload, 1, first=trial)["symbols"][0]
 
 
 # -- the block engine -------------------------------------------------------------
 
 _BLOCK = 2048  # trials per engine block (blocks are cut in the calling process, one job each),
 #                and the walkers of a single path's segments at a time
+_SYMBOL_CELLS = 1 << 20  # symbols a block holds when the run keeps its paths: about a MB
+_SYMBOLS_ONLY = dict(kernel_widths=(), kernel_tables=(), e=0.0, checkpoints=(), want_max=False,
+                     want_symbols=True)  # a run that keeps its paths and no path functional
 _DRAW_CELLS = 1 << 18  # float64 cells (or 8x as many byte codes) per drawn chunk, 2 MB; each
 #                        chunk re-keys every stream once, so smaller chunks trade time for memory
 _CUT_TRIALS = 40  # trials a block needs per cut point to code: a code costs ~0.5 ns a cut, and
@@ -260,14 +262,6 @@ def _coded(payload, B):
     or is one path walked as segments (every code then serves S walkers)."""
     cuts = len(payload["cuts"])
     return cuts < 255 and (cuts * _CUT_TRIALS <= B or _segmented(payload, B))
-
-
-def _with_walk_tables(payload, widths):
-    """The payload with its walk tables, built once for every block of a run,
-    when a block of one of these trial counts walks by codes."""
-    if any(_coded(payload, B) for B in widths):
-        payload = dict(payload, walk_tables=_walk_tables(payload))
-    return payload
 
 
 def _pack(C, r, k):
@@ -466,23 +460,35 @@ def _evaluate(payload, B, first, chunks):
     return out
 
 
-def _run_blocks(payload, trials, workers):
+def _run_blocks(payload, trials, workers=1, first=0):
+    """The run entry: trials first..first + trials - 1 of the payload, cut into
+    blocks of _BLOCK trials (of about _SYMBOL_CELLS symbols when the payload keeps
+    its paths), the walk tables built once for every block, and each per-trial
+    output gathered in trial order (a one-block run's as its block gave it)."""
     if trials < 1:
         raise ValueError(f"need at least 1 trial or sample, got {trials}")
-    ranges = [(lo, min(lo + _BLOCK, trials)) for lo in range(0, trials, _BLOCK)]
-    payload = _with_walk_tables(payload, {t1 - t0 for t0, t1 in ranges})
+    step = max(1, _SYMBOL_CELLS // payload["n"]) if payload.get("want_symbols") else _BLOCK
+    ranges = [(lo, min(lo + step, first + trials)) for lo in range(first, first + trials, step)]
+    if any(_coded(payload, t1 - t0) for t0, t1 in ranges):
+        payload = dict(payload, walk_tables=_walk_tables(payload))
     jobs = [dict(payload, trial_range=r) for r in ranges]
+
+    def gather(parts):  # copied into place a block at a time; a lone block as it is
+        if len(jobs) == 1:
+            return next(parts)
+        out = {}
+        for (t0, t1), part in zip(ranges, parts):
+            for key, v in part.items():
+                if key not in out:
+                    out[key] = np.empty((trials,) + v.shape[1:], dtype=v.dtype)
+                out[key][t0 - first:t1 - first] = v
+        return out
+
     if workers <= 1:
-        parts = [_simulate_block(j) for j in jobs]
-    else:
-        from concurrent.futures import ProcessPoolExecutor  # not loaded by 1-worker runs
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            parts = list(ex.map(_simulate_block, jobs))
-    return {
-        "final": np.concatenate([p["final"] for p in parts]),
-        "checks": np.concatenate([p["checks"] for p in parts]),
-        "runmax": np.concatenate([p["runmax"] for p in parts]),
-    }
+        return gather(map(_simulate_block, jobs))
+    from concurrent.futures import ProcessPoolExecutor  # not loaded by 1-worker runs
+    with ProcessPoolExecutor(max_workers=workers) as ex:
+        return gather(ex.map(_simulate_block, jobs))
 
 
 # -- shared setup ------------------------------------------------------------------
@@ -661,9 +667,8 @@ def lil_experiment(L, mm, n_max, seed, n_min=1000, sigma2=None, trial=0):
         raise ValueError(f"n_max {n_max} < start index {start} = max(n_min, ceil(e / sigma2))")
     payload, _ = path_functional_payload(L, mm)
     ns = np.arange(start, n_max + 1)
-    payload.update(n=n_max, seed=seed, trial_range=(trial, trial + 1), checkpoints=ns,
-                   want_max=False)
-    S = _simulate_block(payload)["checks"][0]  # S_n - n e for n = start..n_max
+    payload.update(n=n_max, seed=seed, checkpoints=ns, want_max=False)
+    S = _run_blocks(payload, 1, first=trial)["checks"][0]  # S_n - n e for n = start..n_max
     t = ns * sigma2
     stat = S / np.sqrt(2.0 * t * np.log(np.log(t)))
     k = int(np.argmax(stat))
@@ -706,6 +711,20 @@ def _weighted_line_fit(xs, ys, ws):
     return float((ws * (xs - xbar) * (ys - ybar)).sum() / den)
 
 
+def _tail_table(hits, key, levels, xs):
+    """Rows {key: level, count, p_hat, log_p, zero} of a trials x levels hit matrix
+    (p_hat = 3 / trials, the rule-of-three bound, where none hit) and the
+    count-weighted line fit of log p_hat on xs over the rows with hits (None below two)."""
+    trials, rows, fit = len(hits), [], []
+    for level, x, count in zip(levels, xs, hits.sum(axis=0).tolist()):
+        log_p = float(np.log(count / trials)) if count else None
+        rows.append({key: level, "count": count, "p_hat": count / trials if count else 3.0 / trials,
+                     "log_p": log_p, "zero": count == 0})
+        if count:
+            fit.append((x, log_p, count))
+    return rows, (_weighted_line_fit(*zip(*fit)) if len(fit) >= 2 else None)
+
+
 def deviation_experiment(L, mm, n_list, trials, delta, seed, workers=1):
     """Tail tables P(S_n / n >= delta) with a log-linear rate fit, plus the
     Gaussian-scale tail P(S_n / sqrt(n) >= delta') at the largest n."""
@@ -715,45 +734,12 @@ def deviation_experiment(L, mm, n_list, trials, delta, seed, workers=1):
     n_max = n_list[-1]
     payload, e = path_functional_payload(L, mm)
     payload.update(n=n_max, seed=seed, checkpoints=tuple(n_list), want_max=False)
-    res = _run_blocks(payload, trials, workers)
-    rows = []
-    for j, n in enumerate(n_list):
-        count = int((res["checks"][:, j] / n >= delta).sum())
-        p_hat = count / trials
-        rows.append({
-            "n": n,
-            "count": count,
-            "p_hat": p_hat if count else 3.0 / trials,  # rule-of-three upper bound
-            "log_p": float(np.log(p_hat)) if count else None,
-            "zero": count == 0,
-        })
-    fit_rows = [r for r in rows if not r["zero"]]
-    slope = None
-    if len(fit_rows) >= 2:
-        slope = _weighted_line_fit(
-            [r["n"] for r in fit_rows],
-            [r["log_p"] for r in fit_rows],
-            [r["count"] for r in fit_rows],
-        )
-    last = res["checks"][:, -1] / np.sqrt(n_max)
-    gauss_rows = []
-    for dg in (0.5, 1.0, 1.5, 2.0):
-        count = int((last >= dg).sum())
-        gauss_rows.append({
-            "delta": dg,
-            "count": count,
-            "p_hat": count / trials if count else 3.0 / trials,
-            "log_p": float(np.log(count / trials)) if count else None,
-            "zero": count == 0,
-        })
-    gfit = [r for r in gauss_rows if not r["zero"]]
-    gauss_slope = None
-    if len(gfit) >= 2:
-        gauss_slope = _weighted_line_fit(
-            [r["delta"] ** 2 for r in gfit],
-            [r["log_p"] for r in gfit],
-            [r["count"] for r in gfit],
-        )
+    checks = _run_blocks(payload, trials, workers)["checks"]
+    rows, slope = _tail_table(checks / np.array(n_list) >= delta, "n", n_list, n_list)
+    gauss = (0.5, 1.0, 1.5, 2.0)
+    gauss_rows, gauss_slope = _tail_table(
+        (checks[:, -1] / np.sqrt(n_max))[:, None] >= np.array(gauss), "delta", gauss,
+        [dg**2 for dg in gauss])
     return DeviationResult(rows, slope, gauss_rows, gauss_slope, delta, trials, seed)
 
 

@@ -20,8 +20,8 @@ from .measures import CylinderMeasure
 from .qm import SignedPatternCount
 from .sft import Sft, word_cap
 from .experiments import (
-    _simulate_block,
-    _with_walk_tables,
+    _SYMBOLS_ONLY,
+    _run_blocks,
     clt_experiment,
     sigma2_of,
     uniform_sphere_chain,
@@ -126,20 +126,15 @@ def _pushforward_masses(group, n, depth):
     closed walks through the cylinder -- so matrix powers replace enumeration.
     """
     sft = group.sft()
-    idx = sft.cylinders(depth)
-    counts = [0] * len(idx)
-    total = 0
+    words = sft.cylinders(depth).array
+    counts, total = np.zeros(len(words), dtype=object), 0  # exact Python ints
     for ell in range(1, n + 1):
         total += sft.periodic_count(ell)
         if ell >= depth:
-            P = sft._R_intpow(ell - depth + 1)
-            for i, w in enumerate(idx.words):
-                counts[i] += P[w[-1]][w[0]]
-        else:
-            for i, w in enumerate(idx.words):
-                if all(w[j] == w[j % ell] for j in range(depth)):
-                    counts[i] += 1
-    return np.array([c / total for c in counts]), total
+            counts += sft._R_intpow(ell - depth + 1)[words[:, -1], words[:, 0]]
+        else:  # the cylinder words of period ell
+            counts += (words == words[:, np.arange(depth) % ell]).all(axis=1).astype(object)
+    return (counts / total).astype(float), total
 
 
 def pushforward_measure(group, n, depth):
@@ -189,16 +184,8 @@ def sphere_sample(group, n, count, seed, max_cells=10**8):
         raise ValueError("need n >= 1 and count >= 1")
     if count * n > max_cells:
         raise ResourceLimit("sample array would be too large; use spherical_clt")
-    payload = uniform_sphere_payload(group.sft())
-    payload.update(n=n, seed=seed, kernel_widths=(), kernel_tables=(), e=0.0,
-                   checkpoints=(), want_max=False, want_symbols=True)
-    out = np.empty((count, n), dtype=payload["succ_sym"].dtype)
-    step = max(1, 2**20 // n)  # trials per engine block: about a MB of letters
-    payload = _with_walk_tables(payload, {min(step, count - lo) for lo in range(0, count, step)})
-    for lo in range(0, count, step):
-        trials = (lo, min(lo + step, count))
-        out[lo:trials[1]] = _simulate_block(dict(payload, trial_range=trials))["symbols"]
-    return out
+    payload = dict(uniform_sphere_payload(group.sft()), n=n, seed=seed, **_SYMBOLS_ONLY)
+    return _run_blocks(payload, count)["symbols"]
 
 
 def sphere_enumerate(group, n):

@@ -290,6 +290,8 @@ class PerturbedQm(Quasimorphism):
 
 # -- defect ------------------------------------------------------------------
 
+_DEFECT_PAIRS = 1 << 16  # pairs evaluated at once, ~50 B each (or one b row against every a)
+
 
 @dataclass
 class DefectReport:
@@ -312,17 +314,18 @@ def defect(L, sft, n_max):
     vals = {n: L.values(arr, sft.d) for n, arr in words.items()}
     best, arg, pairs = 0.0, ((), ()), 0
     for n in range(1, n_max):
-        A = words[n]
+        A, step = words[n], max(1, _DEFECT_PAIRS // len(words[n]))  # b rows a chunk
         for m in range(1, n_max - n + 1):
-            B = words[m]  # the pairs (a, b) with a.b admissible, b-major, then a
-            bi, ai = np.nonzero(sft.R[A[:, -1][None, :], B[:, 0][:, None]])
-            pairs += len(ai)
-            dev = np.abs(L.values(np.concatenate([A[ai], B[bi]], axis=1), sft.d)
-                         - vals[n][ai] - vals[m][bi])
-            hits = np.flatnonzero(dev > best)
-            if len(hits):  # the first strict maximum, as a pair-by-pair loop finds it
-                i = hits[np.argmax(dev[hits])]
-                best, arg = float(dev[i]), (tuple(A[ai[i]].tolist()), tuple(B[bi[i]].tolist()))
+            for lo in range(0, len(words[m]), step):  # pairs (a, b), a.b admissible: b-major
+                B, vb = words[m][lo:lo + step], vals[m][lo:lo + step]
+                bi, ai = np.nonzero(sft.R[A[:, -1][None, :], B[:, 0][:, None]])
+                pairs += len(ai)
+                dev = np.abs(L.values(np.concatenate([A[ai], B[bi]], axis=1), sft.d)
+                             - vals[n][ai] - vb[bi])
+                hits = np.flatnonzero(dev > best)
+                if len(hits):  # the first strict maximum, as a pair-by-pair loop finds it
+                    i = hits[np.argmax(dev[hits])]
+                    best, arg = float(dev[i]), (tuple(A[ai[i]].tolist()), tuple(B[bi[i]].tolist()))
     return DefectReport(best, n_max, pairs, arg)
 
 

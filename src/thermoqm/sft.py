@@ -13,6 +13,9 @@ enumerations are in lexicographic order and all
 tie-breaking (connectors, lifts, star words) is shortest-then-lexicographic,
 so every operation here is a deterministic function of its inputs.
 
+Counts |W_n| = sum R^(n-1) and trace(R^n) are exact: powers of R over Python
+ints (`Sft._R_intpow`), which never wrap at 2^63.
+
 Only this module reads the base-d word codes: the one way from a cylinder
 index to a shorter one is `WordIndex.prefix(j)` / `suffix(j)`, the position
 of each word's first or last j symbols among the j-words.
@@ -48,11 +51,6 @@ def word_cap():
     if env is not None:
         return int(env)
     return DEFAULT_WORD_CAP
-
-
-def _int_matmul(a, b):
-    d = len(a)
-    return [[sum(a[i][k] * b[k][j] for k in range(d)) for j in range(d)] for i in range(d)]
 
 
 class WordIndex:
@@ -209,7 +207,7 @@ class Sft:
         }
         self._cyl = {}
         self._graphs = {}
-        self._intpow = {0: [[int(i == j) for j in range(self.d)] for i in range(self.d)]}
+        self._intpow = {}
 
     def _specification_constant(self):
         d = self.d
@@ -257,27 +255,18 @@ class Sft:
     # -- integer counting -------------------------------------------------
 
     def _R_intpow(self, n):
+        """R^n as an object array of exact Python ints, cached by n."""
         if n not in self._intpow:
-            base = [[int(x) for x in row] for row in self.R]
-            k = max(q for q in self._intpow if q <= n)
-            acc = self._intpow[k]
-            while k < n:
-                acc = _int_matmul(acc, base)
-                k += 1
-                self._intpow[k] = acc
+            self._intpow[n] = np.linalg.matrix_power(self.R.astype(object), n)
         return self._intpow[n]
 
     def word_count(self, n):
-        """Exact |W_n| as a python int."""
-        if n == 0:
-            return 1
-        P = self._R_intpow(n - 1)
-        return sum(sum(row) for row in P)
+        """Exact |W_n| as a python int: the entry sum of R^(n-1)."""
+        return int(self._R_intpow(n - 1).sum()) if n else 1
 
     def periodic_count(self, n):
         """Exact trace(R^n) = number of length-n wrapping words."""
-        P = self._R_intpow(n)
-        return sum(P[i][i] for i in range(self.d))
+        return int(self._R_intpow(n).trace())
 
     # -- membership -------------------------------------------------------
 

@@ -155,6 +155,42 @@ def test_compactification_closed_form_equals_enumeration(G):
             assert np.abs(a - b).max() < 1e-11
 
 
+def old_pushforward_masses(group, n, depth):
+    """The pushforward as two per-word loops over Python-int matrix powers."""
+    sft = group.sft()
+    R = [[int(x) for x in row] for row in sft.R]
+    words = sft.cylinders(depth).words
+    counts, total, P = [0] * len(words), 0, [[int(i == j) for j in range(sft.d)]
+                                               for i in range(sft.d)]
+    for ell in range(1, n + 1):
+        P = [[sum(P[i][k] * R[k][j] for k in range(sft.d)) for j in range(sft.d)]
+             for i in range(sft.d)]  # R^ell
+        total += sum(P[i][i] for i in range(sft.d))
+        if ell >= depth:
+            Q = [[int(i == j) for j in range(sft.d)] for i in range(sft.d)]
+            for _ in range(ell - depth + 1):
+                Q = [[sum(Q[i][k] * R[k][j] for k in range(sft.d)) for j in range(sft.d)]
+                     for i in range(sft.d)]
+            for i, w in enumerate(words):
+                counts[i] += Q[w[-1]][w[0]]
+        else:
+            for i, w in enumerate(words):
+                if all(w[j] == w[j % ell] for j in range(depth)):
+                    counts[i] += 1
+    return np.array([c / total for c in counts]), total
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+def test_pushforward_equals_the_word_loops(rank):
+    group = fg.FreeGroup(rank)
+    for depth in range(1, 5):
+        for n in range(1, 13):
+            masses, total = fg._pushforward_masses(group, n, depth)
+            want, want_total = old_pushforward_masses(group, n, depth)
+            assert total == want_total and type(total) is int
+            assert masses.dtype == np.float64 and np.array_equal(masses, want)
+
+
 def test_compactification_tv_decreases(G):
     res = fg.compactification_experiment(G, [8, 12, 16, 18], 3)
     tvs = [r["tv"] for r in res.rows]

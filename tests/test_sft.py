@@ -90,6 +90,20 @@ def test_periodic_words_match_trace():
     assert all(f.periodic_count(n) == 2 ** n for n in range(1, 10))
 
 
+def test_counts_past_int64_stay_exact():
+    """Counts are entry sums and traces of R^n over Python ints: no wrap at 2^63."""
+    f = full_shift(4)
+    assert f.word_count(40) == f.periodic_count(40) == 4**40 > 2**63
+    assert type(f.word_count(40)) is int and type(f.periodic_count(40)) is int
+    g = golden_mean()  # Fibonacci and Lucas numbers, F(n + 2) and L(n)
+    fib, lucas = [0, 1], [2, 1]
+    for _ in range(200):
+        fib.append(fib[-1] + fib[-2])
+        lucas.append(lucas[-1] + lucas[-2])
+    assert g.word_count(150) == fib[152] and g.periodic_count(150) == lucas[150]
+    assert g.word_count(0) == 1 and g.periodic_count(0) == 2
+
+
 def test_enumeration_cap(monkeypatch):
     f = full_shift(2)
     token = SCOPED_WORD_CAP.set(100)

@@ -3,6 +3,8 @@ periodic-orbit sums on word arrays, quasicocycles from potentials through
 project_conditional and one mass interface, each against a frozen copy of
 the code it replaced."""
 
+import ast
+import pathlib
 import re
 from unittest import mock
 
@@ -11,7 +13,9 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+import thermoqm
 from thermoqm import bowen, thermo
+from thermoqm import freegroup as fg
 from thermoqm import experiments as ex
 from thermoqm import markov as mk
 from thermoqm.errors import InconsistentVerdicts, InvalidMatrix, NotPrimitive, ZeroMass
@@ -452,6 +456,48 @@ def test_lil_samples_one_block_and_no_symbol_array(monkeypatch):
     (p,) = calls
     assert p["trial_range"] == (5, 6) and not p.get("want_symbols", False)
     assert np.array_equal(p["checkpoints"], np.arange(1000, 3001))
+
+
+def test_only_run_blocks_starts_the_block_engine():
+    """Every walk enters the engine through one run entry: no other function in
+    the package names _simulate_block (calls, map arguments and imports alike)."""
+    pkg = pathlib.Path(thermoqm.__file__).parent
+    users = set()
+    for path in sorted(pkg.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            names = {getattr(node, "id", getattr(node, "attr", None)) for node in ast.walk(top)
+                     if isinstance(node, (ast.Name, ast.Attribute))}
+            names |= {a.asname or a.name for node in ast.walk(top)
+                      if isinstance(node, (ast.Import, ast.ImportFrom)) for a in node.names}
+            if "_simulate_block" in names:
+                users.add((path.stem, getattr(top, "name", None)))
+    assert users == {("experiments", "_run_blocks")}
+
+
+def test_sample_path_is_a_row_of_a_symbol_run():
+    """Trials 5..11 of one symbol run, in blocks of 2 (float walks) and a last
+    single path (segment walkers), are the paths sample_path draws one by one."""
+    mm = _chain(full_shift(3), np.random.default_rng(11), 2)[1]
+    payload = dict(ex.markov_sampler_payload(mm), n=40, seed=9, **ex._SYMBOLS_ONLY)
+    with mock.patch.object(ex, "_SYMBOL_CELLS", 80):
+        rows = ex._run_blocks(payload, 7, first=5)["symbols"]
+    assert rows.shape == (7, 40)
+    for t in range(5, 12):
+        assert np.array_equal(ex.sample_path(mm, 40, 9, t), rows[t - 5])
+
+
+def test_sphere_sample_walks_blocks_of_about_a_million_symbols(monkeypatch):
+    """500 samples of 5000 letters: 209 a block (209 * 5000 <= 2^20 < 210 * 5000),
+    on walk tables built once for the run."""
+    calls, simulate = [], ex._simulate_block
+    monkeypatch.setattr(ex, "_simulate_block", lambda p: calls.append(p) or simulate(p))
+    with mock.patch.object(ex, "_walk_tables", wraps=ex._walk_tables) as tables:
+        got = fg.sphere_sample(F2, 5000, 500, seed=3)
+    assert [p["trial_range"] for p in calls] == [(0, 209), (209, 418), (418, 500)]
+    assert tables.call_count == 1 and all(p["want_symbols"] for p in calls)
+    assert got.shape == (500, 5000)
+    for t in (0, 208, 209, 499):
+        assert np.array_equal(got[t], ex.sample_path(ex.uniform_sphere_chain(F2.sft()), 5000, 3, t))
 
 
 # -- single paths as segment walkers ---------------------------------------------------

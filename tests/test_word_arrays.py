@@ -14,6 +14,7 @@ from scipy.special import logsumexp
 
 from thermoqm import bowen, cli, thermo
 from thermoqm import markov as mk
+from thermoqm import qm as qm_module
 from thermoqm import sft as sft_module
 from thermoqm.errors import InvalidMatrix, NotPrimitive, ResourceLimit
 from thermoqm.freegroup import FreeGroup
@@ -528,6 +529,41 @@ def test_defect_cyclic_average_and_qm_integral_on_a_nonsymmetric_shift(kind):
     mu = mk.parry_measure(NONSYMMETRIC)
     for n in (1, 4, 7):
         assert thermo.qm_integral(mu, L, n) == old_qm_integral(mu, L, n)
+
+
+@pytest.mark.parametrize("kind", sorted(every_kind(NONSYMMETRIC)))
+def test_defect_in_chunks_of_b_rows_equals_the_pair_loop(kind):
+    """Chunks of 7 pairs: 2 of the 3 one-symbol b rows against the 3 one-symbol
+    a words, then the last, so a run of b rows is split; one b row beyond."""
+    L = every_kind(NONSYMMETRIC)[kind]
+    with mock.patch.object(qm_module, "_DEFECT_PAIRS", 7):
+        for n_max in (2, 5, 7):
+            rep = defect(L, NONSYMMETRIC, n_max)
+            assert (rep.value, rep.argmax, rep.pairs) == old_defect(L, NONSYMMETRIC, n_max)
+
+
+def test_defect_memory_is_bounded_by_the_chunk():
+    """On the 8-shift to total length 6, each (n, m) with n + m = 6 has 8^6 pairs.
+    Beyond the words and their values, the pair evaluation holds about 40 bytes
+    a pair of one chunk (of 4096 pairs, or one b row against the 8^5 longest a
+    words); all pairs of one (n, m) at once took 13.6 MB."""
+    sft, n_max = full_shift(8), 6
+    L = SignedPatternCount((0, 1, 2), (2, 1, 0))
+    defect(L, sft, 3)  # warm caches outside the trace
+    tracemalloc.start()
+    try:
+        words = {n: sft.word_array(n) for n in range(1, n_max)}
+        vals = {n: L.values(arr, sft.d) for n, arr in words.items()}
+        held = tracemalloc.get_traced_memory()[1]
+        del words, vals
+        tracemalloc.reset_peak()
+        with mock.patch.object(qm_module, "_DEFECT_PAIRS", 1 << 12):
+            rep = defect(L, sft, n_max)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.pairs == sum(8 ** (n + m) for n in range(1, n_max) for m in range(1, n_max - n + 1))
+    assert peak - held < 64 * 8**5  # 2 MB
 
 
 @PROPERTY
