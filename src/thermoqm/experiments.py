@@ -467,6 +467,8 @@ def _run_blocks(payload, trials, workers=1, first=0):
     output gathered in trial order (a one-block run's as its block gave it)."""
     if trials < 1:
         raise ValueError(f"need at least 1 trial or sample, got {trials}")
+    if payload["n"] < 1:
+        raise ValueError(f"need a path length n >= 1, got {payload['n']}")
     step = max(1, _SYMBOL_CELLS // payload["n"]) if payload.get("want_symbols") else _BLOCK
     ranges = [(lo, min(lo + step, first + trials)) for lo in range(first, first + trials, step)]
     if any(_coded(payload, t1 - t0) for t0, t1 in ranges):

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ResourceLimit
 from .markov import parry_measure
-from .measures import CylinderMeasure
+from .measures import CylinderMeasure, orbit_masses
 from .qm import SignedPatternCount
 from .sft import Sft, word_cap
 from .experiments import (
@@ -148,12 +148,9 @@ def pushforward_measure_enumerated(group, n, depth):
     total = sum(sft.periodic_count(ell) for ell in range(1, n + 1))
     if total > word_cap():
         raise ResourceLimit(f"{total} cyclic words exceed the word cap")
-    idx = sft.cylinders(depth)
-    mass = np.zeros(len(idx))
-    for ell in range(1, n + 1):
-        for b in sft.periodic_words(ell):
-            for j in range(ell):
-                mass[idx.index(sft.cyclic_window(b, j, depth))] += 1.0 / (total * ell)
+    mass = sum(orbit_masses(sft, sft.word_array(ell, periodic=True),  # one length at a time
+                            np.full(sft.periodic_count(ell), 1.0 / (total * ell)), [depth])[depth]
+               for ell in range(1, n + 1))
     return CylinderMeasure(sft, {depth: mass})
 
 

@@ -12,6 +12,8 @@ import numpy as np
 from .errors import ZeroMass
 from .sft import WordIndex, render_word
 
+_ORBIT_CELLS = 1 << 15  # word positions per chunk of orbit_masses
+
 
 class CylinderMeasure:
     def __init__(self, sft, masses, check=True, tol=1e-9):
@@ -109,15 +111,27 @@ def bernoulli_measure(sft, p, depths):
 
 def periodic_orbit_measure(sft, word, depths):
     """The invariant probability carried by the orbit of p(word)."""
-    word = tuple(word)
     if not sft.wraps(word):
         raise ValueError("orbit measure needs a periodic word")
-    n = len(word)
-    masses = {}
-    for k in depths:
-        idx = sft.cylinders(k)
-        arr = np.zeros(len(idx))
-        for j in range(n):
-            arr[idx.index(sft.cyclic_window(word, j, k))] += 1.0 / n
-        masses[k] = arr
-    return CylinderMeasure(sft, masses)
+    return CylinderMeasure(sft, orbit_masses(sft, np.array([word]), np.array([1.0 / len(word)]), depths))
+
+
+def orbit_masses(sft, words, weight, depths):
+    """Masses at each depth k in `depths` of the periodic points of a (count, N) array
+    of wrapping words: a word puts its `weight` on each of its N cyclic k-windows
+    (for k > N around it again).  Chunks of about _ORBIT_CELLS word positions add
+    onto the running masses, word by word and position by position, as one pass."""
+    idx = {k: sft.cylinders(k) for k in depths}
+    masses = {k: np.zeros(len(cyl)) for k, cyl in idx.items()}
+    N, top = words.shape[1], max(idx, default=0)
+    step = max(1, _ORBIT_CELLS // N)
+    for lo in range(0, len(words), step):
+        wrapped = words[lo:lo + step][:, np.arange(N + top - 1) % N]  # one period and a bit
+        spread = np.repeat(weight[lo:lo + step], N)
+        codes = np.zeros((len(wrapped), N), dtype=np.int64)
+        for k in range(1, top + 1):  # codes[:, j]: the depth-k window from position j
+            codes = codes * sft.d + wrapped[:, k - 1:k - 1 + N]
+            if k in idx:  # bincount adds in input order: the running masses first
+                at = np.concatenate([np.arange(len(idx[k])), idx[k].index_of_codes(codes.ravel())])
+                masses[k] = np.bincount(at, np.concatenate([masses[k], spread]), len(idx[k]))
+    return masses

@@ -12,12 +12,13 @@ homogenization; everything else falls back to direct evaluation.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DepthExceeded, ResourceLimit
-from .sft import encode_word, kernel_sums, window_codes, word_cap
+from .sft import encode_word, window_codes, word_cap
 
 
 def count_occurrences(pattern, word):
@@ -76,8 +77,10 @@ class Quasimorphism:
         if sft not in forms and (kernels := self.window_tables(sft.d)) is not None:
             t = max(max(kernels) - 1, 1)
             g = sft.block_graph(t)
-            forms[sft] = (g, kernel_sums(kernels, g.ext, t + 1, sft.d, lambda q: [t + 1 - q]),
-                          kernel_sums(kernels, g.codes, t, sft.d, lambda q: range(t - q + 1)))
+            words = g.states.array  # edge e: the word of state src[e], then symbol sym[e]
+            edges = np.column_stack([words[g.src], g.sym.astype(words.dtype)])
+            forms[sft] = (g, window_sums(kernels, edges, sft.d, lambda q, i0: int(i0 == t + 1 - q)),
+                          window_sums(kernels, words, sft.d, inside(t)))
         return forms.get(sft)
 
     def step_potential(self, sft):
@@ -86,7 +89,7 @@ class Quasimorphism:
         if (kernels := self.window_tables(sft.d)) is None:
             raise ValueError("quasimorphism is not window-additive")
         s = max(kernels) - 1
-        return s, kernel_sums(kernels, sft.cylinders(s + 1).codes, s + 1, sft.d, lambda q: [0])
+        return s, window_sums(kernels, sft.cylinders(s + 1).array, sft.d, lambda q, i0: int(i0 == 0))
 
     def letter_sup(self, sft):
         """sup |L| over words of length <= M (the norm's local part)."""
@@ -290,7 +293,7 @@ class PerturbedQm(Quasimorphism):
 
 # -- defect ------------------------------------------------------------------
 
-_DEFECT_PAIRS = 1 << 16  # pairs evaluated at once, ~50 B each (or one b row against every a)
+_DEFECT_PAIRS = 1 << 16  # pairs or word values evaluated at once, ~50 B each
 
 
 @dataclass
@@ -311,17 +314,19 @@ def defect(L, sft, n_max):
     if total_pairs > word_cap():
         raise ResourceLimit(f"{total_pairs} concatenable pairs exceed the word cap")
     words = {n: sft.word_array(n) for n in range(1, n_max)}
-    vals = {n: L.values(arr, sft.d) for n, arr in words.items()}
+    vals = {n: np.concatenate([L.values(arr[lo:lo + _DEFECT_PAIRS], sft.d)  # in slices of rows
+                               for lo in range(0, len(arr), _DEFECT_PAIRS)]) for n, arr in words.items()}
     best, arg, pairs = 0.0, ((), ()), 0
     for n in range(1, n_max):
-        A, step = words[n], max(1, _DEFECT_PAIRS // len(words[n]))  # b rows a chunk
-        for m in range(1, n_max - n + 1):
-            for lo in range(0, len(words[m]), step):  # pairs (a, b), a.b admissible: b-major
+        step = max(1, _DEFECT_PAIRS // len(words[n]))  # b rows a chunk, or one against slices of a
+        for m in range(1, n_max - n + 1):  # pairs (a, b), a.b admissible: b-major, then a
+            for lo, alo in itertools.product(range(0, len(words[m]), step),
+                                             range(0, len(words[n]), _DEFECT_PAIRS)):
+                A, va = words[n][alo:alo + _DEFECT_PAIRS], vals[n][alo:alo + _DEFECT_PAIRS]
                 B, vb = words[m][lo:lo + step], vals[m][lo:lo + step]
                 bi, ai = np.nonzero(sft.R[A[:, -1][None, :], B[:, 0][:, None]])
                 pairs += len(ai)
-                dev = np.abs(L.values(np.concatenate([A[ai], B[bi]], axis=1), sft.d)
-                             - vals[n][ai] - vb[bi])
+                dev = np.abs(L.values(np.concatenate([A[ai], B[bi]], axis=1), sft.d) - va[ai] - vb[bi])
                 hits = np.flatnonzero(dev > best)
                 if len(hits):  # the first strict maximum, as a pair-by-pair loop finds it
                     i = hits[np.argmax(dev[hits])]

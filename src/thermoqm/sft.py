@@ -149,7 +149,7 @@ class BlockGraph:
     Edges are listed in (state, symbol) order, which is the lexicographic
     order of their (t+1)-words, so edge e is word e of ``cylinders(t + 1)``
     and ``src`` / ``dst`` are its prefix(t) / suffix(t); ``ext`` holds those
-    words' base-d codes for `kernel_sums`.  ``pred[j, a]`` is the edge into
+    words' base-d codes.  ``pred[j, a]`` is the edge into
     state j from the state that starts with symbol a, or -1 where there is none.
     """
 
@@ -195,11 +195,10 @@ class Sft:
         self.R = R
         self.d = R.shape[0]
         self.name = name
-        self.M = self._specification_constant()
+        self._reach = self._reach_powers()  # boolean reachability by path length, for connectors
+        self.M = len(self._reach) - 2
         self.successors = [tuple(int(s) for s in np.nonzero(R[i])[0]) for i in range(self.d)]
         self.predecessors = [tuple(int(s) for s in np.nonzero(R[:, j])[0]) for j in range(self.d)]
-        # boolean reachability by path length, used by connector construction
-        self._reach = self._reach_tables(self.M + 1)
         self.connectors = {
             (i, j): self._least_path(i, j, self.M - 1)
             for i in range(self.d)
@@ -209,27 +208,19 @@ class Sft:
         self._graphs = {}
         self._intpow = {}
 
-    def _specification_constant(self):
-        d = self.d
-        wielandt = (d - 1) ** 2 + 1 if d > 1 else 1
-        B = self.R.astype(bool)
-        P = B.copy()
-        closure = B.copy()
-        for k in range(1, wielandt + 1):
-            if P.all():
-                return k
-            P = (P.astype(np.int64) @ B.astype(np.int64)) > 0
-            closure |= P
-        if not closure.all():
-            raise NotPrimitive("matrix is reducible: some symbol pairs are never joinable")
-        raise NotPrimitive("matrix is irreducible but periodic: no positive power up to the Wielandt bound")
-
-    def _reach_tables(self, kmax):
-        B = self.R.astype(bool)
-        tables = [np.eye(self.d, dtype=bool)]
-        for _ in range(kmax):
-            tables.append((tables[-1].astype(np.int64) @ B.astype(np.int64)) > 0)
-        return tables
+    def _reach_powers(self):
+        """The boolean powers R^0, .., R^(M + 1) of R, for M the specification
+        constant: the first power of R with every entry positive."""
+        B = self.R.astype(np.int64)
+        reach = [np.eye(self.d, dtype=bool), B > 0]
+        while not reach[-1].all():
+            if len(reach) > (self.d - 1) ** 2 + 1:  # no positive power up to Wielandt's bound
+                if not np.logical_or.reduce(reach[1:]).all():
+                    raise NotPrimitive("matrix is reducible: some symbol pairs are never joinable")
+                raise NotPrimitive("matrix is irreducible but periodic: "
+                                   "no positive power up to the Wielandt bound")
+            reach.append((reach[-1].astype(np.int64) @ B) > 0)
+        return reach + [(reach[-1].astype(np.int64) @ B) > 0]
 
     def _least_path(self, i, j, length):
         """Lexicographically least word u with i.u.j admissible, |u| = length."""
@@ -461,16 +452,6 @@ def window_codes(arr, start, width, d):
     for k in range(width):
         code = code * d + arr[:, (start + k) % arr.shape[1]]
     return code
-
-
-def kernel_sums(kernels, codes, n, d, starts):
-    """Sums over `kernels` {q: table} in dict order, then over i in starts(q), of the
-    table at the width-q window from symbol i of n-symbol words with these base-d codes."""
-    out = np.zeros(len(codes))
-    for q, table in kernels.items():
-        for i in starts(q):
-            out = out + table[codes // d ** (n - q - i) % d**q]
-    return out
 
 
 def render_word(word):

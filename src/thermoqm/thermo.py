@@ -23,11 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ResourceLimit
-from .measures import CylinderMeasure
+from .measures import CylinderMeasure, orbit_masses
 from .qm import inside, window_sums
 from .sft import word_cap
 
-_GIBBS_CELLS = 1 << 15  # word positions per chunk of the enumerated Gibbs orbit masses
 _GIBBS_MATRICES = 3  # dense S x S matrices the orbit transfer holds at its peak
 _PRODUCT_FLOOR = 2.0**-1000  # least product of two transfer entries: sums stay normal below 2^21 states
 _SPLIT_CELLS = 1 << 14  # (n, m) pairs per row block of the split constant, 128 KB a temporary
@@ -35,6 +34,10 @@ _PARTITION_CELLS = 1 << 16  # cells of the powers T, ..., T^k a blocked partitio
 _BLOCKED_STATES = 48  # block graphs up to this many states run blocked partitions (BENCH_18.json)
 _U = 2.0**-53  # unit roundoff of float64
 _LOG_RANGE = 745.0  # |log z| < 745 for every positive float z
+
+
+class _FloatRange(ArithmeticError):
+    """A transfer's weights or entries spread past what a float's exponent holds."""
 
 
 # -- partition functions -------------------------------------------------------
@@ -74,6 +77,8 @@ class _WindowTransfer:
     On graphs of at most _BLOCKED_STATES states V advances k steps a product
     by the dense powers T, ..., T^k (``T``, kept only there); larger graphs
     advance it one gather over the edges into each state a step.
+
+    `_FloatRange` if an edge or start weight is not a float in [2^-1000, inf).
     """
 
     def __init__(self, L, sft):
@@ -82,13 +87,16 @@ class _WindowTransfer:
         self.Q = max(self.kernels)
         g, f, start = L.edge_form(sft)
         S = len(g)
-        E = np.exp(f)
+        with np.errstate(over="ignore"):
+            E, init = np.exp(f), np.exp(start)
+        if not (min(E.min(), init.min()) >= _PRODUCT_FLOOR and max(E.max(), init.max()) < np.inf):
+            raise _FloatRange("an edge or start weight of the transfer leaves [2^-1000, inf)")
         self.weights, self.sources = g.incoming(E)
         self.T = g.matrix(E) if S <= _BLOCKED_STATES else None
         if self.Q == 1:
             self.base, self.init, self.close = 0, np.ones(S), np.eye(S)
         else:
-            self.base, self.init = g.t, np.exp(start)
+            self.base, self.init = g.t, init
             self.close = sft.R[g.states.suffix(1)].astype(float)
         self.V0 = np.zeros((S, sft.d))
         self.V0[np.arange(S), g.states.prefix(1)] = self.init
@@ -180,29 +188,40 @@ def _short_word_log_partition(kernels, sft, n):
     return _logsumexp(window_sums(kernels, sft.word_array(n, periodic=True), sft.d, inside(n)))
 
 
-def _method_kernels(L, sft, method):
-    """The window kernels a partition sum runs on by `method`, None to enumerate."""
+def _method_transfer(L, sft, method):
+    """The `_WindowTransfer` a partition sum runs on by `method`, None to enumerate:
+    under "auto" also where its weights leave the float range (`_FloatRange`)."""
     if method not in ("auto", "transfer", "enumerate"):
         raise ValueError(f"method must be 'auto', 'transfer' or 'enumerate', got {method!r}")
-    kernels = None if method == "enumerate" else L.window_tables(sft.d)
-    if method == "transfer" and kernels is None:
+    if method != "enumerate" and L.window_tables(sft.d) is not None:
+        try:
+            return _WindowTransfer(L, sft)
+        except _FloatRange as exc:
+            if method == "transfer":
+                raise ValueError(f"{exc}: use method 'auto' or 'enumerate'") from exc
+    elif method == "transfer":
         raise ValueError("quasimorphism is not window-additive")
-    return kernels
+    return None
 
 
 def log_partition(L, sft, n, method="auto"):
     """log Z_n(L), the log-sum-exp of L over wrapping words of length n."""
     if n < 1:
         raise ValueError("partition function needs n >= 1")
-    if _method_kernels(L, sft, method) is None:
-        return _enumerated_log_partition(L, sft, n)
-    return float(_WindowTransfer(L, sft).log_partitions(n)[n - 1])
+    W = _method_transfer(L, sft, method)
+    return _enumerated_log_partition(L, sft, n) if W is None else float(W.log_partitions(n)[n - 1])
 
 
 def log_partition_sequence(L, sft, n_max, method="auto"):
-    if _method_kernels(L, sft, method) is not None:
-        return _WindowTransfer(L, sft).log_partitions(n_max)
-    return np.array([_enumerated_log_partition(L, sft, n) for n in range(1, n_max + 1)])
+    return _log_partitions(L, sft, n_max, method)[0]
+
+
+def _log_partitions(L, sft, n_max, method):
+    """(P_1 .. P_n_max, S): S the block states of the transfer that summed them, 0 if enumerated."""
+    W = _method_transfer(L, sft, method)
+    if W is None:
+        return np.array([_enumerated_log_partition(L, sft, n) for n in range(1, n_max + 1)]), 0
+    return W.log_partitions(n_max), len(W.V0)
 
 
 def partition_function(L, sft, n, method="auto"):
@@ -274,14 +293,14 @@ def pressure(L, sft, n_max, method="auto"):
     """
     if n_max < 4:
         raise ValueError("pressure needs n_max >= 4")
-    p = log_partition_sequence(L, sft, n_max, method=method)
+    p, S = _log_partitions(L, sft, n_max, method)
     c_all = _split_constant(p, 1, n_max)
     n0 = 3 * sft.M if 6 * sft.M <= n_max else 1
     c_used = _split_constant(p, n0, n_max)
     if not np.isfinite(c_used):
         n0, c_used = 1, c_all
     n = np.arange(n0, n_max + 1)
-    pn, err = p[n - 1], _rounding(L, sft, method, p)[n - 1]
+    pn, err = p[n - 1], _rounding(sft, S, p)[n - 1]
     ok = np.isfinite(pn) & np.isfinite(c_used)  # no finite split: both bounds stay infinite
     c = c_used + 3 * err.max(initial=0.0, where=ok)
     lo = ((pn - c - err) / n).max(initial=-np.inf, where=ok)
@@ -292,9 +311,10 @@ def pressure(L, sft, n_max, method="auto"):
     )
 
 
-def _rounding(L, sft, method, p):
+def _rounding(sft, S, p):
     """A bound on |p_n - log Z_n| from float rounding, for Z_n of the edge
-    weights or word values as computed (exact for integer kernels): twice the
+    weights or word values as computed (exact for integer kernels), by a
+    transfer on S block states or by enumeration (S = 0): twice the
     first-order bound, u = 2^-53, over these sources.
 
     - Transfer: every carried entry is a sum of products of nonnegative
@@ -312,23 +332,17 @@ def _rounding(L, sft, method, p):
     The per-step terms are at most (4d + S + 4) u, with S = 0 for enumeration;
     the 4 * 745 u also covers the three roundings of each interval endpoint.
     """
-    S = 0 if _method_kernels(L, sft, method) is None else len(L.edge_form(sft)[0])
     n = np.arange(1, len(p) + 1)
     return 2 * _U * ((4 * sft.d + S + 4) * n + S * sft.d + 3 * np.abs(p) + 4 * _LOG_RANGE)
 
 
 def pressure_oracle_memory1(L, sft):
-    """Exact log of the Perron eigenvalue of R_ij e^{phi(ij)} for width <= 2 kernels."""
+    """Exact log of the Perron root of the edge weights e^f of L's `edge_form`, width <= 2."""
     kernels = L.window_tables(sft.d)
     if kernels is None or max(kernels) > 2:
         raise ValueError("oracle needs a window-additive L of width <= 2")
-    d = sft.d
-    B = sft.R.astype(float).copy()
-    if 1 in kernels:
-        B *= np.exp(kernels[1])[:, None]
-    if 2 in kernels:
-        B *= np.exp(kernels[2].reshape(d, d))
-    return float(np.log(max(abs(np.linalg.eigvals(B)))))
+    g, f, _ = L.edge_form(sft)
+    return float(np.log(max(abs(np.linalg.eigvals(g.matrix(np.exp(f)))))))
 
 
 # -- the periodic-orbit Gibbs measure -------------------------------------------
@@ -362,10 +376,6 @@ def gibbs_measure(L, sft, N, depth):
             except ResourceLimit as over:
                 raise ResourceLimit(f"{exc}, and enumeration is refused: {over}") from over
     return CylinderMeasure(sft, _enumerated_gibbs_masses(L, sft, N, depth))
-
-
-class _FloatRange(ArithmeticError):
-    """The orbit transfer's entries spread past what a float's exponent holds."""
 
 
 def _max_plus_gauge(g, w):
@@ -415,10 +425,10 @@ def _transfer_gibbs_masses(L, sft, N, depth):
     The edge weights are first gauged by a state potential (`_max_plus_gauge`),
     which leaves every closed walk's weight and every mass as it was, so that
     no edge weighs more than 1 and a best cycle weighs exactly 1; every matrix
-    is rescaled by a power of two only, so no rescaling rounds.  Where a product
-    of two positive entries could still fall below 2^-1000 the float range no
-    longer holds every walk, and `_FloatRange` is raised: no entry is ever
-    rounded to 0 or to a subnormal.
+    is rescaled by a power of two only, so no rescaling rounds.  Where a gauged
+    edge weight, or a product of two positive entries, could still fall below
+    2^-1000 the float range no longer holds every walk, and `_FloatRange` is
+    raised: no entry is ever rounded to 0 or to a subnormal.
     """
     g, w, _ = L.edge_form(sft)
     t, S = g.t, len(g)
@@ -431,10 +441,12 @@ def _transfer_gibbs_masses(L, sft, N, depth):
     weights, sources = g.incoming(E)
     least = E.min()  # every edge is there, so a 0 here is an underflow
 
-    def guard(x):  # x: the least product of two entries a step can form
+    def guard(x):  # x: the least weight, or product of two entries a step can form
         if not x >= _PRODUCT_FLOOR:
             raise _FloatRange(f"the orbit transfer leaves the float range (gauged edge weights "
                               f"down to e^{w.min():.4g}, products of two entries under 2^-1000)")
+
+    guard(least)  # before any product: _low skips the weights that underflowed to 0
 
     def scaled(A, e):  # A 2^e as A' 2^e' with max A' in [1/2, 1), in place
         return A, e + int(_rescale(A))
@@ -478,36 +490,12 @@ def _transfer_gibbs_masses(L, sft, N, depth):
 
 
 def _enumerated_gibbs_masses(L, sft, N, depth):
-    """gibbs_measure's masses by enumerating the periodic words of length N.
-
-    The word array and its weights are held whole; window codes, lookups and
-    spread weights run over chunks of about _GIBBS_CELLS word positions, and
-    each chunk's bincount starts from the running masses, so every mass is
-    added in the same order, bit for bit, as in one pass over all words.
-    """
+    """gibbs_measure's masses by enumerating the periodic words of length N."""
     arr = sft.word_array(N, periodic=True)
     if not len(arr):
         raise ValueError(f"no periodic words of length {N}")
     vals = L.homogenized_values(arr, sft.d)
-    logZ = _logsumexp(vals)
-    weight = np.exp(vals - logZ) / N
-    idx = {k: sft.cylinders(k) for k in range(1, depth + 1)}
-    masses = {k: np.zeros(len(idx[k])) for k in idx}
-    step = max(1, _GIBBS_CELLS // N)
-    for lo in range(0, len(arr), step):
-        words = arr[lo:lo + step]
-        wrapped = np.concatenate([words, words[:, :depth - 1]], axis=1)  # one period and a bit
-        spread = np.repeat(weight[lo:lo + step], N)
-        codes = np.zeros(words.shape, dtype=np.int64)
-        for k, cyl in idx.items():
-            # codes[:, j]: the depth-k window of the periodic point from position j
-            codes = codes * sft.d + wrapped[:, k - 1:k - 1 + N]
-            # bincount adds in input order from 0.0: the running masses first, so
-            # every mass is the sum word by word, each word position by position
-            K = len(cyl)
-            masses[k] = np.bincount(np.concatenate([np.arange(K), cyl.index_of_codes(codes.ravel())]),
-                                    np.concatenate([masses[k], spread]), K)
-    return masses
+    return orbit_masses(sft, arr, np.exp(vals - _logsumexp(vals)) / N, range(1, depth + 1))
 
 
 @dataclass

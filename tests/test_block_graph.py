@@ -140,7 +140,7 @@ def test_pressure_interval_equals_the_per_n_loops(p, M, cells):
     p = np.array(p)
     n_max = len(p)
     with mock.patch.object(thermo, "_SPLIT_CELLS", cells), \
-            mock.patch.object(thermo, "log_partition_sequence", return_value=p), \
+            mock.patch.object(thermo, "_log_partitions", return_value=(p, 0)), \
             mock.patch.object(thermo, "_rounding", return_value=np.zeros(n_max)):
         est = thermo.pressure(None, SimpleNamespace(M=M), n_max)
         for n0 in (1, 2, 3 * M, n_max // 2 + 1):

@@ -293,11 +293,15 @@ def _names(path, name):
                         node.name if isinstance(node, (ast.FunctionDef, ast.alias)) else None)]
 
 
-def test_only_sft_and_qm_turn_kernels_into_window_sums():
+def test_only_qm_turns_kernels_into_window_sums():
     pkg = pathlib.Path(thermoqm.__file__).parent
-    found = {p.name: _names(p, "kernel_sums") for p in sorted(pkg.glob("*.py"))}
-    assert len(found) >= 11
-    assert {name for name, lines in found.items() if lines} == {"qm.py", "sft.py"}
+    files = sorted(pkg.glob("*.py"))
+    assert len(files) >= 11
+    assert not {p.name for p in files if _names(p, "kernel_sums")}
+    defines = {p.name for p in files for node in ast.walk(ast.parse(p.read_text()))
+               if isinstance(node, ast.FunctionDef) and node.name == "window_sums"}
+    assert defines == {"qm.py"}
+    assert not _names(pkg / "sft.py", "window_sums") and not _names(pkg / "sft.py", "window_tables")
 
 
 EVALUATORS = {"value", "power_value", "homogenized_value"}

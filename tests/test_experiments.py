@@ -139,3 +139,11 @@ def test_ks_distance_and_dkw():
 def test_bernoulli_rate_closed_form():
     assert ex.bernoulli_rate(0.2) == pytest.approx(0.7 * np.log(1.4) + 0.3 * np.log(0.6))
     assert ex.bernoulli_rate(0.0) == pytest.approx(0.0)
+
+
+def test_paths_of_no_steps_are_refused():
+    mm = mk.parry_measure(full_shift(2))
+    with pytest.raises(ValueError, match="path length n >= 1, got 0"):
+        ex.sample_path(mm, 0, 5)
+    with pytest.raises(ValueError, match="path length n >= 1, got 0"):
+        ex.clt_experiment(PatternCount((0, 1)), mm, 0, 10, 5)

@@ -159,3 +159,42 @@ def test_a_transfer_over_the_word_cap_is_refused(tmp_path, capsys):
     assert "2834352 dense cells" in capsys.readouterr().err
     with open(tmp_path / "summary.json") as fh:
         assert json.load(fh)["exit_code"] == 3
+
+
+def test_underflowed_edge_weights_fall_back_before_any_product(tmp_path):
+    # gauged, the loop at symbol 1 weighs e^-800: a 0 in floats, which no product
+    # sees at N = 1; the enumeration finds the fixed point of symbol 1 as 0.0 ...
+    cfg = {"sft": {"builtin": "golden_mean"}, "qm": {"kind": "letter_weights", "weights": [-800, 800]},
+           "N": 1, "depth": 1}
+    assert cli.main(["gibbs", "--json", json.dumps(cfg), "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "measure.json") as fh:
+        assert json.load(fh)["depths"]["1"] == {"1": 1.0, "2": 0.0}
+    # ... and the fixed point of symbol 2 at e^-100 of the fixed point of symbol 1
+    f, L = full_shift(2), WindowQm({2: {(0, 0): -700.0, (1, 1): -800.0}}, 0.0)
+    with pytest.raises(thermo._FloatRange):
+        thermo._transfer_gibbs_masses(L, f, 1, 1)
+    got = thermo.gibbs_measure(L, f, 1, 1).masses_at(1)
+    assert got[0] == 1.0 and abs(got[1] / 3.720075976020836e-44 - 1) <= 1e-15
+
+
+def test_weights_up_to_2000_match_a_decimal_enumeration():
+    """A seeded sweep of kernels scaled up to 2000 on random primitive SFTs,
+    N <= 9: by transfer where the float range holds, by enumeration beyond."""
+    rng, cases = np.random.default_rng(2026), 0
+    while cases < 40:
+        d = int(rng.integers(2, 5))
+        try:
+            sft = Sft(rng.integers(0, 2, (d, d)))
+        except (InvalidMatrix, NotPrimitive):
+            continue
+        N = int(rng.integers(1, {2: 9, 3: 6, 4: 5}[d] + 1))
+        if not sft.periodic_count(N):
+            continue
+        scale, depth = rng.uniform(0, 2000), int(rng.integers(1, min(N, 4) + 1))
+        widths = rng.permutation([1, 2, 3])[:int(rng.integers(1, 4))]
+        L = WindowQm({int(q): {w: scale * rng.uniform(-1, 1) for w in np.ndindex(*(d,) * q)}
+                      for q in widths}, 0.0)
+        got, want = thermo.gibbs_measure(L, sft, N, depth), decimal_masses(L, sft, N, depth)
+        for k in range(1, depth + 1):
+            assert np.all(np.abs(got.masses_at(k) - want[k]) <= 4e-12 * want[k]), (cases, k)
+        cases += 1

@@ -20,13 +20,14 @@ from thermoqm import experiments as ex
 from thermoqm import markov as mk
 from thermoqm.errors import InconsistentVerdicts, InvalidMatrix, NotPrimitive, ZeroMass
 from thermoqm.freegroup import FreeGroup, brooks
-from thermoqm.measures import bernoulli_measure
+from thermoqm.measures import bernoulli_measure, periodic_orbit_measure
 from thermoqm.qm import (
     LetterWeights,
     LinearCombinationQm,
     PatternCount,
     Quasicocycle,
     TabulatedQm,
+    WindowQm,
     quasicocycle_of,
 )
 from thermoqm.sft import Sft, full_shift
@@ -253,6 +254,58 @@ def old_window_expectation(masses_lookup, L, sft):
 
 
 # -- strategies --------------------------------------------------------------------
+
+
+def old_kernel_sums(kernels, codes, n, d, starts):
+    """Sums over `kernels` {q: table} in dict order, then over i in starts(q), of the
+    table at the width-q window from symbol i of n-symbol words with these base-d codes."""
+    out = np.zeros(len(codes))
+    for q, table in kernels.items():
+        for i in starts(q):
+            out = out + table[codes // d ** (n - q - i) % d**q]
+    return out
+
+
+def old_edge_form_and_step_potential(L, sft):
+    kernels = L.window_tables(sft.d)
+    t, s = max(max(kernels) - 1, 1), max(kernels) - 1
+    g = sft.block_graph(t)
+    return (old_kernel_sums(kernels, g.ext, t + 1, sft.d, lambda q: [t + 1 - q]),
+            old_kernel_sums(kernels, g.codes, t, sft.d, lambda q: range(t - q + 1)),
+            old_kernel_sums(kernels, sft.cylinders(s + 1).codes, s + 1, sft.d, lambda q: [0]))
+
+
+def old_periodic_orbit_masses(sft, word, depths):
+    n = len(word)
+    masses = {}
+    for k in depths:
+        idx = sft.cylinders(k)
+        arr = np.zeros(len(idx))
+        for j in range(n):
+            arr[idx.index(sft.cyclic_window(word, j, k))] += 1.0 / n
+        masses[k] = arr
+    return masses
+
+
+def old_reach(R):
+    """(M, reach tables R^0 .. R^(M+1)) of a 0/1 matrix, or the NotPrimitive message:
+    the specification constant's loop, then the tables' loop."""
+    d = len(R)
+    wielandt = (d - 1) ** 2 + 1 if d > 1 else 1
+    B = R.astype(bool)
+    P = B.copy()
+    closure = B.copy()
+    for k in range(1, wielandt + 1):
+        if P.all():
+            tables = [np.eye(d, dtype=bool)]
+            for _ in range(k + 1):
+                tables.append((tables[-1].astype(np.int64) @ B.astype(np.int64)) > 0)
+            return k, tables
+        P = (P.astype(np.int64) @ B.astype(np.int64)) > 0
+        closure |= P
+    if not closure.all():
+        return "matrix is reducible: some symbol pairs are never joinable"
+    return "matrix is irreducible but periodic: no positive power up to the Wielandt bound"
 
 
 @st.composite
@@ -558,3 +611,54 @@ def test_a_run_builds_its_walk_tables_once():
     assert tables.call_count == 6
     for key in ("final", "checks", "runmax"):
         assert np.array_equal(res[key], np.concatenate([p[key] for p in parts])), key
+
+
+@st.composite
+def window_kernels(draw, d):
+    """A WindowQm of widths 1-4 in a drawn order, with random real coefficients."""
+    widths = draw(st.permutations([1, 2, 3, 4]))[:draw(st.integers(1, 3))]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return WindowQm({q: {w: float(rng.normal()) for w in np.ndindex(*(d,) * q)} for q in widths}, 0.0)
+
+
+@PROPERTY
+@given(primitive_sfts().flatmap(lambda sft: st.tuples(st.just(sft), window_kernels(sft.d))))
+def test_edge_form_and_step_potential_equal_the_kernel_sums(case):
+    sft, L = case
+    g, f, start = L.edge_form(sft)
+    s, table = L.step_potential(sft)
+    want = old_edge_form_and_step_potential(L, sft)
+    assert s == max(L.kernels) - 1
+    for got, old in zip((f, start, table), want):
+        assert got.shape == old.shape and np.array_equal(got, old)  # bit for bit
+
+
+@PROPERTY
+@given(primitive_sfts(), st.integers(1, 6), st.integers(0, 2**32 - 1), st.integers(0, 3))
+def test_periodic_orbit_measure_equals_the_window_loop(sft, n, seed, past):
+    words = sft.periodic_words(n)
+    assume(words)
+    word = words[seed % len(words)]
+    depths = range(1, n + past + 1)  # past the word's length the windows wrap
+    got = periodic_orbit_measure(sft, word, depths)
+    want = old_periodic_orbit_masses(sft, word, depths)
+    assert got.depths() == sorted(want)
+    for k in want:
+        assert np.array_equal(got.masses_at(k), want[k])
+
+
+@PROPERTY
+@given(st.integers(1, 5).flatmap(lambda d: st.lists(st.lists(st.integers(0, 1), min_size=d, max_size=d),
+                                                    min_size=d, max_size=d)))
+def test_reachability_powers_equal_the_two_loops(rows):
+    R = np.array(rows, dtype=np.int8)
+    assume(R.any(axis=0).all() and R.any(axis=1).all())  # else InvalidMatrix comes first
+    want = old_reach(R)
+    if isinstance(want, str):
+        with pytest.raises(NotPrimitive) as exc:
+            Sft(R)
+        assert str(exc.value) == want
+    else:
+        sft = Sft(R)
+        assert sft.M == want[0] and len(sft._reach) == len(want[1])
+        assert all(np.array_equal(a, b) for a, b in zip(sft._reach, want[1]))

@@ -1,8 +1,11 @@
 """Partition functions, pressure, Gibbs measures, and diagnostics."""
 
+import json
+
 import numpy as np
 import pytest
 
+from thermoqm import cli
 from thermoqm import markov as mk
 from thermoqm import thermo
 from thermoqm.measures import bernoulli_measure, periodic_orbit_measure
@@ -310,3 +313,22 @@ def test_variational_coboundary_has_same_maximizer_as_zero():
     assert abs(by["parry"]["integral"]) < 1e-12
     assert abs(by["bern37"]["integral"]) < 1e-12
     assert by["parry"]["metric_pressure"] > by["bern37"]["metric_pressure"]
+
+
+@pytest.mark.parametrize("sft,weights", [(full_shift(2), [800.0, -800.0]), (golden_mean(), [-800.0, 0.0])],
+                         ids=["full2-overflow", "golden-underflow"])
+def test_partition_weights_past_the_float_range_are_enumerated(tmp_path, sft, weights):
+    # e^800 is inf and e^-800 is 0 in floats: the transfer wrote NaN or -inf for every p_n
+    L = LetterWeights(weights)
+    got, want = thermo.pressure(L, sft, 8), thermo.pressure(L, sft, 8, method="enumerate")
+    assert np.all(np.isfinite(got.p_n)) and np.all(np.abs(got.p_n - want.p_n) <= 1e-12 * np.abs(want.p_n))
+    assert (got.lower, got.upper) == (want.lower, want.upper)  # the enumeration's rounding slack
+    assert thermo.log_partition(L, sft, 5) == want.p_n[4]
+    with pytest.raises(ValueError, match="2\\^-1000"):
+        thermo.log_partition_sequence(L, sft, 8, method="transfer")
+    if weights[0] == 800.0:  # through the op: the interval holds 800, the transfer is refused
+        cfg = {"sft": sft.to_json(), "qm": {"kind": "letter_weights", "weights": weights}, "n_max": 8,
+               "thresholds": {"contains": 800.0}}
+        assert cli.main(["pressure", "--json", json.dumps(cfg), "--out", str(tmp_path / "a")]) == 0
+        cfg["method"] = "transfer"
+        assert cli.main(["pressure", "--json", json.dumps(cfg), "--out", str(tmp_path / "b")]) == 2

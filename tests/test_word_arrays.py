@@ -14,6 +14,7 @@ from scipy.special import logsumexp
 
 from thermoqm import bowen, cli, thermo
 from thermoqm import markov as mk
+from thermoqm import measures as measures_module
 from thermoqm import qm as qm_module
 from thermoqm import sft as sft_module
 from thermoqm.errors import InvalidMatrix, NotPrimitive, ResourceLimit
@@ -566,6 +567,28 @@ def test_defect_memory_is_bounded_by_the_chunk():
     assert peak - held < 64 * 8**5  # 2 MB
 
 
+def test_defect_peak_is_its_word_values_and_one_chunk():
+    """On the 2-shift to total length 14, with the words built beforehand (not
+    traced), defect holds each word's value twice at most (its slices and their
+    concatenation) and one chunk of 256 pairs or values; the values of the 2^13
+    longest words at once, or one b row against all of them, went past that."""
+    sft, n_max, chunk = full_shift(2), 14, 1 << 8
+    L = SignedPatternCount((0, 1, 1), (1, 1, 0))
+    words = {n: sft.word_array(n) for n in range(1, n_max)}
+    defect(L, sft, 3)  # warm caches outside the trace
+    with mock.patch.object(sft, "word_array", words.__getitem__), \
+            mock.patch.object(qm_module, "_DEFECT_PAIRS", chunk):
+        tracemalloc.start()
+        try:
+            rep = defect(L, sft, n_max)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert rep.pairs == sum(2 ** (n + m) for n in range(1, n_max) for m in range(1, n_max - n + 1))
+    assert rep.value == 1.0
+    assert peak < 16 * sum(map(len, words.values())) + 256 * chunk  # 327 KB
+
+
 @PROPERTY
 @given(sft_and_qm())
 def test_defect_cyclic_average_and_qm_integral_equal_word_loops(case):
@@ -848,7 +871,7 @@ def test_chunked_gibbs_masses_equal_one_pass(case, words):
     assume(sft.periodic_count(N) > 0)
     words = words or sft.periodic_count(N) + 1  # None: one chunk holds every word
     depth = min(N, 4)
-    with mock.patch.object(thermo, "_GIBBS_CELLS", words * N):
+    with mock.patch.object(measures_module, "_ORBIT_CELLS", words * N):
         mu = CylinderMeasure(sft, thermo._enumerated_gibbs_masses(L, sft, N, depth))
     want = old_gibbs_masses_one_pass(L, sft, N, depth)
     for k in range(1, depth + 1):
