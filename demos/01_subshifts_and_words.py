@@ -8,7 +8,7 @@
 
 import numpy as np
 
-from thermoqm import build_sft, full_shift, golden_mean
+from thermoqm import Sft, full_shift, golden_mean
 from thermoqm.sft import render_word
 
 g = golden_mean()
@@ -40,6 +40,6 @@ print("parent of each depth-3 word:", [int(i) for i in idx.prefix(2)])
 # Bad matrices are refused with a reason.
 for rows in ([[1, 0], [0, 1]], [[0, 1], [1, 0]]):
     try:
-        build_sft(rows)
+        Sft(rows)
     except Exception as exc:
         print(f"{rows} rejected: {exc}")

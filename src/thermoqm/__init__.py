@@ -1,6 +1,6 @@
 """Thermodynamic formalism for quasimorphisms on subshifts of finite type."""
 
-from .sft import Sft, build_sft, full_shift, golden_mean
+from .sft import Sft, full_shift, golden_mean
 from .qm import (
     LetterWeights,
     LinearCombinationQm,
@@ -25,7 +25,6 @@ from .thermo import (
     gibbs_ratio_report,
     log_partition,
     mixing_ratio_report,
-    partition_function,
     pressure,
     pressure_oracle_memory1,
     qm_integral,

@@ -7,6 +7,10 @@ the averages u_N = (1/N) sum_k S_k(phi) in closed form through the depth-D
 conditional transition operator, so N can be astronomically large.  Birkhoff
 sums along periodic points come from `markov.cyclic_birkhoff_sums` on arrays
 of periodic words; a periodic average is such a sum over one period, / |a|.
+
+Kept without an op: `birkhoff_check` and `bowen_norm_estimate` (demo 04),
+`quasicocycle_from_potential` and `livsic_quasicocycle_test` (item 8: the
+quasicocycle Livšic test, the paper's Bowen side, is a candidate op).
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DepthExceeded, MeanNotZero, NonConvergence, ZeroMass
-from .markov import LocallyConstantFn, cyclic_birkhoff_sums, project_conditional
+from .markov import LocallyConstantFn, cyclic_birkhoff_sums, normalization_defect, project_conditional
 from .qm import Quasicocycle
 from .sft import window_codes
 
@@ -44,11 +48,9 @@ class WeakBowenFn:
         return LocallyConstantFn(self.sft, k, self.tables[k])
 
     def normalization_defect(self, k=None):
-        """max over (k-1)-words w of |sum_s e^{phi^k(s.w)} - 1|."""
+        """`normalization_defect` of the table phi^k (the deepest by default)."""
         k = self.k_max if k is None else k
-        suffix = self.sft.cylinders(k).suffix(k - 1)  # w of each k-word s.w
-        tot = np.bincount(suffix, np.exp(self.tables[k]))  # adds s by s, as a loop would
-        return float(np.abs(tot - 1.0).max())
+        return normalization_defect(self.sft, k, self.tables[k])
 
 
 def potential_from_measure(mu, k):
@@ -217,7 +219,7 @@ def _cesaro_average(A, Kpow_n, phi0, N):
     return s1 - s2 / N
 
 
-def coboundary_solve(phi, mu, N, depth, strict=False):
+def coboundary_solve(phi, mu, N, depth):
     """Depth-restricted Cesàro solve of u - u o tau = phi under mu.
 
     Returns the average u_N and the sup residual of the cohomological
@@ -225,8 +227,7 @@ def coboundary_solve(phi, mu, N, depth, strict=False):
     like 1/N; the residual is therefore re-evaluated at 2N, and a residual
     that fails to shrink is the non-coboundary signal (the depth-restricted
     averages themselves always settle, so only the residual is diagnostic;
-    the periodic-orbit test stays the authoritative decision).  strict=True
-    turns a non-vanishing residual into NonConvergence.
+    the periodic-orbit test stays the authoritative decision).
     """
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
@@ -257,8 +258,6 @@ def coboundary_solve(phi, mu, N, depth, strict=False):
     _, res2 = residual_of(u2_vals)
     drift = float(np.abs(u2_vals - u_vals).max())
     vanishing = res2 <= 0.75 * res + 1e-12 * scale
-    if strict and not vanishing:
-        raise NonConvergence(f"residual {res} does not shrink when N doubles ({res2})")
     return CoboundarySolve(
         u, res, res2, vanishing, u.sup_norm(), drift, N
     )

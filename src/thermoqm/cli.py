@@ -124,20 +124,12 @@ def parse_qm(spec, sft):
     return _from_kinds(QM_KINDS, spec, "qm", sft)
 
 
-def _word_table(values, sft, k):
-    """A depth-k cylinder table from {rendered word: value}; words left out are 0."""
-    idx = sft.cylinders(k)
-    vals = np.zeros(len(idx))
-    vals[idx.index_of_words(values)] = [float(v) for v in values.values()]
-    return vals
-
-
 def parse_potential(spec, sft):
     _require(spec, {"kind", "memory", "values", "qm"}, set())
     if "qm" in spec:
         return markov.MarkovPotential.from_qm(parse_qm(spec["qm"], sft), sft)
     s = int(spec["memory"])
-    return markov.MarkovPotential(sft, s, _word_table(spec["values"], sft, s + 1))
+    return markov.MarkovPotential(sft, s, sft.cylinders(s + 1).parse_table(spec["values"]))
 
 
 def _parse_lc(spec, sft):
@@ -146,7 +138,7 @@ def _parse_lc(spec, sft):
         g = _parse_lc(spec["coboundary_of"], sft)
         return g - g.shift()
     memory = int(spec["memory"])
-    return markov.LocallyConstantFn(sft, memory, _word_table(spec["values"], sft, memory))
+    return markov.LocallyConstantFn(sft, memory, sft.cylinders(memory).parse_table(spec["values"]))
 
 
 # The chain kinds give a MarkovMeasure; bernoulli and gibbs_orbit a CylinderMeasure.
@@ -251,8 +243,7 @@ def _stats_csv(stats):
 
 def _table_json(sft, k, values, **head):
     """A depth-k cylinder table as {rendered word: value} JSON, beside `head`."""
-    return _dumps({**head, "values": {
-        render_word(w): float(v) for w, v in zip(sft.cylinders(k).words, values)}})
+    return _dumps({**head, "values": sft.cylinders(k).render_table(values)})
 
 
 def _centred(psi, mm):

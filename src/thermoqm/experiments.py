@@ -34,7 +34,11 @@ state and new symbol, so one take a width from per-edge tables gives the
 increments; symbols are looked up from the same ids only for wider kernels or
 when the caller wants them.  The CLT reads the final sums, the other
 experiments the running sums at ascending checkpoints (the LIL orbit: every n
-of one single-trial run).
+of one single-trial run).  Paths as symbols, with no path functional, come
+from `sample_paths`, under the word cap.
+
+Kept without an op: `sample_path` (demo 06) and `bernoulli_rate` (demo 06,
+criterion 10).
 """
 
 from __future__ import annotations
@@ -45,9 +49,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSigma
+from .errors import DegenerateSigma, ResourceLimit
 from .markov import LocallyConstantFn, MarkovMeasure, MarkovPotential, variance
-from .sft import symbol_dtype, window_codes
+from .sft import symbol_dtype, window_codes, word_cap
 from .thermo import window_expectation
 
 _MASK = (1 << 64) - 1
@@ -187,10 +191,19 @@ def uniform_sphere_payload(sft):
     return markov_sampler_payload(uniform_sphere_chain(sft))
 
 
+def sample_paths(mm, n, count, seed, first=0):
+    """count stationary paths of n symbols as a (count, n) array, row i the path
+    of trial first + i (stream keyed by (seed, first + i)); the count * n
+    symbols are held against the word cap."""
+    if count * n > word_cap():
+        raise ResourceLimit(f"{count} paths of {n} symbols exceed the word cap {word_cap()}")
+    payload = dict(markov_sampler_payload(mm), n=n, seed=seed, **_SYMBOLS_ONLY)
+    return _run_blocks(payload, count, first=first)["symbols"]
+
+
 def sample_path(mm, n, seed, trial=0):
     """One stationary path of n symbols, stream keyed by (seed, trial)."""
-    payload = dict(markov_sampler_payload(mm), n=n, seed=seed, **_SYMBOLS_ONLY)
-    return _run_blocks(payload, 1, first=trial)["symbols"][0]
+    return sample_paths(mm, n, 1, seed, trial)[0]
 
 
 # -- the block engine -------------------------------------------------------------
@@ -467,6 +480,8 @@ def _run_blocks(payload, trials, workers=1, first=0):
     output gathered in trial order (a one-block run's as its block gave it)."""
     if trials < 1:
         raise ValueError(f"need at least 1 trial or sample, got {trials}")
+    if first < 0:
+        raise ValueError(f"trials are numbered from 0, got {first}")
     if payload["n"] < 1:
         raise ValueError(f"need a path length n >= 1, got {payload['n']}")
     step = max(1, _SYMBOL_CELLS // payload["n"]) if payload.get("want_symbols") else _BLOCK
@@ -641,6 +656,9 @@ def invariance_experiment(L, mm, n, trials, seed, workers=1, sigma2=None):
     )
 
 
+_LIL_START = 1000  # the LIL statistic starts at n = 1000 or later
+
+
 @dataclass
 class LilResult:
     sup_stat: float
@@ -660,13 +678,14 @@ class LilResult:
         }
 
 
-def lil_experiment(L, mm, n_max, seed, n_min=1000, sigma2=None, trial=0):
-    """Running S_n / sqrt(2 n sigma^2 loglog(n sigma^2)) along one orbit."""
+def lil_experiment(L, mm, n_max, seed, sigma2=None, trial=0):
+    """Running S_n / sqrt(2 n sigma^2 loglog(n sigma^2)) along one orbit, from
+    n = max(_LIL_START, ceil(e / sigma2)), where loglog(n sigma^2) > 0."""
     if sigma2 is None:
         sigma2 = sigma2_of(L, mm).sigma2_martingale
-    start = max(n_min, int(np.ceil((np.e + 1e-9) / sigma2)))
+    start = max(_LIL_START, int(np.ceil((np.e + 1e-9) / sigma2)))
     if n_max < start:
-        raise ValueError(f"n_max {n_max} < start index {start} = max(n_min, ceil(e / sigma2))")
+        raise ValueError(f"n_max {n_max} < start index {start} = max({_LIL_START}, ceil(e / sigma2))")
     payload, _ = path_functional_payload(L, mm)
     ns = np.arange(start, n_max + 1)
     payload.update(n=n_max, seed=seed, checkpoints=ns, want_max=False)

@@ -5,6 +5,9 @@ and spherical / boundary-ray CLT experiments.
 Letters of the rank-r free group are encoded as 0..2r-1 with generator g at
 index 2g and its inverse at 2g+1, so inversion is XOR with 1.  Rendered
 names: a, b, c, ... for generators, A, B, C, ... for inverses.
+
+Kept without an op: `FreeGroup.cyclic_reduce`, `pushforward_measure` and
+`sphere_sample` (demo 07).
 """
 
 from __future__ import annotations
@@ -14,19 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ResourceLimit
 from .markov import parry_measure
-from .measures import CylinderMeasure, orbit_masses
+from .measures import CylinderMeasure
 from .qm import SignedPatternCount
-from .sft import Sft, word_cap
-from .experiments import (
-    _SYMBOLS_ONLY,
-    _run_blocks,
-    clt_experiment,
-    sigma2_of,
-    uniform_sphere_chain,
-    uniform_sphere_payload,
-)
+from .sft import Sft
+from .experiments import clt_experiment, sample_paths, sigma2_of, uniform_sphere_chain
 
 
 class FreeGroup:
@@ -36,9 +31,6 @@ class FreeGroup:
         self.rank = rank
         self.d = 2 * rank
         self._sft = None
-
-    def inverse(self, letter):
-        return letter ^ 1
 
     def inverse_word(self, word):
         return tuple(x ^ 1 for x in reversed(tuple(word)))
@@ -139,19 +131,7 @@ def _pushforward_masses(group, n, depth):
 
 def pushforward_measure(group, n, depth):
     masses, _ = _pushforward_masses(group, n, depth)
-    return CylinderMeasure(group.sft(), {depth: masses}, check=True)
-
-
-def pushforward_measure_enumerated(group, n, depth):
-    """Brute-force oracle for the pushforward, for small n only."""
-    sft = group.sft()
-    total = sum(sft.periodic_count(ell) for ell in range(1, n + 1))
-    if total > word_cap():
-        raise ResourceLimit(f"{total} cyclic words exceed the word cap")
-    mass = sum(orbit_masses(sft, sft.word_array(ell, periodic=True),  # one length at a time
-                            np.full(sft.periodic_count(ell), 1.0 / (total * ell)), [depth])[depth]
-               for ell in range(1, n + 1))
-    return CylinderMeasure(sft, {depth: mass})
+    return CylinderMeasure(group.sft(), {depth: masses})
 
 
 def compactification_experiment(group, n_list, depth):
@@ -174,24 +154,10 @@ def compactification_experiment(group, n_list, depth):
 # -- sphere sampling and the spherical CLT ----------------------------------------
 
 
-def sphere_sample(group, n, count, seed, max_cells=10**8):
+def sphere_sample(group, n, count, seed):
     """Uniform samples from the radius-n sphere, as a (count, n) letter array
     (sample t is the uniform sphere chain's path keyed by (seed, t))."""
-    if n < 1 or count < 1:
-        raise ValueError("need n >= 1 and count >= 1")
-    if count * n > max_cells:
-        raise ResourceLimit("sample array would be too large; use spherical_clt")
-    payload = dict(uniform_sphere_payload(group.sft()), n=n, seed=seed, **_SYMBOLS_ONLY)
-    return _run_blocks(payload, count)["symbols"]
-
-
-def sphere_enumerate(group, n):
-    """All reduced words of length n (oracle for small n)."""
-    d = group.d
-    words = [(x,) for x in range(d)]
-    for _ in range(n - 1):
-        words = [w + (y,) for w in words for y in range(d) if y != (w[-1] ^ 1)]
-    return words
+    return sample_paths(uniform_sphere_chain(group.sft()), n, count, seed)
 
 
 @dataclass

@@ -14,6 +14,9 @@ LC_t, the chain's own state space.  A LocallyConstantFn may hold a stack of
 functions, one per column of its table; R, the reduction and the bordered
 solve then run on all columns at once.  `cyclic_birkhoff_sums` adds a table
 over the cyclic windows of every row of an array of periodic words.
+
+Kept without an op: `degeneracy_test` (item 5 decides it on the block graph;
+demo 05).
 """
 
 from __future__ import annotations
@@ -67,9 +70,6 @@ class LocallyConstantFn:
     def sup_norm(self):
         return float(np.abs(self.values).max())
 
-    def osc(self):
-        return float(self.values.max() - self.values.min())
-
     def __add__(self, other):
         m = max(self.m, other.m)
         return LocallyConstantFn(
@@ -105,10 +105,9 @@ class MarkovPotential(LocallyConstantFn):
         return self.m - 1
 
     def normalization_defect(self):
-        """max over w of |sum_a e^{phi(a.w)} - 1| (w at the chain's state depth)."""
-        g = self.sft.block_graph(max(self.s, 1))
-        tot = np.bincount(g.dst, weights=np.exp(self.as_memory(g.t + 1).values), minlength=len(g))
-        return float(np.abs(tot - 1.0).max())
+        """`normalization_defect` at the chain's edge depth max(s, 1) + 1."""
+        k = max(self.s, 1) + 1
+        return normalization_defect(self.sft, k, self.as_memory(k).values)
 
     @classmethod
     def constant(cls, sft, c):
@@ -119,6 +118,13 @@ class MarkovPotential(LocallyConstantFn):
     def from_qm(cls, L, sft):
         """The per-step potential whose Birkhoff sums track a window-additive L."""
         return cls(sft, *L.step_potential(sft))
+
+
+def normalization_defect(sft, k, table):
+    """max over (k-1)-words w of |sum_s e^{table(s.w)} - 1|, for a table on the
+    k-words (at k = 1, over the empty word); the sum adds s by s, in word order."""
+    tot = np.bincount(sft.cylinders(k).suffix(k - 1), np.exp(table))
+    return float(np.abs(tot - 1.0).max())
 
 
 def _transfer_on(pot, t):
@@ -243,13 +249,7 @@ class MarkovMeasure:
     def masses_at(self, k):
         return self.cylinder_masses(k)
 
-    def mass(self, word):
-        word = tuple(word)
-        if not word:
-            return 1.0
-        if not self.sft.is_word(word):
-            return 0.0
-        return float(self.cylinder_masses(len(word))[self.sft.cylinders(len(word)).index(word)])
+    mass = CylinderMeasure.mass
 
     def cylinder_measure(self, max_depth):
         return CylinderMeasure(
@@ -270,10 +270,6 @@ class MarkovMeasure:
         if f.m == 0:
             return float(f.values[0] ** 2)
         return float(np.dot(self.cylinder_masses(f.m), f.values ** 2))
-
-    def require_full_support(self):
-        if (self.stationary <= 0).any():
-            raise ZeroMass("stationary vector has a zero entry")
 
 
 def markov_measure(pot):

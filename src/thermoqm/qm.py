@@ -8,6 +8,10 @@ is a sum of fixed kernels over the windows inside a, a locally constant
 function on the edges of a higher-block presentation (`edge_form`).  That
 unlocks exact transfer-matrix partition functions and exact cyclic
 homogenization; everything else falls back to direct evaluation.
+
+Kept without an op: `cyclic_average`, `quasicocycle_of` and
+`qm_of_quasicocycle` (demo 02), `Quasimorphism.norm_upper`,
+`Quasimorphism.letter_sup` and `HomInterval.mid` (item 8).
 """
 
 from __future__ import annotations
@@ -18,16 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DepthExceeded, ResourceLimit
-from .sft import encode_word, window_codes, word_cap
-
-
-def count_occurrences(pattern, word):
-    """Overlapping occurrences of pattern inside word (e.g. 00 in 000 -> 2)."""
-    p, w = tuple(pattern), tuple(word)
-    q, n = len(p), len(w)
-    if q == 0 or q > n:
-        return 0
-    return sum(1 for i in range(n - q + 1) if w[i:i + q] == p)
+from .sft import window_codes, word_cap
 
 
 def _row(word):
@@ -154,9 +149,9 @@ class WindowQm(Quasimorphism):
                                     f"symbols need {cells} cells, over the word cap")
             self._tables[d] = {q: np.zeros(d ** q) for q in self.kernels}
             for q, table in self.kernels.items():
-                for win, coef in table.items():
-                    if max(win) < d:  # a window off the alphabet never occurs
-                        self._tables[d][q][encode_word(win, d)] += coef
+                wins = [win for win in table if max(win) < d]  # off the alphabet: never occurs
+                codes = window_codes(np.array(wins, dtype=np.int64).reshape(-1, q), 0, q, d)
+                np.add.at(self._tables[d][q], codes, [table[w] for w in wins])  # 0.0 + coef
         return self._tables[d]
 
     def values(self, arr, d):
@@ -399,12 +394,6 @@ class Quasicocycle:
 
     def scaled(self, c):
         return Quasicocycle(self.sft, {n: c * t for n, t in self.tables.items()})
-
-    def shifted_by_bounded(self, bump):
-        """B_n + bump_n for a dict depth -> array; stays in the same class."""
-        return Quasicocycle(
-            self.sft, {n: t + bump.get(n, 0.0) for n, t in self.tables.items()}
-        )
 
 
 def quasicocycle_of(L, sft, n_max):

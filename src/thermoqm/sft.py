@@ -16,9 +16,13 @@ so every operation here is a deterministic function of its inputs.
 Counts |W_n| = sum R^(n-1) and trace(R^n) are exact: powers of R over Python
 ints (`Sft._R_intpow`), which never wrap at 2^63.
 
-Only this module reads the base-d word codes: the one way from a cylinder
-index to a shorter one is `WordIndex.prefix(j)` / `suffix(j)`, the position
-of each word's first or last j symbols among the j-words.
+`window_codes` is the one base-d coding of windows.  The one way from a
+cylinder index to a shorter one is `WordIndex.prefix(j)` / `suffix(j)`, the
+position of each word's first or last j symbols among the j-words, and a table
+on the words of one depth is written and read as {rendered word: value} JSON
+by `WordIndex.render_table` / `parse_table`.
+
+Kept without an op: `Sft.star` (demo 01).
 """
 
 from __future__ import annotations
@@ -102,6 +106,17 @@ class WordIndex:
         if bad.any():
             raise ValueError(f"symbol out of range in {texts[int(bad.argmax())]!r}")
         return self.index_of_codes(window_codes(syms, 0, k, d))
+
+    def render_table(self, values):
+        """{rendered word: value} of a table on these words, in index order."""
+        return {render_word(w): float(v) for w, v in zip(self.words, values)}
+
+    def parse_table(self, table):
+        """The table on these words that `render_table` wrote as {rendered word:
+        value}; words left out are 0, and bad words raise as in index_of_words."""
+        values = np.zeros(len(self))
+        values[self.index_of_words(table)] = [float(v) for v in table.values()]
+        return values
 
     @functools.cached_property
     def _table(self):
@@ -417,11 +432,6 @@ class Sft:
         return f"Sft({tag}, M={self.M})"
 
 
-def build_sft(R, name=None):
-    """Validate a 0/1 matrix and return the Sft it generates."""
-    return Sft(R, name=name)
-
-
 def full_shift(d):
     return Sft(np.ones((d, d), dtype=int), name=f"full_shift({d})")
 
@@ -436,13 +446,6 @@ def symbol_dtype(d):
         if d - 1 <= np.iinfo(dt).max:
             return dt
     return np.int64
-
-
-def encode_word(word, d):
-    c = 0
-    for s in word:
-        c = c * d + s
-    return c
 
 
 def window_codes(arr, start, width, d):

@@ -14,6 +14,10 @@ edge weights along its closed walk, so the orbit masses at any N are entries
 of one matrix power, with no word of length N enumerated.  Only tabulated
 kinds and graphs whose gauged edge weights spread past the float range
 enumerate the periodic words.
+
+Kept without an op: `gibbs_ratio_report` (demo 03, criterion 3),
+`mixing_ratio_report` and `weak_bernoulli_report` (item 6), `log_partition`
+and `log_partition_sequence` (item 8).
 """
 
 from __future__ import annotations
@@ -220,12 +224,10 @@ def _log_partitions(L, sft, n_max, method):
     """(P_1 .. P_n_max, S): S the block states of the transfer that summed them, 0 if enumerated."""
     W = _method_transfer(L, sft, method)
     if W is None:
+        if sft.word_count(n_max) > word_cap():  # |W_n| grows with n: refuse before enumerating
+            raise ResourceLimit(f"|W_{n_max}| = {sft.word_count(n_max)} exceeds the word cap")
         return np.array([_enumerated_log_partition(L, sft, n) for n in range(1, n_max + 1)]), 0
     return W.log_partitions(n_max), len(W.V0)
-
-
-def partition_function(L, sft, n, method="auto"):
-    return float(np.exp(log_partition(L, sft, n, method=method)))
 
 
 # -- pressure -------------------------------------------------------------------
@@ -337,11 +339,11 @@ def _rounding(sft, S, p):
 
 
 def pressure_oracle_memory1(L, sft):
-    """Exact log of the Perron root of the edge weights e^f of L's `edge_form`, width <= 2."""
-    kernels = L.window_tables(sft.d)
-    if kernels is None or max(kernels) > 2:
-        raise ValueError("oracle needs a window-additive L of width <= 2")
-    g, f, _ = L.edge_form(sft)
+    """Exact log of the Perron root of the edge weights e^f of L's `edge_form`, at any width."""
+    form = L.edge_form(sft)
+    if form is None:
+        raise ValueError("oracle needs a window-additive L")
+    g, f, _ = form
     return float(np.log(max(abs(np.linalg.eigvals(g.matrix(np.exp(f)))))))
 
 
@@ -641,7 +643,7 @@ def window_expectation(mu, L, sft):
 # -- variational principle --------------------------------------------------------
 
 
-def variational_check(L, sft, candidates, ptop, integral_depth=None):
+def variational_check(L, sft, candidates, ptop):
     """Metric pressures h + mu(L) of candidate measures against a pressure value.
 
     Candidates are (name, measure) pairs; a measure is either a MarkovMeasure
@@ -657,7 +659,7 @@ def variational_check(L, sft, candidates, ptop, integral_depth=None):
         if additive:
             integ = window_expectation(mu, L, sft)
         else:
-            depth = integral_depth or mu.max_depth or 8  # a Markov chain has no max_depth
+            depth = mu.max_depth or 8  # a Markov chain has no max_depth
             integ = qm_integral(mu, L, depth)
         rows.append({
             "name": name,

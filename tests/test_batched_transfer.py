@@ -286,7 +286,7 @@ def test_word_tables_equal_the_per_word_parse(sft, k, seed):
     want = np.zeros(len(idx))
     for text, v in values.items():
         want[idx.index(parse_word(text, sft.d))] = v
-    assert np.array_equal(cli._word_table(values, sft, k), want)
+    assert np.array_equal(idx.parse_table(values), want)
 
 
 @pytest.mark.parametrize("word, why", [("13", "symbol"), ("1", "length"), ("121", "length"),

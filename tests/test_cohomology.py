@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 from thermoqm import freegroup as fg
 from thermoqm import markov as mk
 from thermoqm.errors import InvalidMatrix, NotPrimitive, NumericalFailure
-from thermoqm.sft import Sft, encode_word, full_shift, golden_mean
+from thermoqm.sft import Sft, full_shift, golden_mean
+
+from oracles import encode_word
 
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None,
                     suppress_health_check=[HealthCheck.too_slow])

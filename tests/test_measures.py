@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from thermoqm.bowen import potential_from_measure
 from thermoqm.errors import ZeroMass
 from thermoqm.measures import CylinderMeasure, bernoulli_measure, periodic_orbit_measure
 from thermoqm.sft import full_shift, golden_mean
@@ -47,8 +48,8 @@ def test_inadmissible_words_carry_no_mass():
 def test_full_support_check():
     g = golden_mean()
     mu = periodic_orbit_measure(g, (0,), range(1, 3))
-    with pytest.raises(ZeroMass):
-        mu.require_full_support(1)
+    with pytest.raises(ZeroMass, match="violates full support"):
+        potential_from_measure(mu, 1)
 
 
 def test_tv_distance_and_json_roundtrip():

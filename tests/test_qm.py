@@ -13,7 +13,6 @@ from thermoqm.qm import (
     SignedPatternCount,
     TabulatedQm,
     cohomologous,
-    count_occurrences,
     cyclic_average,
     defect,
     homogenize,
@@ -22,6 +21,8 @@ from thermoqm.qm import (
     zero_qm,
 )
 from thermoqm.sft import full_shift, golden_mean
+
+from oracles import count_occurrences
 
 
 def brute_occurrences(pattern, word):

@@ -16,7 +16,7 @@ from thermoqm import freegroup as fg
 from thermoqm import markov as mk
 from thermoqm import qm
 from thermoqm.errors import InvalidMatrix, NotPrimitive, NumericalFailure, ResourceLimit
-from thermoqm.sft import Sft, full_shift, symbol_dtype
+from thermoqm.sft import SCOPED_WORD_CAP, Sft, full_shift, symbol_dtype
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -440,8 +440,12 @@ def test_sphere_sample_unchanged(rank, n, count, seed):
 
 
 def test_sphere_sample_keeps_cell_cap():
-    with pytest.raises(ResourceLimit):
-        fg.sphere_sample(fg.FreeGroup(2), 1000, 11, seed=1, max_cells=10000)
+    token = SCOPED_WORD_CAP.set(10000)
+    try:
+        with pytest.raises(ResourceLimit, match="exceed the word cap"):
+            fg.sphere_sample(fg.FreeGroup(2), 1000, 11, seed=1)
+    finally:
+        SCOPED_WORD_CAP.reset(token)
 
 
 # -- edge ids: increments by one take a width, symbols only where needed ------------

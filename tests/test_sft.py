@@ -9,7 +9,6 @@ from thermoqm.errors import InvalidMatrix, NotPrimitive, ResourceLimit
 from thermoqm.sft import (
     SCOPED_WORD_CAP,
     Sft,
-    build_sft,
     full_shift,
     golden_mean,
     parse_word,
@@ -28,7 +27,7 @@ def brute_words(R, n):
 
 
 def test_full_shift_has_specification_constant_one():
-    sft = build_sft([[1, 1], [1, 1]])
+    sft = Sft([[1, 1], [1, 1]])
     assert sft.M == 1
     assert sft.connectors[(0, 1)] == ()
 
@@ -37,26 +36,26 @@ def test_golden_mean_m_two_by_matrix_power():
     R = np.array([[1, 1], [1, 0]])
     assert (R == 0).any()
     assert (np.linalg.matrix_power(R, 2) > 0).all()
-    assert build_sft(R).M == 2
+    assert Sft(R).M == 2
 
 
 def test_identity_matrix_rejected():
     with pytest.raises(NotPrimitive, match="reducible"):
-        build_sft([[1, 0], [0, 1]])
+        Sft([[1, 0], [0, 1]])
 
 
 def test_periodic_matrix_rejected():
     with pytest.raises(NotPrimitive, match="periodic"):
-        build_sft([[0, 1], [1, 0]])
+        Sft([[0, 1], [1, 0]])
 
 
 def test_invalid_matrices_rejected():
     with pytest.raises(InvalidMatrix):
-        build_sft([[1, 1]])
+        Sft([[1, 1]])
     with pytest.raises(InvalidMatrix):
-        build_sft([[2, 1], [1, 1]])
+        Sft([[2, 1], [1, 1]])
     with pytest.raises(InvalidMatrix):
-        build_sft([[0, 0], [1, 1]])
+        Sft([[0, 0], [1, 1]])
 
 
 def test_word_counts_match_brute_force_and_formula():

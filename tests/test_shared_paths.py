@@ -1,9 +1,12 @@
 """One implementation per computation: the LIL on the block engine, the
 periodic-orbit sums on word arrays, quasicocycles from potentials through
-project_conditional and one mass interface, each against a frozen copy of
-the code it replaced."""
+project_conditional, one mass interface, one word-table format, one
+normalization defect, one base-d coding and one symbols-only sampler, each
+against a frozen copy of the code it replaced."""
 
 import ast
+import itertools
+import json
 import pathlib
 import re
 from unittest import mock
@@ -14,23 +17,26 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import thermoqm
-from thermoqm import bowen, thermo
+from thermoqm import bowen, cli, thermo
 from thermoqm import freegroup as fg
 from thermoqm import experiments as ex
 from thermoqm import markov as mk
-from thermoqm.errors import InconsistentVerdicts, InvalidMatrix, NotPrimitive, ZeroMass
+from thermoqm.errors import InconsistentVerdicts, InvalidMatrix, NotPrimitive, ResourceLimit, ZeroMass
 from thermoqm.freegroup import FreeGroup, brooks
-from thermoqm.measures import bernoulli_measure, periodic_orbit_measure
+from thermoqm.measures import CylinderMeasure, bernoulli_measure, periodic_orbit_measure
 from thermoqm.qm import (
     LetterWeights,
     LinearCombinationQm,
     PatternCount,
+    PerturbedQm,
     Quasicocycle,
     TabulatedQm,
     WindowQm,
     quasicocycle_of,
 )
-from thermoqm.sft import Sft, full_shift
+from thermoqm.sft import SCOPED_WORD_CAP, Sft, full_shift, render_word
+
+from oracles import encode_word
 
 PROPERTY = settings(max_examples=30, deadline=None, derandomize=True, database=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -382,7 +388,8 @@ def test_delta_estimate_and_livsic_test_equal_word_loops(sft, seed, other):
     B2 = {
         "same": B,
         "scaled": B.scaled(1.0 + rng.random()),
-        "bumped": B.shifted_by_bounded({n: 1e-3 * rng.standard_normal() for n in range(1, 3)}),
+        "bumped": Quasicocycle(sft, {n: t + (1e-3 * rng.standard_normal() if n < 3 else 0.0)
+                                     for n, t in B.tables.items()}),
         "random": Quasicocycle(sft, tables[1]),
         "shallow": Quasicocycle(sft, {n: B.tables[n] * 0.5 for n in range(1, 3)}),
     }[other]
@@ -456,9 +463,8 @@ def test_variational_check_equals_the_per_type_branches(additive):
     _, mm = _chain(sft, rng, memory=2)
     cands = [("parry", mk.parry_measure(sft)), ("chain", mm), ("cyl", mm.cylinder_measure(6)),
              ("bern", bernoulli_measure(sft, [0.3, 0.7], range(1, 6)))]
-    for depth in (None, 4):
-        assert thermo.variational_check(L, sft, cands, 0.7, depth) == old_variational_check(
-            L, sft, cands, 0.7, depth)
+    assert thermo.variational_check(L, sft, cands, 0.7) == old_variational_check(
+        L, sft, cands, 0.7)
 
 
 # -- the LIL on the block engine ------------------------------------------------------
@@ -662,3 +668,213 @@ def test_reachability_powers_equal_the_two_loops(rows):
         sft = Sft(R)
         assert sft.M == want[0] and len(sft._reach) == len(want[1])
         assert all(np.array_equal(a, b) for a, b in zip(sft._reach, want[1]))
+
+
+# -- one owner per decision: word tables, the normalization defect, base-d coding,
+# -- cylinder mass and symbols-only path sampling ------------------------------------
+
+
+def old_table_json(sft, k, values, **head):
+    return json.dumps({**head, "values": {
+        render_word(w): float(v) for w, v in zip(sft.cylinders(k).words, values)}},
+        sort_keys=True, indent=2) + "\n"
+
+
+def old_measure_to_json(mu):
+    return {"d": mu.sft.d, "depths": {
+        str(k): {render_word(w): float(m) for w, m in zip(mu.sft.cylinders(k).words, arr)}
+        for k, arr in sorted(mu.masses.items())}}
+
+
+def old_word_table(values, sft, k):
+    idx = sft.cylinders(k)
+    vals = np.zeros(len(idx))
+    vals[idx.index_of_words(values)] = [float(v) for v in values.values()]
+    return vals
+
+
+def old_measure_from_json(sft, obj):
+    masses = {}
+    for k_str, table in obj["depths"].items():
+        k = int(k_str)
+        idx = sft.cylinders(k)
+        arr = np.zeros(len(idx))
+        arr[idx.index_of_words(table)] = list(table.values())
+        masses[k] = arr
+    return masses
+
+
+def old_markov_defect(pot):
+    g = pot.sft.block_graph(max(pot.s, 1))
+    tot = np.bincount(g.dst, weights=np.exp(pot.as_memory(g.t + 1).values), minlength=len(g))
+    return float(np.abs(tot - 1.0).max())
+
+
+def old_weak_bowen_defect(phi, k):
+    suffix = phi.sft.cylinders(k).suffix(k - 1)
+    tot = np.bincount(suffix, np.exp(phi.tables[k]))
+    return float(np.abs(tot - 1.0).max())
+
+
+def old_markov_mass(mm, word):
+    word = tuple(word)
+    if not word:
+        return 1.0
+    if not mm.sft.is_word(word):
+        return 0.0
+    return float(mm.cylinder_masses(len(word))[mm.sft.cylinders(len(word)).index(word)])
+
+
+def old_window_tables(L, d):
+    tables = {q: np.zeros(d ** q) for q in L.kernels}
+    for q, table in L.kernels.items():
+        for win, coef in table.items():
+            if max(win) < d:
+                tables[q][encode_word(win, d)] += coef
+    return tables
+
+
+def old_sphere_sample(group, n, count, seed):
+    payload = dict(ex.uniform_sphere_payload(group.sft()), n=n, seed=seed, **ex._SYMBOLS_ONLY)
+    return ex._run_blocks(payload, count)["symbols"]
+
+
+@PROPERTY
+@given(primitive_sfts(), st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_word_tables_write_and_read_as_the_two_old_pairs(sft, k, seed):
+    rng = np.random.default_rng(seed)
+    idx = sft.cylinders(k)
+    values = rng.standard_normal(len(idx))
+    assert cli._table_json(sft, k, values, depth=k) == old_table_json(sft, k, values, depth=k)
+    keep = rng.permutation(len(idx))[:rng.integers(0, len(idx) + 1)]
+    table = {render_word(idx.word(i)): float(values[i]) for i in keep}
+    assert idx.parse_table(table).tobytes() == old_word_table(table, sft, k).tobytes()
+    mu = CylinderMeasure(sft, {j: rng.dirichlet(np.ones(len(sft.cylinders(j))))
+                               for j in range(1, k + 1)})
+    obj = mu.to_json()
+    assert obj == old_measure_to_json(mu)
+    back, want = CylinderMeasure.from_json(sft, obj), old_measure_from_json(sft, obj)
+    assert back.depths() == sorted(want)
+    assert all(back.masses_at(j).tobytes() == want[j].tobytes() for j in want)
+
+
+@PROPERTY
+@given(primitive_sfts(), st.integers(0, 2**32 - 1), st.integers(0, 3))
+def test_one_normalization_defect_equals_both_old_forms(sft, seed, memory):
+    rng = np.random.default_rng(seed)
+    pot = mk.MarkovPotential(sft, memory, rng.standard_normal(len(sft.cylinders(memory + 1))))
+    norm = mk.normalize_potential(pot)[0]
+    for p in (pot, norm):
+        assert p.normalization_defect() == old_markov_defect(p)
+    phi = bowen.potential_from_measure(mk.markov_measure(norm), 4)
+    for k in range(1, 5):
+        assert phi.normalization_defect(k) == old_weak_bowen_defect(phi, k)
+    raw = _weak_bowen(sft, rng, 3)
+    for k in range(1, 4):
+        assert raw.normalization_defect(k) == old_weak_bowen_defect(raw, k)
+
+
+@PROPERTY
+@given(primitive_sfts(), st.integers(0, 2**32 - 1))
+def test_chain_mass_is_the_cylinder_mass(sft, seed):
+    rng = np.random.default_rng(seed)
+    mm = _chain(sft, rng, memory=int(rng.integers(0, 3)))[1]
+    for n in range(0, 5):
+        for w in itertools.product(range(sft.d), repeat=n):
+            assert mm.mass(w) == old_markov_mass(mm, w)
+    # a symbol off the alphabet: a cylinder of no mass, where the old form raised
+    assert mm.mass((sft.d,)) == 0.0 == mm.mass((0, sft.d))
+    with pytest.raises(IndexError):
+        old_markov_mass(mm, (0, sft.d))
+
+
+@PROPERTY
+@given(primitive_sfts().flatmap(lambda sft: st.tuples(st.just(sft), window_kernels(sft.d))),
+       st.integers(2, 5))
+def test_window_tables_equal_the_encode_word_loop(case, d):
+    _, L = case  # kernels drawn on one alphabet, tabulated on another: windows off it drop
+    got, want = L.window_tables(d), old_window_tables(L, d)
+    assert list(got) == list(want)
+    for q in want:
+        assert got[q].tobytes() == want[q].tobytes()  # -0.0 coefficients come out as 0.0 + coef
+
+
+def test_window_tables_add_a_negative_zero_coefficient_to_zero():
+    L = WindowQm({1: {(0,): -0.0, (1,): 2.5}, 2: {(1, 0): -1.0}}, 0.0)
+    got = L.window_tables(2)
+    assert np.signbit(got[1]).tolist() == [False, False]
+    assert got[1].tobytes() == old_window_tables(L, 2)[1].tobytes()
+
+
+@pytest.mark.parametrize("rank, n, count, seed", [(2, 1, 3, 0), (2, 40, 7, 5), (3, 9, 600, 2)])
+def test_sphere_sample_is_the_old_symbol_run(rank, n, count, seed):
+    G = FreeGroup(rank)
+    assert np.array_equal(fg.sphere_sample(G, n, count, seed), old_sphere_sample(G, n, count, seed))
+
+
+def test_sample_paths_rows_are_sample_path_and_refuse_a_negative_trial():
+    mm = _chain(full_shift(3), np.random.default_rng(4), 1)[1]
+    rows = ex.sample_paths(mm, 30, 4, 6, first=2)
+    for i in range(4):
+        assert np.array_equal(rows[i], ex.sample_path(mm, 30, 6, 2 + i))
+    with pytest.raises(ValueError, match="numbered from 0"):
+        ex.sample_path(mm, 8, 1, trial=-1)
+
+
+def test_sample_paths_hold_their_cells_against_the_word_cap():
+    mm = mk.parry_measure(full_shift(2))
+    token = SCOPED_WORD_CAP.set(100)
+    try:
+        assert ex.sample_paths(mm, 10, 10, 1).shape == (10, 10)
+        with pytest.raises(ResourceLimit, match="exceed the word cap"):
+            ex.sample_paths(mm, 101, 1, 1)
+    finally:
+        SCOPED_WORD_CAP.reset(token)
+
+
+def test_enumerated_pressure_refuses_before_it_enumerates(tmp_path):
+    """The weights leave the float range, so the partition sums fall back to
+    enumeration, which |W_12| = 4096 > 1000 refuses before W_1, .., W_9 are
+    built: the one word array built is the 1-cylinders of the block graph that
+    the transfer is first tried on."""
+    calls = []
+    word_array = Sft.word_array
+
+    def counted(self, n, periodic=False):
+        calls.append((n, periodic))
+        return word_array(self, n, periodic)
+
+    cfg = {"sft": {"builtin": "full_shift", "d": 2},
+           "qm": {"kind": "letter_weights", "weights": [800, -800]}, "n_max": 12}
+    token = SCOPED_WORD_CAP.set(1000)
+    try:
+        with mock.patch.object(Sft, "word_array", counted):
+            with pytest.raises(ResourceLimit, match=r"\|W_12\| = 4096"):
+                thermo.pressure(LetterWeights([800, -800]), full_shift(2), 12)
+            assert calls == [(1, False)]
+            code, summary = cli.execute("pressure", cfg, str(tmp_path))
+        assert calls == [(1, False)] * 2 and code == 3
+        assert summary["error"] == "ResourceLimit: |W_12| = 4096 exceeds the word cap"
+        assert thermo.pressure(LetterWeights([800, -800]), full_shift(2), 9).n_max == 9
+    finally:
+        SCOPED_WORD_CAP.reset(token)
+
+
+def test_pressure_oracle_at_any_width():
+    F3 = FreeGroup(3)
+    assert thermo.pressure_oracle_memory1(brooks(F3, "abcAb"), F3.sft()) == pytest.approx(
+        1.609727384877, abs=1e-11)
+    bump = TabulatedQm({1: {(0,): 1.0}}, 0.0)
+    for L in (bump, PerturbedQm(PatternCount((0, 1)), bump)):
+        with pytest.raises(ValueError, match="window-additive"):
+            thermo.pressure_oracle_memory1(L, full_shift(2))
+
+
+@PROPERTY
+@given(primitive_sfts(), st.integers(3, 4), st.integers(0, 2**32 - 1))
+def test_pressure_oracle_equals_the_gibbs_chain_at_widths_three_and_four(sft, q, seed):
+    rng = np.random.default_rng(seed)
+    L = WindowQm({q: {w: float(rng.normal()) for w in np.ndindex(*(sft.d,) * q)},
+                  1: {(0,): float(rng.normal())}}, 0.0)
+    want = mk.gibbs_chain_from_qm(L, sft)[2]
+    assert thermo.pressure_oracle_memory1(L, sft) == pytest.approx(want, rel=1e-12, abs=1e-14)

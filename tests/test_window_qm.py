@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 from thermoqm import cli
 from thermoqm.errors import InvalidMatrix, NotPrimitive
 from thermoqm.qm import Quasimorphism, WindowQm
-from thermoqm.sft import Sft, encode_word, window_codes
+from thermoqm.sft import Sft, window_codes
+
+from oracles import encode_word
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None,
                     suppress_health_check=[HealthCheck.too_slow])

@@ -39,7 +39,6 @@ from thermoqm.qm import (
 from thermoqm.sft import (
     SCOPED_WORD_CAP,
     Sft,
-    encode_word,
     full_shift,
     golden_mean,
     parse_word,
@@ -47,6 +46,8 @@ from thermoqm.sft import (
     render_words,
     symbol_dtype,
 )
+
+from oracles import encode_word
 
 PROPERTY = settings(max_examples=30, deadline=None, derandomize=True, database=None,
                     suppress_health_check=[HealthCheck.too_slow])
