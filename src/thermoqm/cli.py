@@ -18,7 +18,9 @@ records it).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
+import math
 import operator
 import os
 import sys
@@ -92,7 +94,10 @@ def _free_group(sft):
 
 def _parse_pattern(raw, sft):
     if not isinstance(raw, str):
-        return tuple(int(x) - 1 for x in raw)
+        word = tuple(int(x) - 1 for x in raw)
+        if any(s < 0 or s >= sft.d for s in word):  # as parse_word refuses them
+            raise ValueError(f"symbol out of range in {raw!r}")
+        return word
     if (sft.name or "").startswith("free_group("):
         return _free_group(sft).parse(raw)
     return parse_word(raw, sft.d)
@@ -173,13 +178,14 @@ def parse_chain(spec, sft):
 # key -> read(value, sft), for top-level keys and the keys of nested sections;
 # any other key passes through as given.
 READERS = {
-    **dict.fromkeys("n n_max N depth seed trials count rank memory expect_vanishing".split(),
-                    lambda v, sft: int(v)),
+    **dict.fromkeys("n n_max N depth seed trials count rank memory".split(), lambda v, sft: int(v)),
     **dict.fromkeys((
         "tolerance tolerance_tv attain_tol tol resolution oracle threshold_residual "
         "threshold_agreement expect_sigma2 expect_tol threshold_ks threshold_ks_sup delta "
         "rate rate_rel_tol max_tv mean_band_se contains max_width").split(), lambda v, sft: float(v)),
     "periodic": lambda v, sft: bool(v),
+    "expect": lambda v, sft: _one_of("expect", v, ("cohomologous", "distinct", "inconclusive")),
+    "expect_vanishing": lambda v, sft: _one_of("expect_vanishing", int(v), (0, 1)),
     "band": lambda v, sft: tuple(float(x) for x in v),
     "n_list": lambda v, sft: [int(n) for n in v],
     **dict.fromkeys(("qm", "qm2"), lambda v, sft: parse_qm(v, sft)),
@@ -193,6 +199,13 @@ READERS = {
     "mc": lambda v, sft: _section(v, "n trials seed"),
     "thresholds": lambda v, sft: _section(v, "", "contains max_width"),
 }
+
+
+def _one_of(key, value, choices):
+    """An expectation is an input: one outside `choices` is refused, not failed."""
+    if value not in choices:
+        raise InvalidConfig(f"{key} must be one of {list(choices)}, got {value!r}")
+    return value
 
 
 def _section(spec, required, optional=""):
@@ -227,6 +240,12 @@ def _parse(op, cfg, workers, out_dir):
 
 
 # -- artifacts and checks ----------------------------------------------------------
+
+
+def _record(res, skip=(), **extra):
+    """A record's dataclass fields but `skip`, uncopied, with the keys an op renames or computes."""
+    return {**{f.name: getattr(res, f.name) for f in dataclasses.fields(res) if f.name not in skip},
+            **extra}
 
 
 def _dumps(obj):
@@ -313,9 +332,9 @@ def run_pressure(a):
     if "max_width" in th:
         checks.append(check("interval_width", pe.width, th["max_width"], "<="))
     lines = [f"{n + 1},{x!r},{pe.lower!r},{pe.upper!r}" for n, x in enumerate(pe.p_n)]
-    return {"pressure": pe.to_json(), "checks": checks}, {
-        "pressure.csv": _csv("n,p_n,lower,upper", lines)
-    }
+    section = _record(pe, p_n=pe.p_n.tolist(), width=pe.width,
+                      note="empirical-C: constants are lower bounds for the true ones")
+    return {"pressure": section, "checks": checks}, {"pressure.csv": _csv("n,p_n,lower,upper", lines)}
 
 
 @op("gibbs", "sft qm N depth")
@@ -350,7 +369,7 @@ def run_entropy(a):
         mu if isinstance(mu, CylinderMeasure) else mu.cylinder_measure(depth), depth)
     checks = [check("h_vs_oracle", abs(rep.h_extrapolated - a["oracle"]), a["tolerance"])
               ] if "oracle" in a else []
-    return {"entropy": rep.to_json(), "exact_markov_entropy": exact, "checks": checks}, {}
+    return {"entropy": _record(rep), "exact_markov_entropy": exact, "checks": checks}, {}
 
 
 @op("variational", "sft qm n_max candidates", attain_tol=1e-3)
@@ -382,9 +401,7 @@ def run_potential(a):
 
 @op("komlos", "sft qm n_list depth", tol=1e-9, chain=None)
 def run_komlos(a):
-    res = bowen.komlos_potential(
-        a["qm"], a["chain"], a["n_list"], a["depth"], tol=a["tol"], strict=False
-    )
+    res = bowen.komlos_potential(a["qm"], a["chain"], a["n_list"], a["depth"], tol=a["tol"])
     m = res.table.m
     return {
         "converged": res.converged,
@@ -397,7 +414,8 @@ def run_komlos(a):
 def run_livsic(a):
     verdict = cohomologous(a["qm"], a["qm2"], a["sft"], a["n_max"], resolution=a["resolution"])
     checks = [check("verdict", int(verdict.verdict == a["expect"]), 1, "==")] if "expect" in a else []
-    return {"verdict": verdict.to_json(), "checks": checks}, {}
+    witness = None if verdict.witness is None else render_word(verdict.witness)
+    return {"verdict": _record(verdict, witness=witness), "checks": checks}, {}
 
 
 @op("coboundary", "sft phi N depth", "expect_vanishing", chain=None)
@@ -405,7 +423,7 @@ def run_coboundary(a):
     sol = bowen.coboundary_solve(a["phi"], a["chain"], a["N"], a["depth"])
     checks = [check("vanishing", int(sol.vanishing), a["expect_vanishing"], "==")
               ] if "expect_vanishing" in a else []
-    return {"solve": sol.to_json(), "checks": checks}, {}
+    return {"solve": _record(sol, skip=("u",)), "checks": checks}, {}
 
 
 @op("normalize", "sft potential")
@@ -465,7 +483,7 @@ def run_variance(a):
     checks = [check("two_way_agreement", var.agreement, a["threshold_agreement"] * (1 + sigma2))]
     if "expect_sigma2" in a:
         checks.append(check("sigma2_vs_expected", abs(sigma2 - a["expect_sigma2"]), a["expect_tol"]))
-    summary = {"variance": var.to_json(), "checks": checks}
+    summary = {"variance": _record(var), "checks": checks}
     if "mc" in a:
         m = a["mc"]
         res = experiments.clt_experiment(
@@ -485,8 +503,11 @@ def run_clt(a):
     res = experiments.clt_experiment(
         a["qm"], a["chain"], a["n"], a["trials"], a["seed"], workers=a["workers"]
     )
+    var = res.variance  # set: sigma2 came from the chain, not from the caller
     return {
-        "clt": res.summary(),
+        "clt": _record(res, ("stats", "variance", "dkw"), dkw_99=res.dkw,
+                       mean_stat=float(res.stats.mean()), sigma2_martingale=var.sigma2_martingale,
+                       sigma2_green_kubo=var.sigma2_green_kubo),
         "checks": [check("ks", res.ks, float(a.get("threshold_ks", 2 * res.dkw)))],
     }, {"stats.csv": _stats_csv(res.stats)}
 
@@ -501,9 +522,10 @@ def run_invariance(a):
         check("ks_sup_vs_reflection", res.ks_sup, a["threshold_ks_sup"]),
         check("ks_terminal", res.ks_terminal, 2 * experiments.dkw_band(res.trials)),
     ]
-    return {"invariance": res.summary(), "checks": checks}, {
-        "sup_stats.csv": _stats_csv(res.sup_stats)
-    }
+    section = _record(res, ("terminal", "increments", "sup_stats", "corr", "max_abs_corr"),
+                      max_abs_increment_corr=res.max_abs_corr,
+                      corr_threshold_3_over_sqrt_trials=3.0 / np.sqrt(res.trials))
+    return {"invariance": section, "checks": checks}, {"sup_stats.csv": _stats_csv(res.sup_stats)}
 
 
 @op("lil", "sft qm n_max seed", band=(0.5, 1.5), chain=None)
@@ -511,7 +533,7 @@ def run_lil(a):
     lo, hi = a["band"]
     res = experiments.lil_experiment(a["qm"], a["chain"], a["n_max"], a["seed"])
     return {
-        "lil": res.summary(),
+        "lil": _record(res, ("series",)),
         "checks": [check("sup_stat_in_band", res.sup_stat, (lo, hi), "in")],
     }, {"lil.csv": _csv("n,stat", [f"{n},{s!r}" for n, s in res.series])}
 
@@ -531,7 +553,7 @@ def run_deviations(a):
         err = abs(-res.slope - rate) / rate if res.slope is not None else None
         checks.append(check("rate_relative_error", err, a["rate_rel_tol"]))
     lines = [f"{r['n']},{r['count']},{r['p_hat']!r}" for r in res.rows]
-    return {"deviations": res.summary(), "checks": checks}, {"tails.csv": _csv("n,count,p_hat", lines)}
+    return {"deviations": _record(res), "checks": checks}, {"tails.csv": _csv("n,count,p_hat", lines)}
 
 
 @op("compactify", "rank n_list depth", "max_tv")
@@ -542,7 +564,7 @@ def run_compactify(a):
     if "max_tv" in a:
         checks.append(check("final_tv", res.rows[-1]["tv"], a["max_tv"]))
     lines = [f"{r['n']},{r['tv']!r},{r['cyclic_words']}" for r in res.rows]
-    return {"compactification": res.summary(), "checks": checks}, {
+    return {"compactification": _record(res), "checks": checks}, {
         "compactify.csv": _csv("n,tv,cyclic_words", lines)
     }
 
@@ -558,7 +580,9 @@ def run_spherical(a):
         check("ks", res.ks, float(a.get("threshold_ks", 2 * res.dkw))),
         check("mean_within_se_band", abs(res.mean_stat), a["mean_band_se"] * res.mean_se),
     ]
-    return {"spherical": res.summary(), "checks": checks}, {"stats.csv": _stats_csv(res.stats)}
+    section = _record(res, ("stats", "dkw", "sphere_size"), dkw_99=res.dkw,
+                      sphere_size_log10=math.log10(res.sphere_size))
+    return {"spherical": section, "checks": checks}, {"stats.csv": _stats_csv(res.stats)}
 
 
 # -- running ops -------------------------------------------------------------------

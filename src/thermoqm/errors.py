@@ -29,10 +29,6 @@ class MeanNotZero(ThermoQmError):
     """A zero-mean precondition failed."""
 
 
-class NonConvergence(ThermoQmError):
-    """Cesaro averages did not settle within tolerance; retry with more terms."""
-
-
 class SingularSystem(ThermoQmError):
     """Linear solve failed; usually a non-primitive chain leaked through."""
 

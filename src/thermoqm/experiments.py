@@ -559,22 +559,6 @@ class CltResult:
     trials: int
     seed: int
 
-    def summary(self):
-        out = {
-            "ks": self.ks,
-            "dkw_99": self.dkw,
-            "sigma2": self.sigma2,
-            "e_per_step": self.e_per_step,
-            "mean_stat": float(self.stats.mean()),
-            "n": self.n,
-            "trials": self.trials,
-            "seed": self.seed,
-        }
-        if self.variance is not None:
-            out["sigma2_martingale"] = self.variance.sigma2_martingale
-            out["sigma2_green_kubo"] = self.variance.sigma2_green_kubo
-        return out
-
 
 def clt_experiment(L, mm, n, trials, seed, workers=1, sigma2=None):
     """Empirical law of (L(x_0..x_{n-1}) - n e) / (sigma sqrt n) vs the normal."""
@@ -605,18 +589,6 @@ class InvarianceResult:
     n: int
     trials: int
     seed: int
-
-    def summary(self):
-        return {
-            "ks_terminal": self.ks_terminal,
-            "ks_sup": self.ks_sup,
-            "max_abs_increment_corr": self.max_abs_corr,
-            "corr_threshold_3_over_sqrt_trials": 3.0 / np.sqrt(self.trials),
-            "sigma2": self.sigma2,
-            "n": self.n,
-            "trials": self.trials,
-            "seed": self.seed,
-        }
 
 
 def invariance_experiment(L, mm, n, trials, seed, workers=1, sigma2=None):
@@ -668,15 +640,6 @@ class LilResult:
     sigma2: float
     series: list  # (n, statistic) on a geometric grid, for plotting/CSV
 
-    def summary(self):
-        return {
-            "sup_stat": self.sup_stat,
-            "argmax_n": self.argmax_n,
-            "n_min": self.n_min,
-            "n_max": self.n_max,
-            "sigma2": self.sigma2,
-        }
-
 
 def lil_experiment(L, mm, n_max, seed, sigma2=None, trial=0):
     """Running S_n / sqrt(2 n sigma^2 loglog(n sigma^2)) along one orbit, from
@@ -708,17 +671,6 @@ class DeviationResult:
     delta: float
     trials: int
     seed: int
-
-    def summary(self):
-        return {
-            "delta": self.delta,
-            "slope": self.slope,
-            "gauss_slope": self.gauss_slope,
-            "rows": self.rows,
-            "gauss_rows": self.gauss_rows,
-            "trials": self.trials,
-            "seed": self.seed,
-        }
 
 
 def _weighted_line_fit(xs, ys, ws):

@@ -12,7 +12,6 @@ Kept without an op: `FreeGroup.cyclic_reduce`, `pushforward_measure` and
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,9 +105,6 @@ class CompactificationResult:
     rows: list  # per n: {"n", "tv", "words"}
     monotone: bool
 
-    def summary(self):
-        return {"depth": self.depth, "rows": self.rows, "monotone": self.monotone}
-
 
 def _pushforward_masses(group, n, depth):
     """Exact depth-k masses of the uniform measure on cyclic words of length <= n.
@@ -172,19 +168,6 @@ class SphericalCltResult:
     n: int
     count: int
     seed: int
-
-    def summary(self):
-        return {
-            "ks": self.ks,
-            "dkw_99": self.dkw,
-            "mean_stat": self.mean_stat,
-            "mean_se": self.mean_se,
-            "sigma2": self.sigma2,
-            "sphere_size_log10": math.log10(self.sphere_size),
-            "n": self.n,
-            "count": self.count,
-            "seed": self.seed,
-        }
 
 
 def _spherical_stats(group, pattern, n, count, seed, workers, mm, sigma2):

@@ -437,15 +437,6 @@ class VarianceResult:
     def sigma2(self):
         return self.sigma2_martingale
 
-    def to_json(self):
-        return {
-            "sigma2_martingale": self.sigma2_martingale,
-            "sigma2_green_kubo": self.sigma2_green_kubo,
-            "agreement": self.agreement,
-            "n_terms": self.n_terms,
-            "lam2": self.lam2,
-        }
-
 
 def variance(pot, psi, mm):
     """Two-way CLT variance: ||psi_bar||^2 and the Green-Kubo series."""

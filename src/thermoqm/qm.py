@@ -136,8 +136,10 @@ class WindowQm(Quasimorphism):
     def __init__(self, kernels, defect_bound):
         self.kernels = {q: {tuple(w): float(c) for w, c in table.items()}
                         for q, table in kernels.items()} or {1: {}}
-        if any(q < 1 or len(w) != q for q, table in self.kernels.items() for w in table):
-            raise ValueError("kernel windows must have their width's length, at least 1")
+        if any(q < 1 or len(w) != q or min(w) < 0
+               for q, table in self.kernels.items() for w in table):
+            raise ValueError("kernel windows must have their width's length, at least 1, "
+                             "and no negative symbol")
         self.defect_bound = float(defect_bound)
         self._tables = {}
 
@@ -427,18 +429,6 @@ class CohomologyVerdict:
     resolution: float
     max_width: float
     certificate_only: bool = True  # a Cohomologous answer is bounded-depth only
-
-    def to_json(self):
-        from .sft import render_word
-
-        return {
-            "verdict": self.verdict,
-            "witness": None if self.witness is None else render_word(self.witness),
-            "certificate_depth": self.certificate_depth,
-            "resolution": self.resolution,
-            "max_width": self.max_width,
-            "certificate_only": self.certificate_only,
-        }
 
 
 def cohomologous(L, L2, sft, n_max, m=None, resolution=1e-2):

@@ -251,20 +251,6 @@ class PressureEstimate:
     def contains(self, x):
         return self.lower <= x <= self.upper
 
-    def to_json(self):
-        return {
-            "n_max": self.n_max,
-            "p_n": [float(x) for x in self.p_n],
-            "c_all": self.c_all,
-            "c_used": self.c_used,
-            "n0": self.n0,
-            "lower": self.lower,
-            "upper": self.upper,
-            "point": self.point,
-            "width": self.width,
-            "note": "empirical-C: constants are lower bounds for the true ones",
-        }
-
 
 def _split_constant(p, n0, n_max):
     """sup |P_{n+m} - P_n - P_m| over n,m >= n0, n+m <= n_max (finite entries),
@@ -595,15 +581,6 @@ class EntropyReport:
     rates: list  # H(depth)/depth
     conditional: list  # H(depth) - H(depth-1)
     h_extrapolated: float
-
-    def to_json(self):
-        return {
-            "depths": self.depths,
-            "block_entropy": self.block_entropy,
-            "rates": self.rates,
-            "conditional": self.conditional,
-            "h_extrapolated": self.h_extrapolated,
-        }
 
 
 def entropy_report(mu, n_max=None):

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from thermoqm import bowen
+from thermoqm import bowen, cli
 from thermoqm import markov as mk
 from thermoqm import thermo
-from thermoqm.errors import DepthExceeded, MeanNotZero, NonConvergence, ZeroMass
+from thermoqm.errors import DepthExceeded, MeanNotZero, ZeroMass
 from thermoqm.measures import periodic_orbit_measure
 from thermoqm.qm import (
     LetterWeights,
@@ -18,7 +18,7 @@ from thermoqm.qm import (
     quasicocycle_of,
     zero_qm,
 )
-from thermoqm.sft import full_shift, golden_mean
+from thermoqm.sft import full_shift, golden_mean, render_word
 
 GOLD = (1 + np.sqrt(5)) / 2
 
@@ -228,11 +228,20 @@ def test_komlos_potential_roundtrip_recovers_class():
 
 
 def test_komlos_nonconvergence_surfaced():
+    """Averages still moving are a result, converged False, and the komlos op
+    fails its cesaro_converged check on them."""
     f = full_shift(2)
     par = mk.parry_measure(f)
     moving = _depth_one_bump(f, [0.3, -0.2])
-    with pytest.raises(NonConvergence):
-        bowen.komlos_potential(moving, par, [2, 3], depth=2, tol=0.0, strict=True)
+    res = bowen.komlos_potential(moving, par, [2, 3], depth=2, tol=0.0)
+    assert res.converged is False
+    assert len(res.diffs) == 1 and res.diffs[0] > 0.0
+    tables = {str(n): {render_word(w): v for w, v in tbl.items()} for n, tbl in moving.tables.items()}
+    cfg = {"sft": {"builtin": "full_shift", "d": 2}, "n_list": [2, 3], "depth": 2, "tol": 0.0,
+           "qm": {"kind": "tabulated", "tables": tables, "defect": moving.defect_bound}}
+    code, summary = cli.execute("komlos", cfg, None)
+    assert code == 1 and summary["converged"] is False and summary["diffs"] == res.diffs
+    assert [c["name"] for c in summary["checks"] if not c["pass"]] == ["cesaro_converged"]
 
 
 def test_coboundary_solve_roundtrip():

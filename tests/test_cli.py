@@ -364,7 +364,9 @@ SPHERE = {"rank": 2, "pattern": "ab", "n": 16, "count": 0, "seed": 1}
 NO_TRIALS = "need at least 1 trial or sample, got 0"
 LIVSIC = {"sft": F2, "qm": QM01, "qm2": {"kind": "pattern_count", "pattern": "11"}}
 COB = {"sft": F2, "phi": {"coboundary_of": {"memory": 1, "values": {"1": 1.0}}}, "depth": 2}
-REFUSED = {  # runs too small or empty to give a result, and the bound each names
+# configs that can give no result (runs too small or empty, an expectation or a
+# symbol outside its range), and the bound each names
+REFUSED = {
     "clt-without-trials": ("clt", dict(MC, n=16, trials=0), "trials must be >= 1"),
     "invariance-without-trials": ("invariance", dict(MC, n=16, trials=0), NO_TRIALS),
     "deviations-without-trials": ("deviations", dict(MC, n_list=[8, 16], trials=0, delta=0.1),
@@ -432,6 +434,15 @@ REFUSED = {  # runs too small or empty to give a result, and the bound each name
     "variance-on-paths-of-negative-length": ("variance", {"sft": F2, "qm": QM01,
                                                           "mc": {"n": -3, "trials": 16, "seed": 1}},
                                              "mc.n must be >= 1, got -3"),
+    "livsic-expecting-a-misspelt-verdict": (
+        "livsic", dict(LIVSIC, n_max=4, expect="cohomologus"),
+        "expect must be one of ['cohomologous', 'distinct', 'inconclusive'], got 'cohomologus'"),
+    "coboundary-expecting-vanishing-of-two": ("coboundary", dict(COB, N=10, expect_vanishing=2),
+                                              "expect_vanishing must be one of [0, 1], got 2"),
+    "pattern-list-with-symbol-zero": ("pressure", {"sft": F2, "n_max": 8, "qm": {
+        "kind": "pattern_count", "pattern": [0, 1]}}, "ValueError: symbol out of range in [0, 1]"),
+    "pattern-list-past-the-alphabet": ("pressure", {"sft": F2, "n_max": 8, "qm": {
+        "kind": "pattern_count", "pattern": [1, 3]}}, "ValueError: symbol out of range in [1, 3]"),
 }
 
 
@@ -460,6 +471,16 @@ def test_deviations_rate_without_a_fitted_slope_fails_its_check():
     assert code == 1 and checks["rate_relative_error"]["value"] is None
     assert checks["slope_negative"]["value"] is None
     assert not checks["rate_relative_error"]["pass"] and not checks["slope_negative"]["pass"]
+
+
+def test_list_and_string_patterns_agree(tmp_path):
+    from thermoqm import cli
+
+    for name, pattern in (("list", [1, 2]), ("string", "12")):
+        cfg = {"sft": F2, "qm": {"kind": "pattern_count", "pattern": pattern}, "n_max": 8}
+        assert cli.execute("pressure", cfg, str(tmp_path / name))[0] == 0
+    assert (tmp_path / "list" / "pressure.csv").read_text() == \
+        (tmp_path / "string" / "pressure.csv").read_text()
 
 
 def test_spherical_mode_is_checked_before_sampling():
@@ -522,3 +543,75 @@ def test_every_op_runs_on_its_required_keys_alone(tmp_path):
         assert code in (0, 1), (op, summary.get("error"))
         missing = dict(list(cfg.items())[1:])
         assert cli.execute(op, missing, None)[0] == 2, op
+
+
+def _keys(text):
+    return sorted(text.split())
+
+
+SCHEMA = {  # op: {its summary key: the keys of that result-record section, or None}
+    "sft-validate": dict.fromkeys(_keys("M connectors d periodic_counts word_counts")),
+    "words": dict.fromkeys(_keys("count n periodic")),
+    "pressure": {"pressure": _keys("c_all c_used lower n0 n_max note p_n point upper width")},
+    "gibbs": dict.fromkeys(_keys("consistency_defect invariance_defect")),
+    "gibbs-check": {"tv_by_depth": None},
+    "entropy": {"entropy": _keys("block_entropy conditional depths h_extrapolated rates"),
+                "exact_markov_entropy": None},
+    "variational": dict.fromkeys(_keys("best point_estimate rows")),
+    "potential": {"normalization_defect": None},
+    "komlos": dict.fromkeys(_keys("converged diffs")),
+    "livsic": {"verdict": _keys(
+        "certificate_depth certificate_only max_width resolution verdict witness")},
+    "coboundary": {"solve": _keys(
+        "bowen_bound cesaro_drift n_terms residual residual_at_2n u_sup vanishing")},
+    "normalize": dict.fromkeys(_keys("lambda log_lambda normalization_defect")),
+    "solve-cohomological": dict.fromkeys(_keys("count max_residual")),
+    "variance": {"variance": _keys(
+        "agreement lam2 n_terms sigma2_green_kubo sigma2_martingale")},
+    "clt": {"clt": _keys("dkw_99 e_per_step ks mean_stat n seed sigma2 sigma2_green_kubo "
+                         "sigma2_martingale trials")},
+    "invariance": {"invariance": _keys("corr_threshold_3_over_sqrt_trials ks_sup ks_terminal "
+                                       "max_abs_increment_corr n seed sigma2 trials")},
+    "lil": {"lil": _keys("argmax_n n_max n_min sigma2 sup_stat")},
+    "deviations": {"deviations": _keys("delta gauss_rows gauss_slope rows seed slope trials")},
+    "compactify": {"compactification": _keys("depth monotone rows")},
+    "spherical": {"spherical": _keys(
+        "count dkw_99 ks mean_se mean_stat n seed sigma2 sphere_size_log10")},
+}
+
+
+def test_summary_sections_keep_their_keys(tmp_path):
+    """Each op's summary.json, as written, has the literal keys above: a field
+    added to a result record is a deliberate change of this schema."""
+    from thermoqm import cli
+
+    assert sorted(SCHEMA) == sorted(cli.OPS)
+    for op, cfg in MINIMAL.items():
+        assert cli.execute(op, cfg, str(tmp_path / op))[0] in (0, 1), op
+        summary = json.loads((tmp_path / op / "summary.json").read_text())
+        assert sorted(summary) == sorted([*SCHEMA[op], "checks", "config", "exit_code", "op",
+                                          "pass"]), op
+        for key, fields in SCHEMA[op].items():
+            if fields is not None:
+                assert sorted(summary[key]) == fields, (op, key)
+
+
+def test_only_the_cli_renders_summaries():
+    """Result records are plain dataclasses: no module but cli.py defines
+    `summary`, and only the file formats that `from_json` reads back define
+    `to_json`."""
+    import ast
+    import pathlib
+
+    from thermoqm import cli
+
+    found = set()
+    for path in sorted(pathlib.Path(cli.__file__).parent.glob("*.py")):
+        owners = [o for o in ast.walk(ast.parse(path.read_text()))
+                  if isinstance(o, (ast.Module, ast.ClassDef))]
+        for owner in owners:
+            for node in owner.body:
+                if isinstance(node, ast.FunctionDef) and node.name in ("summary", "to_json"):
+                    found.add((path.name, getattr(owner, "name", None), node.name))
+    assert {f for f in found if f[0] != "cli.py" or f[2] != "summary"} == {
+        ("sft.py", "Sft", "to_json"), ("measures.py", "CylinderMeasure", "to_json")}

@@ -490,8 +490,7 @@ def test_lil_on_the_engine_equals_the_old_evaluation(case):
     for seed, trial in ((3, 0), (4, 2)):
         got = ex.lil_experiment(L, mm, n_max, seed, trial=trial)
         want = old_lil(L, mm, n_max, seed, trial=trial)
-        assert got.summary() == want.summary()
-        assert got.series == want.series
+        assert got == want
 
 
 def test_lil_with_mixed_widths_moves_at_rounding_level():

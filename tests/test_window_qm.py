@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from thermoqm import cli
 from thermoqm.errors import InvalidMatrix, NotPrimitive
-from thermoqm.qm import Quasimorphism, WindowQm
+from thermoqm.qm import PatternCount, Quasimorphism, WindowQm
 from thermoqm.sft import Sft, window_codes
 
 from oracles import encode_word
@@ -168,6 +168,13 @@ def test_edge_form_sums_equal_the_frozen_evaluator(case):
                 for j in range(n):
                     cycle = cycle + f[edges.index_of_codes(window_codes(arr, j, t + 1, d))]
                 assert _close(cycle, want, integer, _scale(kernels).homogenized_values(arr, d))
+
+
+def test_a_negative_window_symbol_is_refused():
+    """A negative symbol's code would index a window table from its end."""
+    for make in (lambda: WindowQm({2: {(-1, 0): 1.0}}, 0.0), lambda: PatternCount((-1, 0))):
+        with pytest.raises(ValueError, match="no negative symbol"):
+            make()
 
 
 def test_word_kinds_without_tables_have_no_edge_form():
