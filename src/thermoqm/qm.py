@@ -62,6 +62,14 @@ class Quasimorphism:
         """dict width -> dense kernel array over d**width codes, or None."""
         return None
 
+    def carried_window(self, d):
+        """(q, add) where `values` adds one dense width-q table over the windows
+        inside a word in start order: a word of at least q symbols then has
+        add(its prefix's value, the code of the window at its last symbol), in
+        the same float additions (`Sft.prefix_sweep`).  None where not: several
+        widths add width by width, and other kinds have their own arithmetic."""
+        return None
+
     def edge_form(self, sft):
         """L on the depth-t block graph g, t = max(Q-1, 1) for Q the widest window:
         (g, f, start), f on each edge the windows that end at its new symbol, start
@@ -158,6 +166,13 @@ class WindowQm(Quasimorphism):
 
     def values(self, arr, d):
         return window_sums(self.window_tables(d), arr, d, inside(arr.shape[1]))
+
+    def carried_window(self, d):
+        tables = self.window_tables(d)
+        if len(tables) != 1:
+            return None
+        (q, table), = tables.items()
+        return q, lambda value, window: value + table[window]
 
     def power_values(self, arr, d, m):
         if set(self.kernels) == {1}:  # no window crosses a junction of a^m
@@ -384,14 +399,16 @@ class Quasicocycle:
         return float(self.tables[n][self.sft.cylinders(n).index(tuple(word)[:n])])
 
     def delta_estimate(self):
-        """sup over split points of |B_{n+m} - B_n - B_m o tau^n| on stored depths."""
+        """sup over split points of |B_{n+m} - B_n - B_m o tau^n| on stored depths.
+        Each split's positions are read once and not kept on the cylinders."""
         best = 0.0
         for total in range(2, self.n_max + 1):
             idx = self.sft.cylinders(total)  # w = u.v: u its n-prefix, v its m-suffix
             for n in range(1, total):
                 m = total - n
-                best = max(best, float(np.abs(self.tables[total] - self.tables[n][idx.prefix(n)]
-                                              - self.tables[m][idx.suffix(m)]).max()))
+                best = max(best, float(np.abs(self.tables[total]
+                                              - self.tables[n][idx.positions("prefix", n)]
+                                              - self.tables[m][idx.positions("suffix", m)]).max()))
         return best
 
     def scaled(self, c):

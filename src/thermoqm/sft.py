@@ -8,8 +8,12 @@ lexicographic join of two about half-length arrays, O(|W_n| n) bytes moved,
 built in consecutive slices of about _SLICE_CELLS symbols (`Sft.word_slices`
 hands them out one by one, for consumers that stream).  The peak is at most
 about 2n + 16 bytes a word (3n + 16 for the wrapping words) while W_n fits one
-slice, and n bytes a word plus about 4 MB of slice temporaries beyond.  All
-enumerations are in lexicographic order and all
+slice, and n bytes a word plus about 4 MB of slice temporaries beyond.  The
+wrapping words are selected as one opaque item a row, a third of the time of
+a 2-D select.  `Sft.extensions` is the one successor expansion; the word
+column loop and the enumerated partition sweep of `thermo` extend by it, the
+sweep carrying per word a first symbol, a window code and a value (17 bytes),
+never the words.  All enumerations are in lexicographic order and all
 tie-breaking (connectors, lifts, star words) is shortest-then-lexicographic,
 so every operation here is a deterministic function of its inputs.
 
@@ -18,7 +22,8 @@ ints (`Sft._R_intpow`), which never wrap at 2^63.
 
 `window_codes` is the one base-d coding of windows.  The one way from a
 cylinder index to a shorter one is `WordIndex.prefix(j)` / `suffix(j)`, the
-position of each word's first or last j symbols among the j-words, and a table
+position of each word's first or last j symbols among the j-words, kept per j
+(`WordIndex.positions` computes one without keeping it), and a table
 on the words of one depth is written and read as {rendered word: value} JSON
 by `WordIndex.render_table` / `parse_table`.
 
@@ -44,6 +49,7 @@ Word = tuple
 _DENSE_TABLE = 8  # code lookups use a d**depth table up to this many entries a word
 _JOIN_WORDS = 1024  # word_array joins two shorter arrays above this many words (CHANGES.md)
 _SLICE_CELLS = 1 << 20  # symbols of W_n a slice of Sft.word_slices is built from
+_SWEEP_ROWS = 1 << 12  # words of W_(n-1) a slice of Sft.prefix_sweep extends
 
 
 def word_cap():
@@ -145,13 +151,18 @@ class WordIndex:
         """Position among the j-words of each word's last j symbols, as prefix."""
         return self._map("suffix", j)
 
-    def _map(self, side, j):
+    def positions(self, side, j):
+        """prefix(j) or suffix(j), by side "prefix" or "suffix", computed afresh
+        and not kept: for a caller that reads each map once."""
         if not 0 <= j <= self.depth:
             raise ValueError(f"a {self.depth}-word has no {j}-symbol {side}")
+        d = self.sft.d
+        codes = self.codes // d ** (self.depth - j) if side == "prefix" else self.codes % d**j
+        return self.sft.cylinders(j).index_of_codes(codes) if j else np.zeros(len(self), np.int64)
+
+    def _map(self, side, j):
         if (side, j) not in self._maps:
-            d = self.sft.d
-            codes = self.codes // d ** (self.depth - j) if side == "prefix" else self.codes % d**j
-            out = self.sft.cylinders(j).index_of_codes(codes) if j else np.zeros(len(self), np.int64)
+            out = self.positions(side, j)
             out.flags.writeable = False  # one array for every caller
             self._maps[side, j] = out
         return self._maps[side, j]
@@ -313,15 +324,27 @@ class Sft:
             return iter([self._successor_words(n, periodic)])
         return self._joined_words(n, periodic)
 
+    def extensions(self, last):
+        """(rows, syms): the one-symbol extensions of words that end in the
+        symbols `last`, extension i appending syms[i] to word rows[i].  A word's
+        extensions are consecutive and in symbol order, so the extensions of a
+        lexicographic list of words are lexicographic."""
+        return np.nonzero(self.R[last])
+
+    def _wrapping(self, part):
+        """The rows of a C-ordered word array that wrap, R[last, first] = 1,
+        selected as one opaque item per row (a 2-D select costs about 3x)."""
+        rows = part.view(f"V{part.shape[1] * part.itemsize}")[:, 0]
+        return rows[self.R[part[:, -1], part[:, 0]] == 1].view(part.dtype).reshape(-1, part.shape[1])
+
     def _successor_words(self, n, periodic):
         """One successor expansion per column: cheapest for short lists of words."""
         dt = symbol_dtype(self.d)
         arr = np.arange(self.d, dtype=dt)[:, None] if n else np.zeros((1, 0), dtype=dt)
         for _ in range(n - 1):
-            # successors of each row's last symbol, rows in order: stays lexicographic
-            rows, syms = np.nonzero(self.R[arr[:, -1]])
+            rows, syms = self.extensions(arr[:, -1])
             arr = np.concatenate([arr[rows], syms.astype(dt)[:, None]], axis=1)
-        return arr[self.R[arr[:, -1], arr[:, 0]] == 1] if periodic else arr
+        return self._wrapping(arr) if periodic else arr
 
     def _joined_words(self, n, periodic):
         """W_n, n >= 3, as consecutive lexicographic slices, by a join of two
@@ -348,8 +371,44 @@ class Sft:
             fields["head"] = np.repeat(heads[lo:hi], r)
             rows = np.repeat(start[H[lo:hi, -1]] - (np.cumsum(r) - r), r) + np.arange(len(part))
             fields["tail"] = tails.take(rows)
-            yield part[self.R[part[:, -1], part[:, 0]] == 1] if periodic else part
+            yield self._wrapping(part) if periodic else part
             lo = hi
+
+    def prefix_sweep(self, q, add, n_max):
+        """For n = 1 .. n_max, the values on the wrapping words of length n, in
+        lexicographic order, of a value that grows one window at a time: a word
+        of at least q symbols has add(its parent's value, the code of the width-q
+        window that ends at its last symbol), a shorter one 0.0.  W_n comes
+        from W_(n-1) by `extensions`, _SWEEP_ROWS words at a time, and a word
+        carries its first symbol, the code of its last max(q-1, 1) symbols and
+        its value (17 bytes), never the word.  The caller checks the word cap."""
+        d, R = self.d, self.R
+        mod = d ** max(q - 1, 1)
+        first = np.arange(d, dtype=symbol_dtype(d))  # W_1
+        tail = np.arange(d, dtype=np.int64)
+        value = add(np.zeros(d), tail) if q == 1 else np.zeros(d)
+        yield value[np.diagonal(R) == 1]
+        for n in range(2, n_max + 1):
+            size = self.word_count(n) if n < n_max else 0  # W_n is extended again
+            nfirst, ntail, nvalue = np.empty(size, first.dtype), np.empty(size, np.int64), np.empty(size)
+            wrapping, row, w = np.empty(self.periodic_count(n)), 0, 0
+            for lo in range(0, len(tail), _SWEEP_ROWS):
+                t = tail[lo:lo + _SWEEP_ROWS]
+                rows, sym = self.extensions(t % d)
+                ext = t[rows] * d + sym
+                v = value[lo:lo + _SWEEP_ROWS][rows]
+                if n >= q:
+                    v = add(v, sym if q == 1 else ext)
+                f = first[lo:lo + _SWEEP_ROWS][rows]
+                wraps = v[R[sym, f] == 1]
+                wrapping[w:w + len(wraps)] = wraps
+                w += len(wraps)
+                if size:
+                    nfirst[row:row + len(v)], ntail[row:row + len(v)], nvalue[row:row + len(v)] = \
+                        f, ext % mod, v
+                    row += len(v)
+            first, tail, value = nfirst, ntail, nvalue
+            yield wrapping
 
     def words(self, n):
         """All admissible words of length n as tuples, lexicographic."""

@@ -8,6 +8,17 @@ first symbol of a word, so d boundary vectors are pushed through the graph,
 O(n S d^2) work for S block states.  Plain enumeration stays available as the
 generic path and as a cross-check.
 
+Enumerated sums P_1 .. P_n_max of a kind with one window table of width q
+(`Quasimorphism.carried_window`) come from one sweep over the word tree
+(`Sft.prefix_sweep`): W_n from W_(n-1), each word carrying its first symbol,
+the code of its last max(q-1, 1) symbols and its value, its parent's plus the
+window that ends at its new symbol.  These are `window_sums`' additions in its
+order, and each level's words come in lexicographic order, so every P_n keeps
+the bits of a sum over `Sft.word_array(n, periodic=True)`.  The sweep holds 17
+bytes a word of the level it extends, 8 a wrapping word and one slice of
+temporaries, about 30 bytes a word of W_20 on F_2 at its peak (enumerating
+each length took 44).  Other kinds evaluate their `values` at each length.
+
 Periodic-orbit Gibbs measures of window-additive quasimorphisms come from the
 same graph: the homogenized weight of a periodic word is the product of the
 edge weights along its closed walk, so the orbit masses at any N are entries
@@ -62,8 +73,18 @@ def _logsumexp(a):
         return float(out if np.isfinite(out) else np.log(np.exp(a).sum()))
 
 
-def _enumerated_log_partition(L, sft, n):
+def _periodic_log_partition(L, sft, n):
+    """P_n from L's values on the wrapping words of length n."""
     return _logsumexp(L.values(sft.word_array(n, periodic=True), sft.d))
+
+
+def _enumerated_log_partition(L, sft, n_max):
+    """P_1 .. P_n_max by enumeration: one `Sft.prefix_sweep` where L carries one
+    window table (`Quasimorphism.carried_window`), else each length apart."""
+    carry = L.carried_window(sft.d)
+    if carry is None:
+        return np.array([_periodic_log_partition(L, sft, n) for n in range(1, n_max + 1)])
+    return np.array([_logsumexp(wrapping) for wrapping in sft.prefix_sweep(*carry, n_max)])
 
 
 class _WindowTransfer:
@@ -213,7 +234,7 @@ def log_partition(L, sft, n, method="auto"):
     if n < 1:
         raise ValueError("partition function needs n >= 1")
     W = _method_transfer(L, sft, method)
-    return _enumerated_log_partition(L, sft, n) if W is None else float(W.log_partitions(n)[n - 1])
+    return _periodic_log_partition(L, sft, n) if W is None else float(W.log_partitions(n)[n - 1])
 
 
 def log_partition_sequence(L, sft, n_max, method="auto"):
@@ -226,7 +247,7 @@ def _log_partitions(L, sft, n_max, method):
     if W is None:
         if sft.word_count(n_max) > word_cap():  # |W_n| grows with n: refuse before enumerating
             raise ResourceLimit(f"|W_{n_max}| = {sft.word_count(n_max)} exceeds the word cap")
-        return np.array([_enumerated_log_partition(L, sft, n) for n in range(1, n_max + 1)]), 0
+        return _enumerated_log_partition(L, sft, n_max), 0
     return W.log_partitions(n_max), len(W.V0)
 
 

@@ -65,9 +65,9 @@ def test_transfer_partitions_match_enumeration(case):
     sft, L = case
     n_max = 10 if sft.d == 2 else 8  # 3^8 words keep one example under a second
     p = thermo.log_partition_sequence(L, sft, n_max)
+    want = thermo._enumerated_log_partition(L, sft, n_max)
     for n in range(1, n_max + 1):
-        want = thermo._enumerated_log_partition(L, sft, n)
-        assert p[n - 1] == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert p[n - 1] == pytest.approx(want[n - 1], rel=1e-12, abs=0.0)
 
 
 def _split_constant_loop(p, n0, n_max):

@@ -503,7 +503,9 @@ def test_pressure_method_is_checked_before_evaluating(method, qm, error):
     from thermoqm import cli
 
     with mock.patch.object(cli.thermo, "_enumerated_log_partition",
-                           side_effect=AssertionError("enumerated before checking")):
+                           side_effect=AssertionError("enumerated before checking")), \
+            mock.patch.object(cli.thermo, "_periodic_log_partition",
+                              side_effect=AssertionError("enumerated before checking")):
         code, summary = cli.execute("pressure", {"sft": F2, "qm": qm, "n_max": 8,
                                                  "method": method}, None)
     assert (code, summary["error"]) == (2, f"ValueError: {error}")

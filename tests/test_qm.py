@@ -1,9 +1,12 @@
 """Quasimorphism kinds, defect, homogenization, quasicocycles, cohomology."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from thermoqm.errors import DepthExceeded
+from thermoqm.freegroup import FreeGroup, brooks
 from thermoqm.qm import (
     LetterWeights,
     LinearCombinationQm,
@@ -181,6 +184,24 @@ def test_delta_estimate_monotone_in_depth():
     estimates = [quasicocycle_of(L, f, n).delta_estimate() for n in (3, 5, 7)]
     assert estimates == sorted(estimates)
     assert quasicocycle_of(L, f, 7).bowen_norm == 0.0  # tables are locally constant
+
+
+def test_delta_estimate_keeps_no_prefix_or_suffix_maps():
+    """The split positions are read once each and dropped: at depth 10 on the
+    free group's 4-symbol shift, keeping them left 16.8 MB.  What the call
+    leaves is the dense code tables of the shallower cylinders (about 0.7 MB)."""
+    F = FreeGroup(2)
+    sft = F.sft()
+    B = quasicocycle_of(brooks(F, "ab"), sft, 10)
+    tracemalloc.start()
+    try:
+        est = B.delta_estimate()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert est == 1.0
+    assert retained < 1 << 20
+    assert not any(sft.cylinders(n)._maps for n in range(1, 11))
 
 
 def test_cohomologous_count01_count10():

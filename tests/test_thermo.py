@@ -42,7 +42,9 @@ def test_partition_method_is_checked_before_evaluating(fn, monkeypatch):
     def enumerate_(*args, **kwargs):
         raise AssertionError("enumerated before checking the method")
 
+    # the sweep over all lengths and the evaluation at one length
     monkeypatch.setattr(thermo, "_enumerated_log_partition", enumerate_)
+    monkeypatch.setattr(thermo, "_periodic_log_partition", enumerate_)
     f = full_shift(2)
     for method in ("Transfer", "", "exact"):
         with pytest.raises(ValueError, match=f"^method must be 'auto', 'transfer' or "

@@ -2,6 +2,7 @@
 evaluators and their consumers against frozen copies of the tuple-by-tuple
 code they replaced, compared exactly (the same floats in the same order)."""
 
+import contextlib
 import time
 import tracemalloc
 from unittest import mock
@@ -608,14 +609,100 @@ def test_defect_cyclic_average_and_qm_integral_equal_word_loops(case):
 @given(sft_and_qm())
 def test_partition_sums_equal_word_loops(case):
     sft, L = case
+    p = thermo._enumerated_log_partition(L, sft, max(small_ns(sft)))
+    assert np.array_equal(p, [old_enumerated_log_partition(L, sft, n) for n in small_ns(sft)])
     for n in small_ns(sft):
-        assert thermo._enumerated_log_partition(L, sft, n) == old_enumerated_log_partition(
-            L, sft, n)
+        assert thermo._periodic_log_partition(L, sft, n) == p[n - 1]
     kernels = L.window_tables(sft.d)
     if kernels is not None:
         for n in small_ns(sft):
             assert thermo._short_word_log_partition(kernels, sft, n) == \
                 old_short_word_log_partition(kernels, sft, n)
+
+
+@st.composite
+def swept_kinds(draw):
+    """A primitive SFT on at most 4 symbols with window kernels of widths 1-4,
+    real or integer, on one width or several; or a linear combination, a
+    tabulated kind or a bounded perturbation of a window kind."""
+    sft = draw(primitive_sfts())
+    d = sft.d
+    coef = draw(st.sampled_from([COEF, st.integers(-3, 3).map(float)]))
+
+    def kernels(widths):
+        def window(q):
+            return st.lists(st.integers(0, d - 1), min_size=q, max_size=q).map(tuple)
+        return {q: {w: draw(coef) for w in draw(st.lists(window(q), max_size=6))} for q in widths}
+
+    one = st.sets(st.integers(1, 4), min_size=1, max_size=1)
+    if draw(st.booleans()):  # half the cases take the sweep
+        return sft, WindowQm(kernels(draw(one)), 0.0)
+    kind = draw(st.sampled_from(["widths", "linear_combination", "tabulated", "perturbed"]))
+    if kind == "widths":
+        return sft, WindowQm(kernels(draw(st.sets(st.integers(1, 4), min_size=2))), 0.0)
+    if kind == "linear_combination":
+        terms = [(draw(coef), WindowQm(kernels(draw(one)), 0.0)) for _ in range(draw(st.integers(1, 2)))]
+        return sft, LinearCombinationQm(terms)
+    bump = TabulatedQm({n: {w: draw(coef) for w in sft.words(n)} for n in (1, 2)},
+                       defect_bound=1.0, extend=True)
+    return sft, bump if kind == "tabulated" else PerturbedQm(WindowQm(kernels(draw(one)), 0.0), bump)
+
+
+@settings(PROPERTY, max_examples=60)
+@given(swept_kinds(), st.integers(1, 5))
+def test_enumerated_partition_sequence_equals_word_loops(case, rows):
+    """P_1 .. P_n_max by enumeration equal the word-by-word sums bit for bit, in
+    whole slices and in slices of a few words.  A kind with one window table
+    takes the sweep: its per-length evaluator is never called."""
+    sft, L = case
+    n_max = MAX_N[sft.d]
+    want = [old_enumerated_log_partition(L, sft, n) for n in range(1, n_max + 1)]
+    swept = isinstance(L, WindowQm) and len(L.kernels) == 1
+    assert (L.carried_window(sft.d) is not None) == swept
+    per_length = mock.patch.object(thermo, "_periodic_log_partition",
+                                   side_effect=AssertionError("evaluated per length"))
+    for slice_rows in (sft_module._SWEEP_ROWS, rows):
+        with mock.patch.object(sft_module, "_SWEEP_ROWS", slice_rows), \
+                (per_length if swept else contextlib.nullcontext()):
+            p = thermo.log_partition_sequence(L, sft, n_max, method="enumerate")
+        assert np.array_equal(p, want)
+
+
+def test_enumerated_partition_cap_refuses_before_allocating():
+    """|W_40| of the 2-shift is over the word cap: refused with the cap's text
+    before anything of that size exists, and before any sum is evaluated."""
+    sft = full_shift(2)
+    sft.word_count(40)  # the exact count, cached outside the trace
+    with mock.patch.object(thermo, "_enumerated_log_partition",
+                           side_effect=AssertionError("enumerated before the cap")):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimit, match=r"^\|W_40\| = 1099511627776 exceeds the word cap$"):
+                thermo.log_partition_sequence(PatternCount((0, 1)), sft, 40, method="enumerate")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 64 * 1024
+
+
+@pytest.mark.parametrize("L,sft,n_max,bound", [
+    (PatternCount((0, 1)), full_shift(2), 20, 46.2e6),
+    (zero_qm(2), golden_mean(), 28, 37.0e6),
+], ids=["count01-f2-20", "zero-golden-28"])
+def test_enumerated_partition_sequence_peak(L, sft, n_max, bound):
+    """The sweep carries a first symbol, a window code and a value a word, not
+    the words: its tracemalloc peak stays under the per-length enumeration's
+    (44 B a word of W_20 on the 2-shift; a sweep carrying the words took 70)."""
+    thermo.log_partition_sequence(L, sft, 8, method="enumerate")  # warm caches
+    sft.word_count(n_max), sft.periodic_count(n_max)
+    tracemalloc.start()
+    try:
+        p = thermo.log_partition_sequence(L, sft, n_max, method="enumerate")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(p).all()
+    assert peak <= bound
 
 
 @PROPERTY
